@@ -178,7 +178,7 @@ func BenchmarkMatcher5000(b *testing.B) { benchMatcher(b, 5000) }
 // width and reports the matched-pair yield as a custom metric.
 func benchCaliper(b *testing.B, caliper float64) {
 	d := benchDataset(b)
-	users := dataset.Select(d.Users, dataset.ByVantage(dataset.VantageDasu))
+	users := d.Panel().Where(dataset.ColVantage(dataset.VantageDasu)).Users()
 	var treated, control []*dataset.User
 	for _, u := range users {
 		switch {

@@ -5,12 +5,15 @@
 //
 // Usage:
 //
-//	bbbench                               # full set → BENCH_9.json
+//	bbbench                               # full set → the next free BENCH_<n>.json
 //	bbbench -set smoke -benchtime 100ms   # reduced CI set, shorter runs
 //	bbbench -baseline BENCH_7.json        # also gate: exit 1 on >20% regression
 //	bbbench -baseline auto                # gate against the newest BENCH_<n>.json
 //	bbbench -baseline BENCH_7.json -tolerance 0.35
 //	bbbench -list                         # enumerate specs and exit
+//
+// bbbench never overwrites a file: -out defaults to the index after the
+// newest BENCH_<n>.json, and an existing -out is refused before the run.
 //
 // -baseline auto picks the committed BENCH_<n>.json with the highest index,
 // compared numerically (BENCH_10 beats BENCH_6 — a lexical sort would get
@@ -41,7 +44,7 @@ func main() {
 	// forward its -benchtime to testing.Benchmark.
 	testing.Init()
 	var (
-		out       = flag.String("out", "BENCH_9.json", "trajectory file to write")
+		out       = flag.String("out", "", "trajectory file to write; never overwritten (default: the next free BENCH_<n>.json)")
 		set       = flag.String("set", "full", "benchmark set: full or smoke")
 		benchtime = flag.String("benchtime", "1s", "per-benchmark target time (or Nx iteration count)")
 		baseline  = flag.String("baseline", "", "prior trajectory to compare against (or \"auto\" for the newest BENCH_<n>.json); regressions exit nonzero")
@@ -97,6 +100,15 @@ func main() {
 		}
 	}
 
+	if *out == "" {
+		if *out, err = bench.NextBaseline("."); err != nil {
+			fail(err)
+		}
+	}
+	if _, err := os.Stat(*out); err == nil {
+		fail(fmt.Errorf("%s already exists; pick another -out", *out))
+	}
+
 	traj := bench.NewTrajectory(time.Now())
 	for _, s := range specs {
 		fmt.Fprintf(os.Stderr, "bbbench: %s...\n", s.Name)
@@ -113,15 +125,7 @@ func main() {
 		traj.Benchmarks = append(traj.Benchmarks, r)
 	}
 
-	f, err := os.Create(*out)
-	if err != nil {
-		fail(err)
-	}
-	if err := traj.Write(f); err != nil {
-		f.Close()
-		fail(err)
-	}
-	if err := f.Close(); err != nil {
+	if err := traj.WriteNew(*out); err != nil {
 		fail(err)
 	}
 	fmt.Fprintf(os.Stderr, "bbbench: wrote %s (%d benchmarks)\n", *out, len(traj.Benchmarks))

@@ -8,7 +8,7 @@
 // Usage:
 //
 //	bbchaos                          # default world, 1% faults
-//	bbchaos -rate 0.05 -seed 7      # heavier damage, replayable by seed
+//	bbchaos -rate 0.05 -chaos-seed 7 # heavier damage, replayable by seed
 //	bbchaos -data data/ -rate 0.01  # perturb a copy of an existing dataset
 //	bbchaos -report chaos.json      # machine-readable injection+drift report
 //
@@ -39,7 +39,7 @@ import (
 
 // report is the machine-readable outcome written by -report.
 type report struct {
-	Seed       uint64                      `json:"seed"`
+	Seed       uint64                      `json:"seed"` // -chaos-seed
 	Rate       float64                     `json:"rate"`
 	Injected   *chaos.Log                  `json:"injected"`
 	Quarantine *broadband.QuarantineReport `json:"quarantine,omitempty"`
@@ -49,24 +49,21 @@ type report struct {
 
 func main() {
 	var (
-		seed      = flag.Uint64("seed", 1, "chaos seed (the fault pattern is a pure function of it)")
+		chaosSeed = flag.Uint64("chaos-seed", 1, "chaos seed (the fault pattern is a pure function of it)")
 		rate      = flag.Float64("rate", 0.01, "per-row fault probability")
 		truncate  = flag.Float64("truncate", 0, "per-table shard-truncation probability")
 		corrupt   = flag.Float64("corrupt", 0, "per-table gzip-corruption probability (gzip datasets)")
 		dataDir   = flag.String("data", "", "perturb a copy of this dataset directory instead of generating a world")
-		worldSeed = flag.Uint64("world-seed", 20140705, "world seed when generating")
-		users     = flag.Int("users", 2000, "end-host users when generating")
-		fcc       = flag.Int("fcc", 500, "US gateway-panel users when generating")
-		days      = flag.Int("days", 2, "observation days per user when generating")
-		switches  = flag.Int("switches", 400, "service-upgrade records when generating")
-		minPer    = flag.Int("min-per-country", 10, "minimum primary-year users per country when generating")
+		seed      = flag.Uint64("seed", cli.CanonicalWorld.Seed, "world seed when generating; also the experiments' seed")
+		worldCfg  = cli.WorldFlags(flag.CommandLine, broadband.WorldConfig{Users: 2000, FCCUsers: 500, Days: 2, SwitchTarget: 400, MinPerCountry: 10})
 		badFrac   = flag.Float64("max-bad-frac", 0, "quarantine error budget as a bad-row fraction (0 = the default 5%)")
 		manifest  = flag.String("manifest", "testdata/assertions.json", "assertion manifest (empty to skip the scorecard)")
 		reportTo  = flag.String("report", "", "write the JSON injection+drift report to this file")
 		keep      = flag.String("keep", "", "keep the perturbed dataset in this directory instead of a throwaway temp dir")
-		workers   = flag.Int("workers", 0, "concurrent workers (0 = GOMAXPROCS)")
 	)
 	flag.Parse()
+	cfg := worldCfg()
+	cfg.Seed = *seed
 
 	ctx, stop := cli.Context()
 	defer stop()
@@ -96,25 +93,17 @@ func main() {
 			fail("%v", err)
 		}
 	} else {
-		world, err := broadband.BuildWorldCtx(ctx, broadband.WorldConfig{
-			Seed:          *worldSeed,
-			Users:         *users,
-			FCCUsers:      *fcc,
-			Days:          *days,
-			SwitchTarget:  *switches,
-			MinPerCountry: *minPer,
-			Workers:       *workers,
-		})
+		world, err := broadband.BuildWorldCtx(ctx, cfg)
 		if err != nil {
 			cli.Exit("bbchaos", err, 2)
 		}
-		if err := broadband.SaveDatasetCtx(ctx, &world.Data, workDir, broadband.SaveOptions{Workers: *workers}); err != nil {
+		if err := broadband.SaveDatasetCtx(ctx, &world.Data, workDir, broadband.SaveOptions{Workers: cfg.Workers}); err != nil {
 			cli.Exit("bbchaos", err, 2)
 		}
 	}
 
 	in := chaos.New(chaos.Config{
-		Seed:         *seed,
+		Seed:         *chaosSeed,
 		Rate:         *rate,
 		TruncateProb: *truncate,
 		CorruptProb:  *corrupt,
@@ -125,7 +114,7 @@ func main() {
 	}
 	fmt.Fprint(os.Stderr, log.Render())
 
-	rep := &report{Seed: *seed, Rate: *rate, Injected: log}
+	rep := &report{Seed: *chaosSeed, Rate: *rate, Injected: log}
 	exit := func(code int) {
 		if *reportTo != "" {
 			data, err := json.MarshalIndent(rep, "", "  ")
@@ -156,7 +145,7 @@ func main() {
 	if err := ctx.Err(); err != nil {
 		cli.Exit("bbchaos", err, 2)
 	}
-	reports, err := broadband.RunAllWorkersCtx(ctx, d, *worldSeed, *workers)
+	reports, err := broadband.RunAllWorkersCtx(ctx, d, cfg.Seed, cfg.Workers)
 	if err != nil {
 		cli.Exit("bbchaos", err, 2)
 	}

@@ -23,13 +23,8 @@ func main() {
 	var (
 		out      = flag.String("out", "data", "output directory for the CSV files")
 		seed     = flag.Uint64("seed", 1, "world seed (all data is deterministic in it)")
-		users    = flag.Int("users", 8000, "end-host users in the primary year")
-		fcc      = flag.Int("fcc", 2000, "US gateway-panel users")
-		days     = flag.Int("days", 3, "observation days simulated per user")
-		switches = flag.Int("switches", 2000, "service-upgrade records")
-		minPer   = flag.Int("min-per-country", 30, "minimum primary-year users per country")
+		worldCfg = cli.WorldFlags(flag.CommandLine, broadband.WorldConfig{Users: 8000, FCCUsers: 2000, Days: 3, SwitchTarget: 2000, MinPerCountry: 30})
 		ndt      = flag.Bool("ndt", false, "measure every line with the packet-level simulator (slow)")
-		workers  = flag.Int("workers", 0, "concurrent generation workers (0 = GOMAXPROCS, 1 = sequential; output is identical either way)")
 		gz       = flag.Bool("gzip", false, "write gzip-compressed CSVs (users.csv.gz etc.; bbrepro -data reads either)")
 		shards   = flag.Int("shards", 0, "write the user panel out-of-core as N shard files (users-00000-of-0000N.csv …); 0 builds in memory. Resident memory stays bounded regardless of -users")
 	)
@@ -40,21 +35,14 @@ func main() {
 	ctx, stop := cli.Context()
 	defer stop()
 
-	cfg := broadband.WorldConfig{
-		Seed:          *seed,
-		Users:         *users,
-		FCCUsers:      *fcc,
-		Days:          *days,
-		SwitchTarget:  *switches,
-		MinPerCountry: *minPer,
-		Workers:       *workers,
-	}
+	cfg := worldCfg()
+	cfg.Seed = *seed
 	if *ndt {
 		cfg.Measurement = broadband.MeasureNDT
 	}
 	start := time.Now()
 	if *shards > 0 {
-		fmt.Fprintf(os.Stderr, "bbgen: generating world out-of-core (seed=%d, users=%d, shards=%d)...\n", *seed, *users, *shards)
+		fmt.Fprintf(os.Stderr, "bbgen: generating world out-of-core (seed=%d, users=%d, shards=%d)...\n", cfg.Seed, cfg.Users, *shards)
 		rep, err := broadband.BuildWorldSharded(ctx, cfg, broadband.ShardSpec{Dir: *out, Shards: *shards, Gzip: *gz})
 		if err != nil {
 			cli.Exit("bbgen", err, 1)
@@ -67,7 +55,7 @@ func main() {
 			time.Since(start).Round(time.Millisecond), cli.PeakRSS())
 		return
 	}
-	fmt.Fprintf(os.Stderr, "bbgen: generating world (seed=%d, users=%d)...\n", *seed, *users)
+	fmt.Fprintf(os.Stderr, "bbgen: generating world (seed=%d, users=%d)...\n", cfg.Seed, cfg.Users)
 	world, err := broadband.BuildWorldCtx(ctx, cfg)
 	if err != nil {
 		cli.Exit("bbgen", err, 1)
@@ -75,7 +63,7 @@ func main() {
 	if n := world.SkippedHouseholds(); n > 0 {
 		fmt.Fprintf(os.Stderr, "bbgen: %d households skipped (no affordable plan after every redraw)\n", n)
 	}
-	if err := broadband.SaveDatasetCtx(ctx, &world.Data, *out, broadband.SaveOptions{Gzip: *gz, Workers: *workers}); err != nil {
+	if err := broadband.SaveDatasetCtx(ctx, &world.Data, *out, broadband.SaveOptions{Gzip: *gz, Workers: cfg.Workers}); err != nil {
 		cli.Exit("bbgen", err, 1)
 	}
 	fmt.Fprintf(os.Stderr, "bbgen: wrote %d users, %d switches, %d plans to %s in %v\n",

@@ -1,15 +1,30 @@
 // Command bbrepro regenerates every table and figure of the paper against a
-// freshly generated synthetic world and prints the reproductions.
+// freshly generated synthetic world and prints the reproductions. With
+// -verify it is also the golden regression gate: every registry artifact
+// is diffed against the checked-in goldens under testdata/golden/ and the
+// assertion manifest that encodes EXPERIMENTS.md's shape scorecard.
 //
 // Usage:
 //
-//	bbrepro                       # run everything at default world size
+//	bbrepro                       # run everything at the canonical world
 //	bbrepro -only "Table 2"       # one artifact
 //	bbrepro -users 8000 -seed 7   # bigger world, different seed
 //	bbrepro -list                 # enumerate artifacts
+//	bbrepro -verify -report drift.json   # gate, plus the machine-readable drift report
+//
+// Goldens are rewritten through the test suite, not this command:
+//
+//	go test -run TestGoldenArtifacts -update .
+//
+// Exit status: 0 on success; 1 when an artifact fails or, with -verify,
+// when an artifact drifts or violates an assertion (every failure is
+// listed on stderr); 2 when the harness itself fails (a manifest or golden
+// read error, a report write error); 130 on interrupt.
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -17,28 +32,30 @@ import (
 
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/cli"
+	"github.com/nwca/broadband/internal/fsx"
 	"github.com/nwca/broadband/internal/golden"
 	"github.com/nwca/broadband/internal/par"
 )
 
 func main() {
 	var (
-		seed     = flag.Uint64("seed", 20140705, "world seed")
-		users    = flag.Int("users", 5000, "end-host users in the primary year")
-		fcc      = flag.Int("fcc", 1200, "US gateway-panel users")
-		days     = flag.Int("days", 2, "observation days per user")
-		switches = flag.Int("switches", 900, "service-upgrade records")
-		minPer   = flag.Int("min-per-country", 30, "minimum primary-year users per country")
+		seed     = flag.Uint64("seed", cli.CanonicalWorld.Seed, "world seed")
+		worldCfg = cli.WorldFlags(flag.CommandLine, cli.CanonicalWorld)
 		only     = flag.String("only", "", "run a single artifact, e.g. \"Table 2\" or \"Fig. 6\"")
 		list     = flag.Bool("list", false, "list artifacts and exit")
 		dataDir  = flag.String("data", "", "analyze a dataset directory written by bbgen instead of generating a world")
 		ext      = flag.Bool("ext", false, "also run the extension analyses (beyond the paper's artifacts)")
-		workers  = flag.Int("workers", 0, "concurrent workers for generation and experiments (0 = GOMAXPROCS, 1 = sequential)")
-		verify   = flag.Bool("verify", false, "after printing, check artifacts against testdata/golden and the assertion manifest; exit nonzero on drift")
+		verify   = flag.Bool("verify", false, "after printing, check artifacts against -golden and -manifest; exit 1 on drift")
 		golDir   = flag.String("golden", "testdata/golden", "golden directory for -verify")
 		manifest = flag.String("manifest", "testdata/assertions.json", "assertion manifest for -verify (empty to skip assertions)")
+		report   = flag.String("report", "", "with -verify, also write the JSON drift report to this file")
 	)
 	flag.Parse()
+	if *report != "" && !*verify {
+		cli.Exit("bbrepro", errors.New("-report needs -verify"), 2)
+	}
+	cfg := worldCfg()
+	cfg.Seed = *seed
 
 	if *list {
 		for _, e := range broadband.Experiments() {
@@ -64,16 +81,8 @@ func main() {
 		}
 		data = loaded
 	} else {
-		fmt.Fprintf(os.Stderr, "bbrepro: generating world (seed=%d, users=%d)...\n", *seed, *users)
-		world, err := broadband.BuildWorldCtx(ctx, broadband.WorldConfig{
-			Seed:          *seed,
-			Users:         *users,
-			FCCUsers:      *fcc,
-			Days:          *days,
-			SwitchTarget:  *switches,
-			MinPerCountry: *minPer,
-			Workers:       *workers,
-		})
+		fmt.Fprintf(os.Stderr, "bbrepro: generating world (seed=%d, users=%d)...\n", cfg.Seed, cfg.Users)
+		world, err := broadband.BuildWorldCtx(ctx, cfg)
 		if err != nil {
 			cli.Exit("bbrepro", err, 1)
 		}
@@ -87,7 +96,7 @@ func main() {
 		len(data.Users), len(data.Switches), len(data.Plans))
 
 	if *only != "" {
-		rep, err := broadband.Run(*only, data, *seed)
+		rep, err := broadband.Run(*only, data, cfg.Seed)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
 			os.Exit(1)
@@ -106,8 +115,8 @@ func main() {
 	// the others — only cancellation stops dispatch.
 	reports := make([]broadband.Report, len(entries))
 	errs := make([]error, len(entries))
-	ctxErr := par.ForNCtx(ctx, par.Workers(*workers), len(entries), func(i int) error {
-		reports[i], errs[i] = broadband.Run(entries[i].ID, data, *seed)
+	ctxErr := par.ForNCtx(ctx, par.Workers(cfg.Workers), len(entries), func(i int) error {
+		reports[i], errs[i] = broadband.Run(entries[i].ID, data, cfg.Seed)
 		return nil
 	})
 	if ctxErr != nil {
@@ -139,19 +148,22 @@ func main() {
 		if *manifest != "" {
 			loaded, err := golden.LoadManifest(*manifest)
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-				os.Exit(1)
+				cli.Exit("bbrepro", err, 2)
 			}
 			m = loaded
 		}
 		r, err := golden.Verify(arts, *golDir, m)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-			os.Exit(1)
+			cli.Exit("bbrepro", err, 2)
 		}
 		fmt.Fprint(os.Stderr, r.Render())
+		if *report != "" {
+			if err := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *report, r.JSON(), 0o644); err != nil {
+				cli.Exit("bbrepro", err, 2)
+			}
+		}
 		if !r.OK() {
-			fmt.Fprintf(os.Stderr, "bbrepro: verify: %d of %d artifacts drifted\n", r.Failed(), len(r.Artifacts))
+			fmt.Fprintf(os.Stderr, "bbrepro: verify: %d of %d artifacts drifted or violated assertions\n", r.Failed(), len(r.Artifacts))
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "bbrepro: verify: all %d artifacts match the goldens\n", len(r.Artifacts))

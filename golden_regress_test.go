@@ -5,29 +5,20 @@ import (
 	"testing"
 
 	broadband "github.com/nwca/broadband"
+	"github.com/nwca/broadband/internal/cli"
 	"github.com/nwca/broadband/internal/golden"
 )
 
 // -update regenerates testdata/golden/ from the current tree instead of
-// verifying against it (the in-process equivalent of `bbverify -update`):
+// verifying against it; `bbrepro -verify` is the command-line gate over the
+// same goldens and manifest:
 //
 //	go test -run TestGoldenArtifacts -update .
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden from the current tree")
 
-// canonicalWorld is the default reproduction configuration — the same
-// parameters bbverify and bbrepro default to, and the world the committed
-// goldens were generated from.
-var canonicalWorld = broadband.WorldConfig{
-	Seed:          20140705,
-	Users:         5000,
-	FCCUsers:      1200,
-	Days:          2,
-	SwitchTarget:  900,
-	MinPerCountry: 30,
-}
-
 // TestGoldenArtifacts is the golden-regression gate: every registry
-// artifact regenerated at the canonical world must match its checked-in
+// artifact regenerated at the canonical world (cli.CanonicalWorld, the world
+// the committed goldens were generated from) must match its checked-in
 // golden byte-for-byte (the pipeline is deterministic) and satisfy the
 // assertion manifest. Run with -update after an intentional model change,
 // then review the golden diff like any other code change.
@@ -35,14 +26,14 @@ func TestGoldenArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("canonical world generation is slow; skipped with -short")
 	}
-	world, err := broadband.BuildWorld(canonicalWorld)
+	world, err := broadband.BuildWorld(cli.CanonicalWorld)
 	if err != nil {
 		t.Fatal(err)
 	}
 	entries := broadband.Experiments()
 	arts := make([]golden.Artifact, len(entries))
 	for i, e := range entries {
-		rep, err := broadband.Run(e.ID, &world.Data, canonicalWorld.Seed)
+		rep, err := broadband.Run(e.ID, &world.Data, cli.CanonicalWorld.Seed)
 		if err != nil {
 			t.Fatalf("%s: %v", e.ID, err)
 		}

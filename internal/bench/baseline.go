@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"fmt"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -40,4 +41,21 @@ func LatestBaseline(dir string) (string, error) {
 		return "", nil
 	}
 	return filepath.Join(dir, bestName), nil
+}
+
+// NextBaseline returns the path of the next free trajectory file in dir:
+// BENCH_<n+1>.json after the highest-indexed BENCH_<n>.json, or
+// BENCH_1.json when dir holds none.
+func NextBaseline(dir string) (string, error) {
+	latest, err := LatestBaseline(dir)
+	if err != nil {
+		return "", err
+	}
+	next := 1
+	if latest != "" {
+		// LatestBaseline only returns names whose index parsed.
+		n, _ := strconv.Atoi(baselineRe.FindStringSubmatch(filepath.Base(latest))[1])
+		next = n + 1
+	}
+	return filepath.Join(dir, fmt.Sprintf("BENCH_%d.json", next)), nil
 }

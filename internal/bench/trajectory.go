@@ -11,6 +11,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
 	"runtime"
 	"sort"
 	"time"
@@ -64,6 +65,24 @@ func (t *Trajectory) Write(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(t)
+}
+
+// WriteNew writes the trajectory to a new file at path. It refuses to
+// replace an existing file (the error wraps fs.ErrExist): committed
+// trajectories are history. A failed write removes the partial file.
+func (t *Trajectory) WriteNew(path string) error {
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
+	if err != nil {
+		return err
+	}
+	err = t.Write(f)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(path)
+	}
+	return err
 }
 
 // ReadTrajectory parses a trajectory and validates its schema.

@@ -1,5 +1,6 @@
 // Package cli holds the shared plumbing of the repo's commands: the
-// signal-aware root context and the exit-code convention. Every command
+// signal-aware root context, the exit-code convention, and the world-size
+// flags every world-building command registers (WorldFlags). Every command
 // cancels its work on SIGINT/SIGTERM and exits 130 (the shell convention
 // for a signal-terminated run) instead of leaving partial output behind —
 // all artifact writes go through internal/fsx, so an interrupted command

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -216,48 +217,42 @@ func TestSaveDir(t *testing.T) {
 
 func TestSelectAndPredicates(t *testing.T) {
 	d := sampleDataset()
-	us := Select(d.Users, ByCountry("US"))
-	if len(us) != 2 {
-		t.Errorf("ByCountry(US) = %d users", len(us))
+	ids := func(preds ...Pred) []int64 {
+		var out []int64
+		for _, i := range SelectIdx(d.Users, preds...) {
+			out = append(out, d.Users[i].ID)
+		}
+		return out
 	}
-	notUS := Select(d.Users, NotCountry("US"))
-	if len(notUS) != 1 || notUS[0].Country != "JP" {
-		t.Errorf("NotCountry(US) wrong: %d", len(notUS))
-	}
-	dasu := Select(d.Users, ByVantage(VantageDasu), ByYear(2012))
-	if len(dasu) != 3 {
-		t.Errorf("vantage+year = %d users", len(dasu))
-	}
-	fast := Select(d.Users, ByTier(stats.TierOver32))
-	if len(fast) != 1 || fast[0].ID != 3 {
-		t.Errorf("ByTier(>32) wrong")
-	}
-	mid := Select(d.Users, CapacityBetween(unit.MbpsOf(5), unit.MbpsOf(20)))
-	if len(mid) != 1 || mid[0].ID != 1 {
-		t.Errorf("CapacityBetween wrong")
-	}
-	cls := stats.ClassOf(unit.MbpsOf(1.9))
-	inClass := Select(d.Users, ByClass(cls))
-	if len(inClass) != 1 || inClass[0].ID != 2 {
-		t.Errorf("ByClass wrong: %d", len(inClass))
+	for _, tc := range []struct {
+		name  string
+		preds []Pred
+		want  []int64
+	}{
+		{"ByCountry(US)", []Pred{ByCountry("US")}, []int64{1, 2}},
+		{"ByCountry(ZZ)", []Pred{ByCountry("ZZ")}, nil},
+		{"NotCountry(US)", []Pred{NotCountry("US")}, []int64{3}},
+		{"vantage+year", []Pred{ByVantage(VantageDasu), ByYear(2012)}, []int64{1, 2, 3}},
+		{"ByTier(>32)", []Pred{ByTier(stats.TierOver32)}, []int64{3}},
+		{"CapacityBetween", []Pred{CapacityBetween(unit.MbpsOf(5), unit.MbpsOf(20))}, []int64{1}},
+		{"ByClass", []Pred{ByClass(stats.ClassOf(unit.MbpsOf(1.9)))}, []int64{2}},
+	} {
+		if got := ids(tc.preds...); !reflect.DeepEqual(got, tc.want) {
+			t.Errorf("%s selected IDs %v, want %v", tc.name, got, tc.want)
+		}
 	}
 }
 
 func TestMetricsAndHelpers(t *testing.T) {
 	d := sampleDataset()
-	all := All(d.Users)
-	if len(all) != 3 {
-		t.Fatalf("All = %d", len(all))
-	}
-	vals := Values(all, PeakUsageNoBT)
-	for _, v := range vals {
-		if v != float64(unit.MbpsOf(1.2)) {
+	for i := range d.Users {
+		if v := PeakUsageNoBT(&d.Users[i]); v != float64(unit.MbpsOf(1.2)) {
 			t.Errorf("PeakUsageNoBT = %v", v)
 		}
 	}
-	caps := Capacities(all)
-	if caps[2] != float64(unit.MbpsOf(47.5)) {
-		t.Errorf("Capacities[2] = %v", caps[2])
+	p := BuildPanel(d.Users)
+	if caps := p.All().Gather(p.Capacity); caps[2] != float64(unit.MbpsOf(47.5)) {
+		t.Errorf("Capacity[2] = %v", caps[2])
 	}
 	// Utilization is peak-no-BT over capacity, clamped to 1.
 	u := d.Users[0]
@@ -272,20 +267,6 @@ func TestMetricsAndHelpers(t *testing.T) {
 	u.Capacity = 0
 	if u.PeakUtilization() != 0 {
 		t.Error("zero capacity utilization must be 0")
-	}
-}
-
-func TestMarketOfAndCountryUsers(t *testing.T) {
-	d := sampleDataset()
-	m, ok := d.MarketOf(&d.Users[2])
-	if !ok || m.Country.Code != "JP" {
-		t.Errorf("MarketOf(JP user) = %+v, %v", m, ok)
-	}
-	if users := d.CountryUsers("US"); len(users) != 2 {
-		t.Errorf("CountryUsers(US) = %d", len(users))
-	}
-	if users := d.CountryUsers("ZZ"); users != nil {
-		t.Errorf("CountryUsers(ZZ) = %v", users)
 	}
 }
 

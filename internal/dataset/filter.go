@@ -21,26 +21,9 @@ func matches(u *User, preds []Pred) bool {
 	return true
 }
 
-// Select returns pointers to the users satisfying every predicate.
-//
-// Deprecated-in-spirit compatibility shim: the interior pointers pin the
-// entire backing array for as long as any selection lives, so a small
-// selection keeps a huge panel reachable. In-repo selection runs on
-// SelectIdx (index vectors) or Panel.Where (columnar views); Select
-// remains for external callers that want the pointer form.
-func Select(users []User, preds ...Pred) []*User {
-	var out []*User
-	for i := range users {
-		if matches(&users[i], preds) {
-			out = append(out, &users[i])
-		}
-	}
-	return out
-}
-
 // SelectIdx returns the indices of the users satisfying every predicate,
-// in ascending order — the same rows Select yields, without interior
-// pointers: the selection retains nothing once the indices are dropped.
+// in ascending order. The selection holds no interior pointers, so it
+// retains nothing once the indices are dropped.
 func SelectIdx(users []User, preds ...Pred) []int {
 	var out []int
 	for i := range users {
@@ -98,7 +81,7 @@ func EachUser(src UserSource, fn func(*User) error) error {
 
 // SelectFrom streams src through the predicates, collecting the matching
 // users by value. Memory is bounded by the matches, not the source — the
-// streaming counterpart of Select.
+// streaming counterpart of SelectIdx.
 func SelectFrom(src UserSource, preds ...Pred) ([]User, error) {
 	var out []User
 	err := EachUser(src, func(u *User) error {
@@ -161,30 +144,3 @@ var (
 	MeanUsageNoBT Metric = func(u *User) float64 { return float64(u.Usage.MeanNoBT) }
 	PeakUsageNoBT Metric = func(u *User) float64 { return float64(u.Usage.PeakNoBT) }
 )
-
-// Values applies a metric to a user set.
-func Values(users []*User, m Metric) []float64 {
-	out := make([]float64, len(users))
-	for i, u := range users {
-		out[i] = m(u)
-	}
-	return out
-}
-
-// Capacities extracts measured download capacities in bps.
-func Capacities(users []*User) []float64 {
-	out := make([]float64, len(users))
-	for i, u := range users {
-		out[i] = float64(u.Capacity)
-	}
-	return out
-}
-
-// All converts a user slice to pointers without filtering.
-func All(users []User) []*User {
-	out := make([]*User, len(users))
-	for i := range users {
-		out[i] = &users[i]
-	}
-	return out
-}

@@ -349,7 +349,7 @@ func evalPreds(tests []func(int) bool, i int) bool {
 // View is an index-vector selection over a panel: the rows at Idx, in
 // order. Views chain cheaply (each Where walks only the surviving
 // indices), copy no rows, and iterate in ascending panel order — the same
-// order Select yields — so aggregations over a view are bit-identical to
+// order SelectIdx yields — so aggregations over a view are bit-identical to
 // the row-based pipeline they replace.
 type View struct {
 	P   *Panel
@@ -366,7 +366,7 @@ func (p *Panel) All() View {
 }
 
 // Where selects the rows satisfying every predicate — the columnar
-// counterpart of Select, returning indices instead of interior pointers.
+// counterpart of SelectIdx.
 func (p *Panel) Where(preds ...ColPred) View {
 	tests := bindPreds(p, preds)
 	var idx []int32
@@ -406,8 +406,7 @@ func (v View) Gather(col []float64) []float64 {
 // Users materializes the selected rows as a fresh []*User — the adapter
 // the row-based machinery (the matcher, core.Experiment) consumes. The
 // pointers address a newly allocated backing array, not the panel, so a
-// view selection never pins the full user table the way Select's interior
-// pointers do.
+// view selection never pins the full user table.
 func (v View) Users() []*User {
 	backing := make([]User, len(v.Idx))
 	out := make([]*User, len(v.Idx))

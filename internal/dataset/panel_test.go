@@ -105,25 +105,18 @@ func TestWhereMatchesSelect(t *testing.T) {
 	users := panelUsers(200)
 	p := BuildPanel(users)
 	for _, tc := range predPairs() {
-		sel := Select(users, tc.row...)
+		idx := SelectIdx(users, tc.row...)
 		v := p.Where(tc.col...)
-		if len(sel) != v.Len() {
-			t.Fatalf("%s: Select kept %d, Where kept %d", tc.name, len(sel), v.Len())
+		if len(idx) != v.Len() {
+			t.Fatalf("%s: SelectIdx kept %d, Where kept %d", tc.name, len(idx), v.Len())
 		}
 		mats := v.Users()
-		for k := range sel {
-			if !reflect.DeepEqual(*sel[k], *mats[k]) {
-				t.Fatalf("%s: row %d differs between Select and Where", tc.name, k)
-			}
-		}
-		// SelectIdx agrees with both.
-		idx := SelectIdx(users, tc.row...)
-		if len(idx) != len(sel) {
-			t.Fatalf("%s: SelectIdx kept %d, Select kept %d", tc.name, len(idx), len(sel))
-		}
 		for k, j := range idx {
 			if int32(j) != v.Idx[k] {
 				t.Fatalf("%s: SelectIdx[%d] = %d, Where idx = %d", tc.name, k, j, v.Idx[k])
+			}
+			if !reflect.DeepEqual(users[j], *mats[k]) {
+				t.Fatalf("%s: row %d differs between SelectIdx and Where", tc.name, k)
 			}
 		}
 	}
@@ -248,7 +241,7 @@ func TestDictDeterminism(t *testing.T) {
 }
 
 // FuzzPanelWhere drives random predicate stacks through both selection
-// pipelines: dataset.Select over rows and Panel.Where over columns must
+// pipelines: SelectIdx over rows and Panel.Where over columns must
 // keep exactly the same rows in the same order.
 func FuzzPanelWhere(f *testing.F) {
 	f.Add([]byte{0}, uint8(1))
@@ -292,19 +285,19 @@ func FuzzPanelWhere(f *testing.F) {
 				// no-op: vary stack lengths
 			}
 		}
-		sel := Select(users, row...)
+		sel := SelectIdx(users, row...)
 		v := p.Where(col...)
 		if len(sel) != v.Len() {
-			t.Fatalf("Select kept %d rows, Where kept %d", len(sel), v.Len())
+			t.Fatalf("SelectIdx kept %d rows, Where kept %d", len(sel), v.Len())
 		}
-		for k := range sel {
-			if sel[k].ID != p.ID[v.Idx[k]] {
-				t.Fatalf("row %d: Select ID %d vs Where ID %d", k, sel[k].ID, p.ID[v.Idx[k]])
+		for k, j := range sel {
+			if users[j].ID != p.ID[v.Idx[k]] {
+				t.Fatalf("row %d: SelectIdx ID %d vs Where ID %d", k, users[j].ID, p.ID[v.Idx[k]])
 			}
 		}
 		mats := v.Users()
-		for k := range sel {
-			if !reflect.DeepEqual(*sel[k], *mats[k]) {
+		for k, j := range sel {
+			if !reflect.DeepEqual(users[j], *mats[k]) {
 				t.Fatalf("row %d differs after materialization", k)
 			}
 		}

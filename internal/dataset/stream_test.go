@@ -224,17 +224,17 @@ func TestQuotedFieldsSurviveStreaming(t *testing.T) {
 func TestSelectFromMatchesSelect(t *testing.T) {
 	users := manyUsers(60)
 	preds := []Pred{ByCountry("US"), ByYear(2012)}
-	want := Select(users, preds...)
+	want := SelectIdx(users, preds...)
 	got, err := SelectFrom(UsersOf(users), preds...)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != len(want) {
-		t.Fatalf("SelectFrom found %d users, Select %d", len(got), len(want))
+		t.Fatalf("SelectFrom found %d users, SelectIdx %d", len(got), len(want))
 	}
 	for i := range got {
-		if got[i] != *want[i] {
-			t.Errorf("selection %d differs: %+v vs %+v", i, got[i], *want[i])
+		if got[i] != users[want[i]] {
+			t.Errorf("selection %d differs: %+v vs %+v", i, got[i], users[want[i]])
 		}
 	}
 

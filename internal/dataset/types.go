@@ -231,23 +231,6 @@ func (d *Dataset) AttachPanel(p *Panel) {
 	}
 }
 
-// MarketOf returns the market summary for a user's country.
-func (d *Dataset) MarketOf(u *User) (market.MarketSummary, bool) {
-	m, ok := d.Markets[u.Country]
-	return m, ok
-}
-
-// CountryUsers returns the users observed in one country.
-func (d *Dataset) CountryUsers(code string) []*User {
-	var out []*User
-	for i := range d.Users {
-		if d.Users[i].Country == code {
-			out = append(out, &d.Users[i])
-		}
-	}
-	return out
-}
-
 // Validate performs schema-level sanity checks and returns the first
 // violation found. Generation bugs should die here, not three experiments
 // later.

@@ -416,7 +416,7 @@ func TestFig08UtilizationByTier(t *testing.T) {
 		}
 		// The paper's comparison point: BW's tier average (≈80%) against
 		// the US average peak utilization over ALL users (≈52%).
-		usAll := dataset.Select(evalData(t).Users, dataset.ByCountry("US"), dataset.ByVantage(dataset.VantageDasu))
+		usAll := evalData(t).Panel().Where(dataset.ColCountry("US"), dataset.ColVantage(dataset.VantageDasu)).Users()
 		total := 0.0
 		for _, u := range usAll {
 			total += u.PeakUtilization()

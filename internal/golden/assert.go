@@ -14,7 +14,7 @@ import (
 // Manifest is the machine-readable encoding of EXPERIMENTS.md's shape
 // scorecard plus the comparator's per-field tolerance rules. It lives in
 // testdata/assertions.json and is the single source of truth for both
-// bbverify and the metamorphic test suite.
+// bbrepro -verify and the metamorphic test suite.
 type Manifest struct {
 	// Tolerances relax the golden comparison at matching paths.
 	Tolerances []Tolerance `json:"tolerances,omitempty"`

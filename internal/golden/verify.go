@@ -55,7 +55,7 @@ func (a ArtifactReport) OK() bool {
 	return !a.Missing && a.Err == "" && len(a.Diffs) == 0 && len(a.Violations) == 0
 }
 
-// Report is the full verification outcome: the drift report bbverify
+// Report is the full verification outcome: the drift report bbrepro -verify
 // prints and CI uploads.
 type Report struct {
 	Artifacts []ArtifactReport `json:"artifacts"`

@@ -39,12 +39,7 @@ func Main(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		dir      = fs.String("dir", defaultDir, "scenario pack directory for -all")
 		run      = fs.String("run", "", "only run packs whose name matches this regexp")
 		seeds    = fs.String("seeds", defaultSeed, "comma-separated world seeds to assert at")
-		users    = fs.Int("users", 1000, "end-host users per primary year")
-		fcc      = fs.Int("fcc", 250, "US gateway-panel users")
-		days     = fs.Int("days", 2, "observation days per user")
-		switches = fs.Int("switches", 200, "service-switch records")
-		minPer   = fs.Int("minper", 10, "per-country population floor")
-		workers  = fs.Int("workers", 0, "world-build workers (0 = GOMAXPROCS)")
+		worldCfg = cli.WorldFlags(fs, synth.Config{Users: 1000, FCCUsers: 250, Days: 2, SwitchTarget: 200, MinPerCountry: 10})
 		jsonOut  = fs.String("json", "", "write the machine-readable report to this file (atomic)")
 	)
 	fs.Usage = func() {
@@ -108,17 +103,8 @@ func Main(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return ExitErr
 	}
 
-	opt := Options{
-		Base: synth.Config{
-			Users:         *users,
-			FCCUsers:      *fcc,
-			Days:          *days,
-			SwitchTarget:  *switches,
-			MinPerCountry: *minPer,
-		},
-		Seeds:   seedList,
-		Workers: *workers,
-	}
+	base := worldCfg()
+	opt := Options{Base: base, Seeds: seedList, Workers: base.Workers}
 	rep, err := Run(ctx, packs, opt)
 	if err != nil {
 		if errors.Is(err, context.Canceled) {

@@ -24,15 +24,15 @@ func TestShapesHoldAcrossSeeds(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		medCap := func(cc string) float64 {
-			users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
-			m, err := stats.Median(dataset.Capacities(users))
+			p := w.Data.Panel()
+			m, err := stats.Median(p.Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Gather(p.Capacity))
 			if err != nil {
 				t.Fatalf("seed %d %s: %v", seed, cc, err)
 			}
 			return m
 		}
 		meanUtil := func(cc string) float64 {
-			users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
+			users := w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Users()
 			total := 0.0
 			for _, u := range users {
 				total += u.PeakUtilization()

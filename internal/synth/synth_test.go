@@ -115,7 +115,7 @@ func TestGlobalCapacityDistributionMatchesPaper(t *testing.T) {
 	// Fig. 1a: median ≈7.4 Mbps, IQR from ≈3.1 to ≈17.4 Mbps. We require
 	// the same regime, not the digits.
 	w := testWorld(t)
-	users := dataset.Select(w.Data.Users, dataset.ByVantage(dataset.VantageDasu))
+	users := w.Data.Panel().Where(dataset.ColVantage(dataset.VantageDasu)).Users()
 	caps := make([]float64, len(users))
 	for i, u := range users {
 		caps[i] = u.Capacity.Mbps()
@@ -136,7 +136,7 @@ func TestCaseStudyMarketShapes(t *testing.T) {
 	// within the paper's ranges.
 	w := testWorld(t)
 	medCap := func(cc string) float64 {
-		users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
+		users := w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Users()
 		if len(users) < 5 {
 			t.Fatalf("%s has only %d users", cc, len(users))
 		}
@@ -169,7 +169,7 @@ func TestUtilizationReversesCapacityOrder(t *testing.T) {
 	// capacity order (Botswana hottest, Japan coldest).
 	w := testWorld(t)
 	meanUtil := func(cc string) float64 {
-		users := dataset.Select(w.Data.Users, dataset.ByCountry(cc), dataset.ByVantage(dataset.VantageDasu))
+		users := w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Users()
 		total := 0.0
 		for _, u := range users {
 			total += u.PeakUtilization()
@@ -216,7 +216,7 @@ func TestLongitudinalCohorts(t *testing.T) {
 	w := testWorld(t)
 	var sizes []int
 	for _, y := range []int{2011, 2012, 2013} {
-		n := len(dataset.Select(w.Data.Users, dataset.ByYear(y), dataset.ByVantage(dataset.VantageDasu)))
+		n := w.Data.Panel().Where(dataset.ColYear(y), dataset.ColVantage(dataset.VantageDasu)).Len()
 		if n == 0 {
 			t.Fatalf("no users in %d", y)
 		}
@@ -229,7 +229,7 @@ func TestLongitudinalCohorts(t *testing.T) {
 
 func TestGatewayPanel(t *testing.T) {
 	w := testWorld(t)
-	fcc := dataset.Select(w.Data.Users, dataset.ByVantage(dataset.VantageGateway))
+	fcc := w.Data.Panel().Where(dataset.ColVantage(dataset.VantageGateway)).Users()
 	if len(fcc) < 200 {
 		t.Fatalf("gateway panel has %d users, want ≈250", len(fcc))
 	}
@@ -250,8 +250,8 @@ func TestIndiaQualityProfile(t *testing.T) {
 	// Sec. 7 / Figs. 11–12: India's latency and loss distributions sit far
 	// above the rest of the population.
 	w := testWorld(t)
-	india := dataset.Select(w.Data.Users, dataset.ByCountry("IN"))
-	rest := dataset.Select(w.Data.Users, dataset.NotCountry("IN"), dataset.ByVantage(dataset.VantageDasu))
+	india := w.Data.Panel().Where(dataset.ColCountry("IN")).Users()
+	rest := w.Data.Panel().Where(dataset.ColNotCountry("IN"), dataset.ColVantage(dataset.VantageDasu)).Users()
 	medRTT := func(us []*dataset.User) float64 {
 		xs := make([]float64, len(us))
 		for i, u := range us {
