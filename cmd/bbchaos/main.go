@@ -47,7 +47,12 @@ type report struct {
 	Violations map[string][]string         `json:"violations,omitempty"`
 }
 
-func main() {
+func main() { os.Exit(run()) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so the deferred removal of the throwaway work directory runs
+// on every path.
+func run() int {
 	var (
 		chaosSeed = flag.Uint64("chaos-seed", 1, "chaos seed (the fault pattern is a pure function of it)")
 		rate      = flag.Float64("rate", 0.01, "per-row fault probability")
@@ -68,9 +73,9 @@ func main() {
 	ctx, stop := cli.Context()
 	defer stop()
 
-	fail := func(format string, args ...any) {
+	fail := func(format string, args ...any) int {
 		fmt.Fprintf(os.Stderr, "bbchaos: "+format+"\n", args...)
-		os.Exit(2)
+		return 2
 	}
 
 	// Stage the pristine dataset in the work directory; the injector only
@@ -79,26 +84,26 @@ func main() {
 	if workDir == "" {
 		tmp, err := os.MkdirTemp("", "bbchaos-*")
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		defer os.RemoveAll(tmp)
 		workDir = tmp
 	} else if err := os.MkdirAll(workDir, 0o755); err != nil {
-		fail("%v", err)
+		return fail("%v", err)
 	}
 
 	start := time.Now()
 	if *dataDir != "" {
 		if err := copyDataset(*dataDir, workDir); err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 	} else {
 		world, err := broadband.BuildWorldCtx(ctx, cfg)
 		if err != nil {
-			cli.Exit("bbchaos", err, 2)
+			return cli.ExitCode("bbchaos", err, 2)
 		}
 		if err := broadband.SaveDatasetCtx(ctx, &world.Data, workDir, broadband.SaveOptions{Workers: cfg.Workers}); err != nil {
-			cli.Exit("bbchaos", err, 2)
+			return cli.ExitCode("bbchaos", err, 2)
 		}
 	}
 
@@ -110,22 +115,22 @@ func main() {
 	})
 	log, err := in.PerturbDir(workDir)
 	if err != nil {
-		fail("injecting faults: %v", err)
+		return fail("injecting faults: %v", err)
 	}
 	fmt.Fprint(os.Stderr, log.Render())
 
 	rep := &report{Seed: *chaosSeed, Rate: *rate, Injected: log}
-	exit := func(code int) {
+	finish := func(code int) int {
 		if *reportTo != "" {
 			data, err := json.MarshalIndent(rep, "", "  ")
 			if err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 			if err := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *reportTo, append(data, '\n'), 0o644); err != nil {
-				fail("%v", err)
+				return fail("%v", err)
 			}
 		}
-		os.Exit(code)
+		return code
 	}
 
 	d, qrep, err := broadband.LoadDatasetRobust(workDir, broadband.QuarantineOptions{MaxBadFrac: *badFrac})
@@ -135,31 +140,31 @@ func main() {
 	}
 	if err != nil {
 		if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-			cli.Exit("bbchaos", err, 2)
+			return cli.ExitCode("bbchaos", err, 2)
 		}
 		rep.LoadError = err.Error()
 		fmt.Fprintf(os.Stderr, "bbchaos: damaged dataset rejected: %v\n", err)
-		exit(1)
+		return finish(1)
 	}
 
 	if err := ctx.Err(); err != nil {
-		cli.Exit("bbchaos", err, 2)
+		return cli.ExitCode("bbchaos", err, 2)
 	}
 	reports, err := broadband.RunAllWorkersCtx(ctx, d, cfg.Seed, cfg.Workers)
 	if err != nil {
-		cli.Exit("bbchaos", err, 2)
+		return cli.ExitCode("bbchaos", err, 2)
 	}
 
 	violations := map[string][]string{}
 	if *manifest != "" {
 		m, err := golden.LoadManifest(*manifest)
 		if err != nil {
-			fail("%v", err)
+			return fail("%v", err)
 		}
 		for i, e := range broadband.Experiments() {
 			v, err := golden.ToValue(reports[i])
 			if err != nil {
-				fail("%s: %v", e.ID, err)
+				return fail("%s: %v", e.ID, err)
 			}
 			// Only the scale-invariant subset is meaningful here: quarantined
 			// rows shrink the population, so exact-value checks are expected
@@ -179,10 +184,10 @@ func main() {
 			}
 		}
 		fmt.Fprintf(os.Stderr, "bbchaos: conclusions moved under fault rate %g (%d artifacts violated)\n", *rate, len(violations))
-		exit(1)
+		return finish(1)
 	}
 	fmt.Fprintf(os.Stderr, "bbchaos: scorecard intact under fault rate %g\n", *rate)
-	exit(0)
+	return finish(0)
 }
 
 // copyDataset copies the three table files (plain or .gz) from src into dst

@@ -29,10 +29,16 @@ func Context() (context.Context, context.CancelFunc) {
 // Exit prints the error as "prog: err" and exits: with ExitInterrupted when
 // the chain carries a context cancellation, else with code.
 func Exit(prog string, err error, code int) {
+	os.Exit(ExitCode(prog, err, code))
+}
+
+// ExitCode prints the error like Exit but returns the exit status instead
+// of exiting, for commands whose deferred cleanup must run first.
+func ExitCode(prog string, err error, code int) int {
 	if errors.Is(err, context.Canceled) {
 		fmt.Fprintf(os.Stderr, "%s: interrupted\n", prog)
-		os.Exit(ExitInterrupted)
+		return ExitInterrupted
 	}
 	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
-	os.Exit(code)
+	return code
 }

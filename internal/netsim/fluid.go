@@ -107,6 +107,17 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 			next++
 		}
 
+		if len(active) == 0 {
+			// Idle: nothing moves and carry stays put until the next
+			// arrival, so jump straight to it. Stepping one counter
+			// interval at a time lands on exactly the same time.
+			now = horizon
+			if next < len(pending) && pending[next].Arrival < horizon {
+				now = pending[next].Arrival
+			}
+			continue
+		}
+
 		// Horizon of this step: next arrival, next counter boundary, horizon.
 		stepEnd := horizon
 		if next < len(pending) && pending[next].Arrival < stepEnd {
@@ -115,11 +126,6 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 		boundary := (math.Floor(now/interval) + 1) * interval
 		if boundary < stepEnd {
 			stepEnd = boundary
-		}
-
-		if len(active) == 0 {
-			now = stepEnd
-			continue
 		}
 
 		rates := scratch.maxMinFair(s.Capacity.BitsPerSecond(), active)

@@ -327,11 +327,11 @@ func TestOnlineECDFEdge(t *testing.T) {
 		bins   int
 		log    bool
 	}{
-		{1, 1, 8, false},      // degenerate span
-		{5, 1, 8, false},      // inverted span
-		{1, 10, 0, false},     // no bins
-		{0, 10, 8, true},      // log mode needs positive lo
-		{-1, 10, 8, true},     // log mode needs positive lo
+		{1, 1, 8, false},  // degenerate span
+		{5, 1, 8, false},  // inverted span
+		{1, 10, 0, false}, // no bins
+		{0, 10, 8, true},  // log mode needs positive lo
+		{-1, 10, 8, true}, // log mode needs positive lo
 		{math.NaN(), 1, 8, false},
 	} {
 		if _, err := NewOnlineECDF(c.lo, c.hi, c.bins, c.log); err != ErrInvalidBins {

@@ -46,9 +46,14 @@ var diurnalNorm = func() float64 {
 // by the Dasu-vantage sampling bias (the client tends to run while the user
 // is at the machine).
 func PeakHours(hour float64) bool {
-	h := math.Mod(hour, 24)
-	if h < 0 {
-		h += 24
+	h := hour
+	if !(h >= 0 && h < 24) {
+		// math.Mod returns an in-range hour unchanged, so only
+		// out-of-range (and NaN) hours need the reduction.
+		h = math.Mod(hour, 24)
+		if h < 0 {
+			h += 24
+		}
 	}
 	return h >= 12 // afternoon through midnight
 }
