@@ -148,16 +148,18 @@ func BenchmarkRunAllParallel(b *testing.B) {
 // covariates at a given population size (treated = n, control = 2n).
 func benchMatcher(b *testing.B, n int) {
 	rng := randx.New(uint64(n))
-	mk := func(count int, idBase int64) []*dataset.User {
-		us := make([]*dataset.User, count)
-		for i := range us {
-			us[i] = &dataset.User{
+	p := dataset.NewPanel(3 * n)
+	mk := func(count int, idBase int64) dataset.View {
+		v := dataset.View{P: p}
+		for i := 0; i < count; i++ {
+			v.Idx = append(v.Idx, int32(p.Len()))
+			p.Append(&dataset.User{
 				ID:   idBase + int64(i),
 				RTT:  0.01 + 0.2*rng.Float64(),
 				Loss: unit.LossRate(0.002 * rng.Float64()),
-			}
+			})
 		}
-		return us
+		return v
 	}
 	treated := mk(n, 1)
 	control := mk(2*n, int64(10*n))
@@ -178,16 +180,9 @@ func BenchmarkMatcher5000(b *testing.B) { benchMatcher(b, 5000) }
 // width and reports the matched-pair yield as a custom metric.
 func benchCaliper(b *testing.B, caliper float64) {
 	d := benchDataset(b)
-	users := d.Panel().Where(dataset.ColVantage(dataset.VantageDasu)).Users()
-	var treated, control []*dataset.User
-	for _, u := range users {
-		switch {
-		case u.Capacity > 6.4e6 && u.Capacity <= 12.8e6:
-			treated = append(treated, u)
-		case u.Capacity > 3.2e6 && u.Capacity <= 6.4e6:
-			control = append(control, u)
-		}
-	}
+	dasu := d.Panel().Where(dataset.ColVantage(dataset.VantageDasu))
+	treated := dasu.Where(dataset.ColCapacityBetween(6.4e6, 12.8e6))
+	control := dasu.Where(dataset.ColCapacityBetween(3.2e6, 6.4e6))
 	m := core.Matcher{
 		Caliper: caliper,
 		Confounders: []core.Confounder{

@@ -12,7 +12,9 @@
 //   - Causal inference (Experiment, Matcher, RunPaired): natural
 //     experiments over observational data with nearest-neighbor caliper
 //     matching, one-tailed binomial tests and the paper's practical-
-//     significance rule.
+//     significance rule. Populations are Views (row-index selections)
+//     over the dataset's columnar Panel; outcomes and covariates are
+//     Columns of it.
 //   - Reproduction (Experiments, RunAll): one module per table and figure
 //     of the paper's evaluation, each returning a typed result with a
 //     textual rendering of the same rows/series.
@@ -93,6 +95,12 @@ type (
 
 // Causal-inference engine.
 type (
+	// Panel is the columnar users table (Dataset.Panel).
+	Panel = dataset.Panel
+	// View selects panel rows by index: an experiment population.
+	View = dataset.View
+	// Column selects one float64 panel column: an outcome or covariate.
+	Column = dataset.Column
 	// Experiment is a declarative natural experiment.
 	Experiment = core.Experiment
 	// Matcher performs nearest-neighbor caliper matching.
@@ -101,7 +109,7 @@ type (
 	Confounder = core.Confounder
 	// ExperimentResult reports a natural experiment.
 	ExperimentResult = core.Result
-	// MatchedPair is one treated/control pair.
+	// MatchedPair is one treated/control pair of panel row indices.
 	MatchedPair = core.Pair
 	// QED is the stratified quasi-experimental design (the alternative to
 	// nearest-neighbor matching).

@@ -58,14 +58,14 @@ func TestPublicRunAll(t *testing.T) {
 func TestPublicCausalAPI(t *testing.T) {
 	w := apiTestWorld(t)
 	// Users on faster links should demand more, matched on quality & price.
-	var fast, slow []*broadband.User
-	for i := range w.Data.Users {
-		u := &w.Data.Users[i]
+	p := w.Data.Panel()
+	fast, slow := broadband.View{P: p}, broadband.View{P: p}
+	for i, c := range p.Capacity {
 		switch {
-		case u.Capacity > broadband.Mbps(8) && u.Capacity <= broadband.Mbps(20):
-			fast = append(fast, u)
-		case u.Capacity > broadband.Mbps(1) && u.Capacity <= broadband.Mbps(4):
-			slow = append(slow, u)
+		case c > 8e6 && c <= 20e6:
+			fast.Idx = append(fast.Idx, int32(i))
+		case c > 1e6 && c <= 4e6:
+			slow.Idx = append(slow.Idx, int32(i))
 		}
 	}
 	exp := broadband.Experiment{
@@ -75,7 +75,7 @@ func TestPublicCausalAPI(t *testing.T) {
 		Matcher: broadband.Matcher{Confounders: []broadband.Confounder{
 			broadband.ByRTT(), broadband.ByLoss(), broadband.ByAccessPrice(),
 		}},
-		Outcome:  func(u *broadband.User) float64 { return float64(u.Usage.PeakNoBT) },
+		Outcome:  func(p *broadband.Panel) []float64 { return p.UsagePeakNoBT },
 		MinPairs: 10,
 	}
 	res, err := exp.Run(nil)

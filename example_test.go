@@ -36,14 +36,16 @@ func Example_customExperiment() {
 	if err != nil {
 		panic(err)
 	}
-	var fast, slow []*broadband.User
-	for i := range world.Data.Users {
-		u := &world.Data.Users[i]
+	// Populations are views: row indices into the columnar panel, whose
+	// rate columns hold bits per second.
+	p := world.Data.Panel()
+	fast, slow := broadband.View{P: p}, broadband.View{P: p}
+	for i, c := range p.Capacity {
 		switch {
-		case u.Capacity > broadband.Mbps(8) && u.Capacity <= broadband.Mbps(16):
-			fast = append(fast, u)
-		case u.Capacity > broadband.Mbps(2) && u.Capacity <= broadband.Mbps(4):
-			slow = append(slow, u)
+		case c > 8e6 && c <= 16e6:
+			fast.Idx = append(fast.Idx, int32(i))
+		case c > 2e6 && c <= 4e6:
+			slow.Idx = append(slow.Idx, int32(i))
 		}
 	}
 	exp := broadband.Experiment{
@@ -53,7 +55,7 @@ func Example_customExperiment() {
 		Matcher: broadband.Matcher{Confounders: []broadband.Confounder{
 			broadband.ByRTT(), broadband.ByLoss(), broadband.ByAccessPrice(),
 		}},
-		Outcome: func(u *broadband.User) float64 { return float64(u.Usage.PeakNoBT) },
+		Outcome: func(p *broadband.Panel) []float64 { return p.UsagePeakNoBT },
 	}
 	res, err := exp.Run(nil)
 	if err != nil {

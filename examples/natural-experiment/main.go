@@ -20,21 +20,23 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Split the end-host population by latency.
-	var fast, slow []*broadband.User
-	for i := range world.Data.Users {
-		u := &world.Data.Users[i]
-		if u.Vantage != broadband.VantageDasu {
+	// Split the end-host population by latency: each population is a view,
+	// a list of row indices into the dataset's columnar panel.
+	p := world.Data.Panel()
+	fast, slow := broadband.View{P: p}, broadband.View{P: p}
+	for i := 0; i < p.Len(); i++ {
+		if p.Vantage[i] != broadband.VantageDasu {
 			continue
 		}
 		switch {
-		case u.RTT <= 0.128:
-			fast = append(fast, u)
-		case u.RTT > 0.512:
-			slow = append(slow, u)
+		case p.RTT[i] <= 0.128:
+			fast.Idx = append(fast.Idx, int32(i))
+		case p.RTT[i] > 0.512:
+			slow.Idx = append(slow.Idx, int32(i))
 		}
 	}
-	fmt.Printf("populations: %d low-latency, %d high-latency users\n\n", len(fast), len(slow))
+	fmt.Printf("populations: %d low-latency, %d high-latency users\n\n", fast.Len(), slow.Len())
+	peakDemand := func(p *broadband.Panel) []float64 { return p.UsagePeakNoBT }
 
 	// The real experiment: H = low-latency users impose higher peak demand,
 	// after matching away capacity, loss and market prices.
@@ -47,7 +49,7 @@ func main() {
 		Treatment: fast,
 		Control:   slow,
 		Matcher:   matcher,
-		Outcome:   func(u *broadband.User) float64 { return float64(u.Usage.PeakNoBT) },
+		Outcome:   peakDemand,
 	}
 	res, err := exp.Run(nil)
 	if err != nil {
@@ -61,16 +63,15 @@ func main() {
 	// The placebo: an odd user ID cannot cause anything. The same machinery
 	// must report chance-level agreement — if it does not, the design (not
 	// the world) is broken.
-	var odd, even []*broadband.User
-	for i := range world.Data.Users {
-		u := &world.Data.Users[i]
-		if u.Vantage != broadband.VantageDasu {
+	odd, even := broadband.View{P: p}, broadband.View{P: p}
+	for i := 0; i < p.Len(); i++ {
+		if p.Vantage[i] != broadband.VantageDasu {
 			continue
 		}
-		if u.ID%2 == 1 {
-			odd = append(odd, u)
+		if p.ID[i]%2 == 1 {
+			odd.Idx = append(odd.Idx, int32(i))
 		} else {
-			even = append(even, u)
+			even.Idx = append(even.Idx, int32(i))
 		}
 	}
 	placebo := broadband.Experiment{
@@ -80,7 +81,7 @@ func main() {
 		Matcher: broadband.Matcher{Confounders: []broadband.Confounder{
 			broadband.ByCapacity(), broadband.ByRTT(), broadband.ByLoss(),
 		}},
-		Outcome: func(u *broadband.User) float64 { return float64(u.Usage.PeakNoBT) },
+		Outcome: peakDemand,
 	}
 	pres, err := placebo.Run(nil)
 	if err != nil {

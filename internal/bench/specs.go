@@ -227,16 +227,18 @@ func benchWorldBuild(b *testing.B) {
 func benchMatcher1000(b *testing.B) {
 	const n = 1000
 	rng := randx.New(uint64(n))
-	mk := func(count int, idBase int64) []*dataset.User {
-		us := make([]*dataset.User, count)
-		for i := range us {
-			us[i] = &dataset.User{
+	p := dataset.NewPanel(3 * n)
+	mk := func(count int, idBase int64) dataset.View {
+		v := dataset.View{P: p}
+		for i := 0; i < count; i++ {
+			v.Idx = append(v.Idx, int32(p.Len()))
+			p.Append(&dataset.User{
 				ID:   idBase + int64(i),
 				RTT:  0.01 + 0.2*rng.Float64(),
 				Loss: unit.LossRate(0.002 * rng.Float64()),
-			}
+			})
 		}
-		return us
+		return v
 	}
 	treated := mk(n, 1)
 	control := mk(2*n, int64(10*n))

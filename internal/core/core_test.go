@@ -30,6 +30,27 @@ func mkUser(id int64, rtt, lossPct, price, capMbps, peakMbps float64) *dataset.U
 	}
 }
 
+// populations loads each user list into one shared panel, in order, and
+// returns one view per list.
+func populations(lists ...[]*dataset.User) []dataset.View {
+	p := dataset.NewPanel(0)
+	views := make([]dataset.View, len(lists))
+	for k, users := range lists {
+		views[k].P = p
+		for _, u := range users {
+			views[k].Idx = append(views[k].Idx, int32(p.Len()))
+			p.Append(u)
+		}
+	}
+	return views
+}
+
+// views is populations for the common treated/control case.
+func views(treated, control []*dataset.User) (dataset.View, dataset.View) {
+	v := populations(treated, control)
+	return v[0], v[1]
+}
+
 func qualityMatcher() Matcher {
 	return Matcher{Confounders: []Confounder{ConfounderRTT(), ConfounderLoss(), ConfounderAccessPrice()}}
 }
@@ -63,12 +84,14 @@ func TestMatchRespectsCaliper(t *testing.T) {
 		mkUser(3, 0.055, 0.9, 25, 5, 1),  // loss too far
 		mkUser(4, 0.055, 0.11, 60, 5, 1), // price too far
 	}
-	if pairs := m.Match(treated, controls, nil); len(pairs) != 0 {
+	tv, cv := views(treated, controls)
+	if pairs := m.Match(tv, cv, nil); len(pairs) != 0 {
 		t.Fatalf("matched %d pairs across caliper violations", len(pairs))
 	}
 	controls = append(controls, mkUser(5, 0.058, 0.12, 28, 5, 1))
-	pairs := m.Match(treated, controls, nil)
-	if len(pairs) != 1 || pairs[0].Control.ID != 5 {
+	tv, cv = views(treated, controls)
+	pairs := m.Match(tv, cv, nil)
+	if len(pairs) != 1 || cv.P.ID[pairs[0].Control] != 5 {
 		t.Fatalf("expected the single eligible control, got %+v", pairs)
 	}
 }
@@ -81,8 +104,9 @@ func TestMatchPicksNearest(t *testing.T) {
 		mkUser(3, 0.101, 0, 0, 0, 0),
 		mkUser(4, 0.110, 0, 0, 0, 0),
 	}
-	pairs := m.Match(treated, controls, nil)
-	if len(pairs) != 1 || pairs[0].Control.ID != 3 {
+	tv, cv := views(treated, controls)
+	pairs := m.Match(tv, cv, nil)
+	if len(pairs) != 1 || cv.P.ID[pairs[0].Control] != 3 {
 		t.Fatalf("nearest neighbor not chosen: %+v", pairs)
 	}
 }
@@ -98,11 +122,12 @@ func TestMatchWithoutReplacement(t *testing.T) {
 		mkUser(10, 0.100, 0, 0, 0, 0),
 		mkUser(11, 0.101, 0, 0, 0, 0),
 	}
-	pairs := m.Match(treated, controls, randx.New(1))
+	tv, cv := views(treated, controls)
+	pairs := m.Match(tv, cv, randx.New(1))
 	if len(pairs) != 2 {
 		t.Fatalf("expected 2 pairs (control exhaustion), got %d", len(pairs))
 	}
-	if pairs[0].Control.ID == pairs[1].Control.ID {
+	if pairs[0].Control == pairs[1].Control {
 		t.Fatal("control reused")
 	}
 }
@@ -118,10 +143,12 @@ func TestMatchCaliperProperty(t *testing.T) {
 			treated = append(treated, mkUser(int64(i), 0.02+rng.Float64()*0.5, rng.Float64()*2, 10+rng.Float64()*100, 1, 1))
 			controls = append(controls, mkUser(int64(100+i), 0.02+rng.Float64()*0.5, rng.Float64()*2, 10+rng.Float64()*100, 1, 1))
 		}
-		pairs := m.Match(treated, controls, rng.Split("order"))
+		tv, cv := views(treated, controls)
+		pairs := m.Match(tv, cv, rng.Split("order"))
 		for _, p := range pairs {
 			for _, c := range m.Confounders {
-				if !withinCaliper(c.Value(p.Treated), c.Value(p.Control), DefaultCaliper, c.Floor) {
+				vals := c.Value(tv.P)
+				if !withinCaliper(vals[p.Treated], vals[p.Control], DefaultCaliper, c.Floor) {
 					return false
 				}
 			}
@@ -135,11 +162,12 @@ func TestMatchCaliperProperty(t *testing.T) {
 
 func TestCheckBalance(t *testing.T) {
 	m := Matcher{Confounders: []Confounder{ConfounderRTT()}}
-	pairs := []Pair{
-		{Treated: mkUser(1, 0.10, 0, 0, 0, 0), Control: mkUser(2, 0.12, 0, 0, 0, 0)},
-		{Treated: mkUser(3, 0.20, 0, 0, 0, 0), Control: mkUser(4, 0.18, 0, 0, 0, 0)},
-	}
-	b := m.CheckBalance(pairs)
+	v := populations([]*dataset.User{
+		mkUser(1, 0.10, 0, 0, 0, 0), mkUser(2, 0.12, 0, 0, 0, 0),
+		mkUser(3, 0.20, 0, 0, 0, 0), mkUser(4, 0.18, 0, 0, 0, 0),
+	})[0]
+	pairs := []Pair{{Treated: 0, Control: 1}, {Treated: 2, Control: 3}}
+	b := m.CheckBalance(v.P, pairs)
 	if len(b) != 1 {
 		t.Fatalf("balance rows = %d", len(b))
 	}
@@ -165,10 +193,11 @@ func TestExperimentDetectsRealEffect(t *testing.T) {
 		treated = append(treated, mkUser(int64(i), rtt, loss, price, 10, 4*(0.5+rng.Float64())))
 		control = append(control, mkUser(int64(1000+i), rtt*(0.95+0.1*rng.Float64()), loss, price, 5, 2.2*(0.5+rng.Float64())))
 	}
+	tv, cv := views(treated, control)
 	exp := Experiment{
 		Name:      "capacity",
-		Treatment: treated,
-		Control:   control,
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   qualityMatcher(),
 		Outcome:   dataset.PeakUsage,
 	}
@@ -198,10 +227,11 @@ func TestExperimentPlaceboIsNull(t *testing.T) {
 		treated = append(treated, mkUser(int64(i), rtt, 0.1, 25, 10, 3*(0.5+rng.Float64())))
 		control = append(control, mkUser(int64(1000+i), rtt, 0.1, 25, 10, 3*(0.5+rng.Float64())))
 	}
+	tv, cv := views(treated, control)
 	exp := Experiment{
 		Name:      "placebo",
-		Treatment: treated,
-		Control:   control,
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   Matcher{Confounders: []Confounder{ConfounderRTT()}},
 		Outcome:   dataset.PeakUsage,
 	}
@@ -222,16 +252,28 @@ func TestExperimentErrors(t *testing.T) {
 	if _, err := exp.Run(nil); err == nil {
 		t.Error("missing outcome should error")
 	}
+	tv, cv := views([]*dataset.User{mkUser(1, 0.05, 0.1, 25, 10, 1)}, []*dataset.User{mkUser(2, 0.05, 0.1, 25, 5, 1)})
 	exp = Experiment{
 		Name:      "thin",
-		Treatment: []*dataset.User{mkUser(1, 0.05, 0.1, 25, 10, 1)},
-		Control:   []*dataset.User{mkUser(2, 0.05, 0.1, 25, 5, 1)},
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   qualityMatcher(),
 		Outcome:   dataset.PeakUsage,
 	}
 	_, err := exp.Run(nil)
 	if !errors.Is(err, ErrTooFewPairs) {
 		t.Errorf("want ErrTooFewPairs, got %v", err)
+	}
+	// Populations drawn from two different panels cannot be paired.
+	_, other := views(nil, []*dataset.User{mkUser(3, 0.05, 0.1, 25, 5, 1)})
+	exp.Control = other
+	if _, err := exp.Run(nil); err == nil || !strings.Contains(err.Error(), "different panels") {
+		t.Errorf("want a panel-mismatch error, got %v", err)
+	}
+	// An empty view matches any panel: the run fails for lack of pairs.
+	exp.Control = dataset.View{}
+	if _, err := exp.Run(nil); !errors.Is(err, ErrTooFewPairs) {
+		t.Errorf("empty control: want ErrTooFewPairs, got %v", err)
 	}
 }
 
@@ -310,8 +352,9 @@ func TestMatcherShuffleDoesNotChangePairCount(t *testing.T) {
 		controls = append(controls, mkUser(int64(100+i), 0.02+rng.Float64()*0.2, 0.1, 25, 5, 1))
 	}
 	m := Matcher{Confounders: []Confounder{ConfounderRTT()}}
-	a := m.Match(treated, controls, randx.New(1))
-	b := m.Match(treated, controls, randx.New(99))
+	tv, cv := views(treated, controls)
+	a := m.Match(tv, cv, randx.New(1))
+	b := m.Match(tv, cv, randx.New(99))
 	// Greedy order can change who pairs with whom, but the overall yield
 	// should be stable within a small margin.
 	if math.Abs(float64(len(a)-len(b))) > 5 {

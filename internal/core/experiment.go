@@ -12,13 +12,14 @@ import (
 // control, which covariates make them comparable, and which outcome the
 // hypothesis concerns. The hypothesis H is always directional — "treated
 // units show a higher outcome than their matched controls" — with null H0
-// that the ordering is a fair coin.
+// that the ordering is a fair coin. Treatment and Control are views over
+// one panel.
 type Experiment struct {
 	Name      string
-	Treatment []*dataset.User
-	Control   []*dataset.User
+	Treatment dataset.View
+	Control   dataset.View
 	Matcher   Matcher
-	Outcome   dataset.Metric
+	Outcome   dataset.Column
 	// MinPairs guards against vacuous results (default 10).
 	MinPairs int
 }
@@ -57,6 +58,10 @@ func (e Experiment) Run(rng *randx.Source) (Result, error) {
 	if e.Outcome == nil {
 		return Result{}, fmt.Errorf("core: experiment %q has no outcome metric", e.Name)
 	}
+	p, err := commonPanel(e.Treatment, e.Control)
+	if err != nil {
+		return Result{}, fmt.Errorf("core: experiment %q: %w", e.Name, err)
+	}
 	minPairs := e.MinPairs
 	if minPairs <= 0 {
 		minPairs = 10
@@ -65,9 +70,10 @@ func (e Experiment) Run(rng *randx.Source) (Result, error) {
 	if len(pairs) < minPairs {
 		return Result{}, fmt.Errorf("%w: %q matched %d pairs, need %d", ErrTooFewPairs, e.Name, len(pairs), minPairs)
 	}
+	outcome := e.Outcome(p)
 	holds := 0
-	for _, p := range pairs {
-		if e.Outcome(p.Treated) > e.Outcome(p.Control) {
+	for _, pr := range pairs {
+		if outcome[pr.Treated] > outcome[pr.Control] {
 			holds++
 		}
 	}
@@ -81,7 +87,7 @@ func (e Experiment) Run(rng *randx.Source) (Result, error) {
 		Holds:    holds,
 		Binomial: bin,
 		Sig:      bin.Assess(),
-		Balance:  e.Matcher.CheckBalance(pairs),
+		Balance:  e.Matcher.CheckBalance(p, pairs),
 	}, nil
 }
 

@@ -11,6 +11,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"sort"
@@ -28,8 +29,8 @@ const DefaultCaliper = 0.25
 type Confounder struct {
 	// Name labels the confounder in diagnostics.
 	Name string
-	// Value extracts the covariate.
-	Value dataset.Metric
+	// Value selects the covariate's panel column.
+	Value dataset.Column
 	// Floor is an absolute slack added to the caliper band, for covariates
 	// that legitimately approach zero (e.g. loss rates): |a−b| must not
 	// exceed caliper·max(a,b) + Floor.
@@ -38,33 +39,34 @@ type Confounder struct {
 
 // Standard confounder constructors for the covariates the paper matches on.
 func ConfounderRTT() Confounder {
-	return Confounder{Name: "latency", Value: func(u *dataset.User) float64 { return u.RTT }, Floor: 0.002}
+	return Confounder{Name: "latency", Value: func(p *dataset.Panel) []float64 { return p.RTT }, Floor: 0.002}
 }
 
 // ConfounderLoss matches on packet-loss rate.
 func ConfounderLoss() Confounder {
-	return Confounder{Name: "loss", Value: func(u *dataset.User) float64 { return float64(u.Loss) }, Floor: 0.0005}
+	return Confounder{Name: "loss", Value: func(p *dataset.Panel) []float64 { return p.Loss }, Floor: 0.0005}
 }
 
 // ConfounderAccessPrice matches on the market's price of broadband access.
 func ConfounderAccessPrice() Confounder {
-	return Confounder{Name: "access-price", Value: func(u *dataset.User) float64 { return u.AccessPrice.Dollars() }}
+	return Confounder{Name: "access-price", Value: func(p *dataset.Panel) []float64 { return p.AccessPrice }}
 }
 
 // ConfounderUpgradeCost matches on the market's cost of increasing capacity.
 func ConfounderUpgradeCost() Confounder {
-	return Confounder{Name: "upgrade-cost", Value: func(u *dataset.User) float64 { return float64(u.UpgradeCost) }, Floor: 0.02}
+	return Confounder{Name: "upgrade-cost", Value: func(p *dataset.Panel) []float64 { return p.UpgradeCost }, Floor: 0.02}
 }
 
 // ConfounderCapacity matches on measured link capacity.
 func ConfounderCapacity() Confounder {
-	return Confounder{Name: "capacity", Value: func(u *dataset.User) float64 { return float64(u.Capacity) }}
+	return Confounder{Name: "capacity", Value: func(p *dataset.Panel) []float64 { return p.Capacity }}
 }
 
-// Pair is one matched treated/control pair.
+// Pair is one matched treated/control pair: row indices into the panel
+// both populations were selected from.
 type Pair struct {
-	Treated *dataset.User
-	Control *dataset.User
+	Treated int32
+	Control int32
 }
 
 // Matcher performs greedy one-to-one nearest-neighbor matching without
@@ -79,24 +81,6 @@ type Matcher struct {
 func withinCaliper(a, b, caliper, floor float64) bool {
 	hi := math.Max(math.Abs(a), math.Abs(b))
 	return math.Abs(a-b) <= caliper*hi+floor
-}
-
-// distance is the matching distance: the sum of normalized confounder
-// discrepancies (each in [0,1] at the caliper boundary).
-func (m Matcher) distance(a, b *dataset.User, caliper float64) (float64, bool) {
-	total := 0.0
-	for _, c := range m.Confounders {
-		va, vb := c.Value(a), c.Value(b)
-		if !withinCaliper(va, vb, caliper, c.Floor) {
-			return 0, false
-		}
-		hi := math.Max(math.Abs(va), math.Abs(vb))
-		denom := caliper*hi + c.Floor
-		if denom > 0 {
-			total += math.Abs(va-vb) / denom
-		}
-	}
-	return total, true
 }
 
 // MatchStats reports the work the matcher did — the diagnostic behind the
@@ -122,8 +106,9 @@ type MatchStats struct {
 // and without replacement. Treated users with no eligible control are
 // dropped (the caliper's purpose). The iteration order is randomized by rng
 // so greedy choices carry no dataset-order bias; pass nil for deterministic
-// input order.
-func (m Matcher) Match(treated, control []*dataset.User, rng *randx.Source) []Pair {
+// input order. Both views should select from one panel: a Pair's
+// Treated index addresses treated.P and its Control index control.P.
+func (m Matcher) Match(treated, control dataset.View, rng *randx.Source) []Pair {
 	pairs, _ := m.MatchWithStats(treated, control, rng)
 	return pairs
 }
@@ -137,16 +122,17 @@ func (m Matcher) Match(treated, control []*dataset.User, rng *randx.Source) []Pa
 // so the window [v−r, v+r] with r = (caliper·|v| + floor)/(1−caliper) is a
 // superset of the eligible controls whenever caliper < 1. Candidates inside
 // the window still pass through the exact per-confounder distance check,
-// and ties in distance resolve to the lowest original control index — the
-// order the full scan would have found them in — so the selected pairs are
-// identical to the O(T·C) algorithm's.
-func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Source) ([]Pair, MatchStats) {
+// and ties in distance resolve to the lowest control position in the view
+// — the order the full scan would have found them in — so the selected
+// pairs are identical to the O(T·C) algorithm's.
+func (m Matcher) MatchWithStats(treated, control dataset.View, rng *randx.Source) ([]Pair, MatchStats) {
 	caliper := m.Caliper
 	if caliper <= 0 {
 		caliper = DefaultCaliper
 	}
-	stats := MatchStats{Treated: len(treated)}
-	order := make([]int, len(treated))
+	nt, nctl := treated.Len(), control.Len()
+	stats := MatchStats{Treated: nt}
+	order := make([]int, nt)
 	for i := range order {
 		order[i] = i
 	}
@@ -154,22 +140,17 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
 
-	// Covariates are gathered into row-major matrices up front, one
-	// extractor call per (user, confounder), so the candidate scan below
-	// works on flat float64 slices instead of re-invoking Value closures
-	// for every pair it examines.
+	// Covariates are gathered from the panel columns into row-major
+	// matrices up front, so the candidate scan below works on flat float64
+	// slices in view order.
 	nc := len(m.Confounders)
 	floors := make([]float64, nc)
-	tvals := make([]float64, nc*len(treated))
-	cvals := make([]float64, nc*len(control))
+	tvals := make([]float64, nc*nt)
+	cvals := make([]float64, nc*nctl)
 	for j, c := range m.Confounders {
 		floors[j] = c.Floor
-		for i, u := range treated {
-			tvals[i*nc+j] = c.Value(u)
-		}
-		for i, u := range control {
-			cvals[i*nc+j] = c.Value(u)
-		}
+		gather(tvals, nc, j, treated, c.Value)
+		gather(cvals, nc, j, control, c.Value)
 	}
 
 	// Sorted view of the controls on the first confounder. The sort is by
@@ -181,9 +162,9 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 	var ctlIdx []int      // original control index, by sorted position
 	if windowed {
 		firstFloor = floors[0]
-		ctlVals = make([]float64, len(control))
-		ctlIdx = make([]int, len(control))
-		for i := range control {
+		ctlVals = make([]float64, nctl)
+		ctlIdx = make([]int, nctl)
+		for i := range ctlIdx {
 			ctlIdx[i] = i
 		}
 		sort.Slice(ctlIdx, func(a, b int) bool {
@@ -198,12 +179,11 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 		}
 	}
 
-	used := make([]bool, len(control))
+	used := make([]bool, nctl)
 	var pairs []Pair
 	for _, ti := range order {
-		t := treated[ti]
 		tv := tvals[ti*nc : ti*nc+nc]
-		lo, hi := 0, len(control)
+		lo, hi := 0, nctl
 		if windowed {
 			v := tv[0]
 			r := (caliper*math.Abs(v) + firstFloor) / (1 - caliper)
@@ -228,9 +208,9 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 				continue
 			}
 			stats.CandidatesExamined++
-			// Inlined distance over the gathered matrices: the arithmetic is
-			// operation-for-operation the same as Matcher.distance, so the
-			// selected pairs are bit-identical to the closure-based scan.
+			// The normalized distance: the sum of confounder discrepancies,
+			// each in [0,1] at the caliper boundary; any confounder outside
+			// its band disqualifies the candidate.
 			cv := cvals[ci*nc : ci*nc+nc]
 			d := 0.0
 			ok := true
@@ -271,14 +251,42 @@ func (m Matcher) MatchWithStats(treated, control []*dataset.User, rng *randx.Sou
 		}
 		if best >= 0 {
 			used[best] = true
-			pairs = append(pairs, Pair{Treated: t, Control: control[best]})
+			pairs = append(pairs, Pair{Treated: treated.Idx[ti], Control: control.Idx[best]})
 		} else {
 			stats.Unmatched++
 		}
 	}
 	// Stable output order (by treated user ID) regardless of shuffle.
-	sort.Slice(pairs, func(i, j int) bool { return pairs[i].Treated.ID < pairs[j].Treated.ID })
+	if len(pairs) > 1 {
+		ids := treated.P.ID
+		sort.Slice(pairs, func(i, j int) bool { return ids[pairs[i].Treated] < ids[pairs[j].Treated] })
+	}
 	return pairs, stats
+}
+
+// gather writes column col of the rows of v into dst, row-major with the
+// given stride at offset j: dst[i*stride+j] = col(v.P)[v.Idx[i]].
+func gather(dst []float64, stride, j int, v dataset.View, col dataset.Column) {
+	if v.Len() == 0 {
+		return // an empty view may carry no panel
+	}
+	vals := col(v.P)
+	for i, r := range v.Idx {
+		dst[i*stride+j] = vals[r]
+	}
+}
+
+// commonPanel returns the panel both populations select from. An empty
+// view matches any panel; two non-empty views over different panels are
+// an error, because a Pair's two indices must address one table.
+func commonPanel(a, b dataset.View) (*dataset.Panel, error) {
+	switch {
+	case a.Len() == 0:
+		return b.P, nil
+	case b.Len() == 0 || a.P == b.P:
+		return a.P, nil
+	}
+	return nil, errors.New("treatment and control select from different panels")
 }
 
 // Balance summarizes covariate balance of a matched set: for each
@@ -290,14 +298,18 @@ type Balance struct {
 	MeanControl float64
 }
 
-// CheckBalance computes the balance table for a matched set.
-func (m Matcher) CheckBalance(pairs []Pair) []Balance {
+// CheckBalance computes the balance table for a matched set whose pairs
+// index into p.
+func (m Matcher) CheckBalance(p *dataset.Panel, pairs []Pair) []Balance {
 	out := make([]Balance, 0, len(m.Confounders))
 	for _, c := range m.Confounders {
 		var t, ctl float64
-		for _, p := range pairs {
-			t += c.Value(p.Treated)
-			ctl += c.Value(p.Control)
+		if len(pairs) > 0 {
+			vals := c.Value(p)
+			for _, pr := range pairs {
+				t += vals[pr.Treated]
+				ctl += vals[pr.Control]
+			}
 		}
 		n := float64(len(pairs))
 		if n > 0 {

@@ -8,32 +8,53 @@ import (
 	"github.com/nwca/broadband/internal/randx"
 )
 
-// referenceMatch is the pre-optimization O(T·C) greedy scan, kept verbatim
-// as the behavioral oracle: the windowed matcher must select exactly the
-// same pairs on any input.
-func referenceMatch(m Matcher, treated, control []*dataset.User, rng *randx.Source) []Pair {
+// distance is the matching distance between panel rows a and b: the sum
+// of normalized confounder discrepancies (each in [0,1] at the caliper
+// boundary).
+func (m Matcher) distance(p *dataset.Panel, a, b int32, caliper float64) (float64, bool) {
+	total := 0.0
+	for _, c := range m.Confounders {
+		vals := c.Value(p)
+		va, vb := vals[a], vals[b]
+		if !withinCaliper(va, vb, caliper, c.Floor) {
+			return 0, false
+		}
+		hi := math.Max(math.Abs(va), math.Abs(vb))
+		denom := caliper*hi + c.Floor
+		if denom > 0 {
+			total += math.Abs(va-vb) / denom
+		}
+	}
+	return total, true
+}
+
+// referenceMatch is the pre-optimization O(T·C) greedy scan, kept as the
+// behavioral oracle: the windowed matcher must select exactly the same
+// pairs on any input. Both views select from one panel.
+func referenceMatch(m Matcher, treated, control dataset.View, rng *randx.Source) []Pair {
 	caliper := m.Caliper
 	if caliper <= 0 {
 		caliper = DefaultCaliper
 	}
-	order := make([]int, len(treated))
+	p := treated.P
+	order := make([]int, treated.Len())
 	for i := range order {
 		order[i] = i
 	}
 	if rng != nil {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 	}
-	used := make([]bool, len(control))
+	used := make([]bool, control.Len())
 	var pairs []Pair
 	for _, ti := range order {
-		t := treated[ti]
+		t := treated.Idx[ti]
 		best := -1
 		bestDist := math.Inf(1)
-		for ci, c := range control {
+		for ci, c := range control.Idx {
 			if used[ci] {
 				continue
 			}
-			d, ok := m.distance(t, c, caliper)
+			d, ok := m.distance(p, t, c, caliper)
 			if !ok {
 				continue
 			}
@@ -44,16 +65,16 @@ func referenceMatch(m Matcher, treated, control []*dataset.User, rng *randx.Sour
 		}
 		if best >= 0 {
 			used[best] = true
-			pairs = append(pairs, Pair{Treated: t, Control: control[best]})
+			pairs = append(pairs, Pair{Treated: t, Control: control.Idx[best]})
 		}
 	}
-	sortPairsByTreatedID(pairs)
+	sortPairsByTreatedID(p, pairs)
 	return pairs
 }
 
-func sortPairsByTreatedID(pairs []Pair) {
+func sortPairsByTreatedID(p *dataset.Panel, pairs []Pair) {
 	for i := 1; i < len(pairs); i++ {
-		for j := i; j > 0 && pairs[j].Treated.ID < pairs[j-1].Treated.ID; j-- {
+		for j := i; j > 0 && p.ID[pairs[j].Treated] < p.ID[pairs[j-1].Treated]; j-- {
 			pairs[j], pairs[j-1] = pairs[j-1], pairs[j]
 		}
 	}
@@ -88,8 +109,10 @@ func TestMatchWindowEquivalence(t *testing.T) {
 	}
 	for seed := uint64(1); seed <= 8; seed++ {
 		rng := randx.New(seed)
-		treated := randomPopulation(rng.Split("treated"), 60+rng.IntN(60), 1)
-		control := randomPopulation(rng.Split("control"), 120+rng.IntN(120), 10_000)
+		treated, control := views(
+			randomPopulation(rng.Split("treated"), 60+rng.IntN(60), 1),
+			randomPopulation(rng.Split("control"), 120+rng.IntN(120), 10_000))
+		ids := treated.P.ID
 		for mi, m := range matchers {
 			for _, shuffled := range []bool{false, true} {
 				var rngA, rngB *randx.Source
@@ -104,18 +127,18 @@ func TestMatchWindowEquivalence(t *testing.T) {
 						seed, mi, shuffled, len(got), len(want))
 				}
 				for i := range want {
-					if got[i].Treated.ID != want[i].Treated.ID || got[i].Control.ID != want[i].Control.ID {
+					if got[i] != want[i] {
 						t.Fatalf("seed %d matcher %d shuffled=%v: pair %d is (%d,%d), reference (%d,%d)",
 							seed, mi, shuffled, i,
-							got[i].Treated.ID, got[i].Control.ID,
-							want[i].Treated.ID, want[i].Control.ID)
+							ids[got[i].Treated], ids[got[i].Control],
+							ids[want[i].Treated], ids[want[i].Control])
 					}
 				}
-				if stats.Treated != len(treated) {
-					t.Errorf("stats.Treated = %d, want %d", stats.Treated, len(treated))
+				if stats.Treated != treated.Len() {
+					t.Errorf("stats.Treated = %d, want %d", stats.Treated, treated.Len())
 				}
-				if stats.Unmatched != len(treated)-len(got) {
-					t.Errorf("stats.Unmatched = %d, want %d", stats.Unmatched, len(treated)-len(got))
+				if stats.Unmatched != treated.Len()-len(got) {
+					t.Errorf("stats.Unmatched = %d, want %d", stats.Unmatched, treated.Len()-len(got))
 				}
 			}
 		}
@@ -127,11 +150,10 @@ func TestMatchWindowEquivalence(t *testing.T) {
 // the full T·C cross product, without giving up any matches.
 func TestMatchWindowNarrows(t *testing.T) {
 	rng := randx.New(42)
-	treated := randomPopulation(rng.Split("t"), 150, 1)
-	control := randomPopulation(rng.Split("c"), 600, 10_000)
+	treated, control := views(randomPopulation(rng.Split("t"), 150, 1), randomPopulation(rng.Split("c"), 600, 10_000))
 	m := Matcher{Confounders: []Confounder{ConfounderRTT(), ConfounderLoss()}, Caliper: 0.1}
 	_, stats := m.MatchWithStats(treated, control, nil)
-	full := len(treated) * len(control)
+	full := treated.Len() * control.Len()
 	if stats.CandidatesExamined >= full/2 {
 		t.Errorf("window examined %d of %d candidate pairs; expected a large reduction", stats.CandidatesExamined, full)
 	}
@@ -147,8 +169,7 @@ func TestMatchWindowNarrows(t *testing.T) {
 // empty confounder list must still agree with the reference (full scan).
 func TestMatchFallback(t *testing.T) {
 	rng := randx.New(7)
-	treated := randomPopulation(rng.Split("t"), 30, 1)
-	control := randomPopulation(rng.Split("c"), 60, 1000)
+	treated, control := views(randomPopulation(rng.Split("t"), 30, 1), randomPopulation(rng.Split("c"), 60, 1000))
 	for _, m := range []Matcher{
 		{Confounders: []Confounder{ConfounderRTT()}, Caliper: 1.5},
 		{Confounders: nil},
@@ -159,12 +180,12 @@ func TestMatchFallback(t *testing.T) {
 			t.Fatalf("fallback: %d pairs, reference %d", len(got), len(want))
 		}
 		for i := range want {
-			if got[i].Treated.ID != want[i].Treated.ID || got[i].Control.ID != want[i].Control.ID {
+			if got[i] != want[i] {
 				t.Fatalf("fallback pair %d differs", i)
 			}
 		}
-		if stats.WindowFallbacks != len(treated) {
-			t.Errorf("WindowFallbacks = %d, want %d", stats.WindowFallbacks, len(treated))
+		if stats.WindowFallbacks != treated.Len() {
+			t.Errorf("WindowFallbacks = %d, want %d", stats.WindowFallbacks, treated.Len())
 		}
 	}
 }

@@ -34,28 +34,30 @@ func (r QEDResult) String() string {
 	return fmt.Sprintf("%s [%d/%d cells]", r.Result.String(), r.PairedCells, r.Cells)
 }
 
-// QED is a stratified quasi-experiment specification.
+// QED is a stratified quasi-experiment specification. Treatment and
+// Control are views over one panel.
 type QED struct {
 	Name      string
-	Treatment []*dataset.User
-	Control   []*dataset.User
+	Treatment dataset.View
+	Control   dataset.View
 	// Confounders are discretized into multiplicative bins of width
 	// BinRatio (default 1.5; a pair in the same bin differs by at most
 	// that factor — comparable to the 25% caliper at ratio 1.25²).
 	Confounders []Confounder
 	BinRatio    float64
-	Outcome     dataset.Metric
+	Outcome     dataset.Column
 	MinPairs    int
 }
 
-// cellKey discretizes one user's confounder vector.
-func (q QED) cellKey(u *dataset.User, binRatio float64) string {
+// cellKey discretizes the confounder vector of one panel row; cols holds
+// the confounders' columns, in Confounders order.
+func (q QED) cellKey(cols [][]float64, row int32, binRatio float64) string {
 	var b strings.Builder
 	for i, c := range q.Confounders {
 		if i > 0 {
 			b.WriteByte('|')
 		}
-		v := c.Value(u)
+		v := cols[i][row]
 		switch {
 		case v <= c.Floor:
 			b.WriteString("lo") // everything under the floor is one bin
@@ -73,6 +75,10 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 	if q.Outcome == nil {
 		return QEDResult{}, fmt.Errorf("core: QED %q has no outcome metric", q.Name)
 	}
+	p, err := commonPanel(q.Treatment, q.Control)
+	if err != nil {
+		return QEDResult{}, fmt.Errorf("core: QED %q: %w", q.Name, err)
+	}
 	binRatio := q.BinRatio
 	if binRatio <= 1 {
 		binRatio = 1.5
@@ -83,23 +89,31 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 	}
 
 	type cell struct {
-		treated []*dataset.User
-		control []*dataset.User
+		treated []int32
+		control []int32
 	}
 	cells := map[string]*cell{}
-	for _, u := range q.Treatment {
-		k := q.cellKey(u, binRatio)
-		if cells[k] == nil {
-			cells[k] = &cell{}
+	var cols [][]float64
+	var outcome []float64
+	if p != nil {
+		for _, c := range q.Confounders {
+			cols = append(cols, c.Value(p))
 		}
-		cells[k].treated = append(cells[k].treated, u)
+		outcome = q.Outcome(p)
 	}
-	for _, u := range q.Control {
-		k := q.cellKey(u, binRatio)
+	for _, i := range q.Treatment.Idx {
+		k := q.cellKey(cols, i, binRatio)
 		if cells[k] == nil {
 			cells[k] = &cell{}
 		}
-		cells[k].control = append(cells[k].control, u)
+		cells[k].treated = append(cells[k].treated, i)
+	}
+	for _, i := range q.Control.Idx {
+		k := q.cellKey(cols, i, binRatio)
+		if cells[k] == nil {
+			cells[k] = &cell{}
+		}
+		cells[k].control = append(cells[k].control, i)
 	}
 
 	// Deterministic cell order, then random pairing within each cell.
@@ -124,7 +138,7 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 		cOrder := permute(len(c.control), rng)
 		for i := 0; i < n; i++ {
 			pairs++
-			if q.Outcome(c.treated[tOrder[i]]) > q.Outcome(c.control[cOrder[i]]) {
+			if outcome[c.treated[tOrder[i]]] > outcome[c.control[cOrder[i]]] {
 				holds++
 			}
 		}

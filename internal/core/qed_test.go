@@ -28,10 +28,11 @@ func qedPopulations(effect bool) (treated, control []*dataset.User) {
 }
 
 func qedSpec(treated, control []*dataset.User) QED {
+	tv, cv := views(treated, control)
 	return QED{
 		Name:      "qed",
-		Treatment: treated,
-		Control:   control,
+		Treatment: tv,
+		Control:   cv,
 		Confounders: []Confounder{
 			ConfounderRTT(), ConfounderLoss(), ConfounderAccessPrice(),
 		},
@@ -80,10 +81,11 @@ func TestQEDAgreesWithMatching(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	tv, cv := views(treated, control)
 	exp := Experiment{
 		Name:      "nn",
-		Treatment: treated,
-		Control:   control,
+		Treatment: tv,
+		Control:   cv,
 		Matcher:   Matcher{Confounders: []Confounder{ConfounderRTT(), ConfounderLoss(), ConfounderAccessPrice()}},
 		Outcome:   dataset.PeakUsage,
 	}
@@ -108,6 +110,10 @@ func TestQEDValidation(t *testing.T) {
 	if !errors.Is(err, ErrTooFewPairs) {
 		t.Errorf("want ErrTooFewPairs, got %v", err)
 	}
+	_, q.Control = views(nil, []*dataset.User{mkUser(3, 0.05, 0.1, 25, 5, 1)})
+	if _, err := q.Run(nil); err == nil || !strings.Contains(err.Error(), "different panels") {
+		t.Errorf("want a panel-mismatch error, got %v", err)
+	}
 }
 
 func TestQEDDeterministicWithoutRNG(t *testing.T) {
@@ -128,14 +134,17 @@ func TestQEDDeterministicWithoutRNG(t *testing.T) {
 
 func TestQEDCellKeyFloors(t *testing.T) {
 	q := QED{Confounders: []Confounder{ConfounderLoss()}}
+	v := populations([]*dataset.User{
+		mkUser(1, 0.05, 0.0, 25, 10, 1),
+		mkUser(2, 0.05, 0.04, 25, 10, 1), // 0.0004 < floor 0.0005
+		mkUser(3, 0.05, 2.0, 25, 10, 1),
+	})[0]
+	cols := [][]float64{ConfounderLoss().Value(v.P)}
 	// Values at or below the floor share the "lo" bin.
-	a := mkUser(1, 0.05, 0.0, 25, 10, 1)
-	b := mkUser(2, 0.05, 0.04, 25, 10, 1) // 0.0004 < floor 0.0005
-	if q.cellKey(a, 1.5) != q.cellKey(b, 1.5) {
+	if q.cellKey(cols, 0, 1.5) != q.cellKey(cols, 1, 1.5) {
 		t.Error("sub-floor losses should share a bin")
 	}
-	c := mkUser(3, 0.05, 2.0, 25, 10, 1)
-	if q.cellKey(a, 1.5) == q.cellKey(c, 1.5) {
+	if q.cellKey(cols, 0, 1.5) == q.cellKey(cols, 2, 1.5) {
 		t.Error("2% loss must not share the sub-floor bin")
 	}
 }

@@ -217,25 +217,26 @@ func TestSaveDir(t *testing.T) {
 
 func TestSelectAndPredicates(t *testing.T) {
 	d := sampleDataset()
-	ids := func(preds ...Pred) []int64 {
+	p := BuildPanel(d.Users)
+	ids := func(preds ...ColPred) []int64 {
 		var out []int64
-		for _, i := range SelectIdx(d.Users, preds...) {
-			out = append(out, d.Users[i].ID)
+		for _, i := range p.Where(preds...).Idx {
+			out = append(out, p.ID[i])
 		}
 		return out
 	}
 	for _, tc := range []struct {
 		name  string
-		preds []Pred
+		preds []ColPred
 		want  []int64
 	}{
-		{"ByCountry(US)", []Pred{ByCountry("US")}, []int64{1, 2}},
-		{"ByCountry(ZZ)", []Pred{ByCountry("ZZ")}, nil},
-		{"NotCountry(US)", []Pred{NotCountry("US")}, []int64{3}},
-		{"vantage+year", []Pred{ByVantage(VantageDasu), ByYear(2012)}, []int64{1, 2, 3}},
-		{"ByTier(>32)", []Pred{ByTier(stats.TierOver32)}, []int64{3}},
-		{"CapacityBetween", []Pred{CapacityBetween(unit.MbpsOf(5), unit.MbpsOf(20))}, []int64{1}},
-		{"ByClass", []Pred{ByClass(stats.ClassOf(unit.MbpsOf(1.9)))}, []int64{2}},
+		{"ColCountry(US)", []ColPred{ColCountry("US")}, []int64{1, 2}},
+		{"ColCountry(ZZ)", []ColPred{ColCountry("ZZ")}, nil},
+		{"ColNotCountry(US)", []ColPred{ColNotCountry("US")}, []int64{3}},
+		{"vantage+year", []ColPred{ColVantage(VantageDasu), ColYear(2012)}, []int64{1, 2, 3}},
+		{"ColTier(>32)", []ColPred{ColTier(stats.TierOver32)}, []int64{3}},
+		{"ColCapacityBetween", []ColPred{ColCapacityBetween(unit.MbpsOf(5), unit.MbpsOf(20))}, []int64{1}},
+		{"ColClass", []ColPred{ColClass(stats.ClassOf(unit.MbpsOf(1.9)))}, []int64{2}},
 	} {
 		if got := ids(tc.preds...); !reflect.DeepEqual(got, tc.want) {
 			t.Errorf("%s selected IDs %v, want %v", tc.name, got, tc.want)
@@ -245,12 +246,12 @@ func TestSelectAndPredicates(t *testing.T) {
 
 func TestMetricsAndHelpers(t *testing.T) {
 	d := sampleDataset()
-	for i := range d.Users {
-		if v := PeakUsageNoBT(&d.Users[i]); v != float64(unit.MbpsOf(1.2)) {
+	p := BuildPanel(d.Users)
+	for _, v := range PeakUsageNoBT(p) {
+		if v != float64(unit.MbpsOf(1.2)) {
 			t.Errorf("PeakUsageNoBT = %v", v)
 		}
 	}
-	p := BuildPanel(d.Users)
 	if caps := p.All().Gather(p.Capacity); caps[2] != float64(unit.MbpsOf(47.5)) {
 		t.Errorf("Capacity[2] = %v", caps[2])
 	}

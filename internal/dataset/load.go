@@ -17,7 +17,7 @@ import (
 // profiles; plans for countries without a profile are kept but contribute
 // no market summary.
 func LoadDir(dir string) (*Dataset, error) {
-	d := &Dataset{Markets: make(map[string]market.MarketSummary)}
+	d := &Dataset{}
 
 	read := func(base string, fn func(io.Reader, string) error) error {
 		rc, path, err := openTablePath(dir, base)
@@ -89,9 +89,21 @@ func LoadDir(dir string) (*Dataset, error) {
 		return nil, fmt.Errorf("dataset: loading plans: %w", err)
 	}
 
-	// Rebuild per-market summaries from the survey rows.
+	d.Markets = summarizeMarkets(d.Plans)
+	if err := d.Validate(); err != nil {
+		return nil, fmt.Errorf("dataset: loaded data invalid: %w", err)
+	}
+	d.Freeze()
+	return d, nil
+}
+
+// summarizeMarkets rebuilds the per-market summaries (access price,
+// upgrade cost) from plan-survey rows. Country metadata is rejoined from
+// the built-in market profiles; plans of countries without a profile form
+// a bare catalog, and markets with no ≥1 Mbps plan carry no summary.
+func summarizeMarkets(plans []market.Plan) map[string]market.MarketSummary {
 	byCountry := make(map[string]*market.Catalog)
-	for _, p := range d.Plans {
+	for _, p := range plans {
 		cat := byCountry[p.Country]
 		if cat == nil {
 			cat = &market.Catalog{}
@@ -104,16 +116,11 @@ func LoadDir(dir string) (*Dataset, error) {
 		}
 		cat.Plans = append(cat.Plans, p)
 	}
+	out := make(map[string]market.MarketSummary, len(byCountry))
 	for code, cat := range byCountry {
-		sum, err := market.Summarize(*cat)
-		if err != nil {
-			continue // markets with no ≥1 Mbps plan carry no summary
+		if sum, err := market.Summarize(*cat); err == nil {
+			out[code] = sum
 		}
-		d.Markets[code] = sum
 	}
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: loaded data invalid: %w", err)
-	}
-	d.Freeze()
-	return d, nil
+	return out
 }

@@ -56,12 +56,13 @@ func (d *Dict) Len() int { return len(d.vals) }
 // ~200-byte User row through the cache, and selection becomes an index
 // vector instead of a pointer list.
 //
-// Panel is a projection of []User, not a replacement: rows materialize
-// back via UserAt/Users/Source (for CSV I/O, UserSource streaming and the
-// matcher, which stay row-based), and the round-trip User → Panel → User
-// is lossless. Rates, prices and loss fractions are stored as raw float64
-// (bps, USD, fractions) so stats aggregations consume columns directly;
-// the unit newtypes are reapplied on materialization.
+// Every analysis — the aggregations, the matcher and the experiments —
+// reads the panel through index vectors (View) and columns (Column). Rows
+// materialize back via UserAt/Users/Source only at the serialization
+// boundary: CSV I/O and UserSource streaming. The round-trip User → Panel
+// → User is lossless. Rates, prices and loss fractions are stored as raw
+// float64 (bps, USD, fractions) so stats aggregations consume columns
+// directly; the unit newtypes are reapplied on materialization.
 //
 // A built Panel is immutable by convention and safe for concurrent reads.
 // Row indices are int32: an in-core panel of ≥2^31 rows is far past the
@@ -231,6 +232,20 @@ func (p *Panel) Users() []User {
 	return out
 }
 
+// Column selects one float64 column of a panel: the per-user figure an
+// experiment compares (its outcome) or matches on (a confounder). Values
+// are read as col(p)[i] for row i.
+type Column func(*Panel) []float64
+
+// Named demand columns used throughout the experiments. All are in bits
+// per second.
+var (
+	MeanUsage     Column = func(p *Panel) []float64 { return p.UsageMean }
+	PeakUsage     Column = func(p *Panel) []float64 { return p.UsagePeak }
+	MeanUsageNoBT Column = func(p *Panel) []float64 { return p.UsageMeanNoBT }
+	PeakUsageNoBT Column = func(p *Panel) []float64 { return p.UsagePeakNoBT }
+)
+
 // PeakUtilization returns row i's peak (no-BT) usage as a fraction of
 // measured capacity — the columnar twin of (*User).PeakUtilization.
 func (p *Panel) PeakUtilization(i int) float64 {
@@ -269,7 +284,7 @@ func (p *Panel) Source() UserSource { return p.All().Source() }
 // returned test is evaluated per row index.
 type ColPred func(p *Panel) func(i int) bool
 
-// ColCountry keeps rows in the given country — ByCountry in columnar form.
+// ColCountry keeps rows in the given country.
 func ColCountry(code string) ColPred {
 	return func(p *Panel) func(int) bool {
 		c, ok := p.Countries.Code(code)
@@ -348,9 +363,9 @@ func evalPreds(tests []func(int) bool, i int) bool {
 
 // View is an index-vector selection over a panel: the rows at Idx, in
 // order. Views chain cheaply (each Where walks only the surviving
-// indices), copy no rows, and iterate in ascending panel order — the same
-// order SelectIdx yields — so aggregations over a view are bit-identical to
-// the row-based pipeline they replace.
+// indices), copy no rows, and iterate in ascending panel order, so
+// aggregations over a view are bit-identical to a row-by-row scan of the
+// same users.
 type View struct {
 	P   *Panel
 	Idx []int32
@@ -365,8 +380,7 @@ func (p *Panel) All() View {
 	return View{P: p, Idx: idx}
 }
 
-// Where selects the rows satisfying every predicate — the columnar
-// counterpart of SelectIdx.
+// Where selects the rows satisfying every predicate, in ascending order.
 func (p *Panel) Where(preds ...ColPred) View {
 	tests := bindPreds(p, preds)
 	var idx []int32
@@ -399,20 +413,6 @@ func (v View) Gather(col []float64) []float64 {
 	out := make([]float64, len(v.Idx))
 	for k, i := range v.Idx {
 		out[k] = col[i]
-	}
-	return out
-}
-
-// Users materializes the selected rows as a fresh []*User — the adapter
-// the row-based machinery (the matcher, core.Experiment) consumes. The
-// pointers address a newly allocated backing array, not the panel, so a
-// view selection never pins the full user table.
-func (v View) Users() []*User {
-	backing := make([]User, len(v.Idx))
-	out := make([]*User, len(v.Idx))
-	for k, i := range v.Idx {
-		v.P.UserAt(int(i), &backing[k])
-		out[k] = &backing[k]
 	}
 	return out
 }

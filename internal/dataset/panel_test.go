@@ -73,7 +73,44 @@ func TestPanelPeakUtilizationMatchesRow(t *testing.T) {
 	}
 }
 
-// predPairs are matched row/columnar predicate stacks: Select with the
+// Pred is a row predicate: the test-only reference each ColPred is held
+// to. The row family below restates every columnar predicate over a
+// materialized User, so a dictionary-code or unit-conversion slip in the
+// columnar form shows up as a disagreement.
+type Pred func(*User) bool
+
+func ByCountry(code string) Pred  { return func(u *User) bool { return u.Country == code } }
+func NotCountry(code string) Pred { return func(u *User) bool { return u.Country != code } }
+func ByVantage(v Vantage) Pred    { return func(u *User) bool { return u.Vantage == v } }
+func ByYear(y int) Pred           { return func(u *User) bool { return u.Year == y } }
+func ByTier(t stats.Tier) Pred {
+	return func(u *User) bool { return stats.TierOf(u.Capacity) == t }
+}
+func ByClass(c stats.CapacityClass) Pred { return func(u *User) bool { return c.Contains(u.Capacity) } }
+func CapacityBetween(lo, hi unit.Bitrate) Pred {
+	return func(u *User) bool { return u.Capacity > lo && u.Capacity <= hi }
+}
+
+// selectIdx returns the indices of the users satisfying every predicate,
+// in ascending order: the row-scan reference for Panel.Where.
+func selectIdx(users []User, preds ...Pred) []int {
+	var out []int
+	for i := range users {
+		keep := true
+		for _, p := range preds {
+			if !p(&users[i]) {
+				keep = false
+				break
+			}
+		}
+		if keep {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// predPairs are matched row/columnar predicate stacks: selectIdx with the
 // Pred side must agree exactly with Where on the ColPred side.
 func predPairs() []struct {
 	name string
@@ -105,18 +142,18 @@ func TestWhereMatchesSelect(t *testing.T) {
 	users := panelUsers(200)
 	p := BuildPanel(users)
 	for _, tc := range predPairs() {
-		idx := SelectIdx(users, tc.row...)
+		idx := selectIdx(users, tc.row...)
 		v := p.Where(tc.col...)
 		if len(idx) != v.Len() {
-			t.Fatalf("%s: SelectIdx kept %d, Where kept %d", tc.name, len(idx), v.Len())
+			t.Fatalf("%s: selectIdx kept %d, Where kept %d", tc.name, len(idx), v.Len())
 		}
-		mats := v.Users()
+		var u User
 		for k, j := range idx {
 			if int32(j) != v.Idx[k] {
-				t.Fatalf("%s: SelectIdx[%d] = %d, Where idx = %d", tc.name, k, j, v.Idx[k])
+				t.Fatalf("%s: selectIdx[%d] = %d, Where idx = %d", tc.name, k, j, v.Idx[k])
 			}
-			if !reflect.DeepEqual(users[j], *mats[k]) {
-				t.Fatalf("%s: row %d differs between SelectIdx and Where", tc.name, k)
+			if p.UserAt(int(v.Idx[k]), &u); !reflect.DeepEqual(users[j], u) {
+				t.Fatalf("%s: row %d differs between selectIdx and Where", tc.name, k)
 			}
 		}
 	}
@@ -241,7 +278,7 @@ func TestDictDeterminism(t *testing.T) {
 }
 
 // FuzzPanelWhere drives random predicate stacks through both selection
-// pipelines: SelectIdx over rows and Panel.Where over columns must
+// pipelines: selectIdx over rows and Panel.Where over columns must
 // keep exactly the same rows in the same order.
 func FuzzPanelWhere(f *testing.F) {
 	f.Add([]byte{0}, uint8(1))
@@ -285,19 +322,19 @@ func FuzzPanelWhere(f *testing.F) {
 				// no-op: vary stack lengths
 			}
 		}
-		sel := SelectIdx(users, row...)
+		sel := selectIdx(users, row...)
 		v := p.Where(col...)
 		if len(sel) != v.Len() {
-			t.Fatalf("SelectIdx kept %d rows, Where kept %d", len(sel), v.Len())
+			t.Fatalf("selectIdx kept %d rows, Where kept %d", len(sel), v.Len())
 		}
 		for k, j := range sel {
 			if users[j].ID != p.ID[v.Idx[k]] {
-				t.Fatalf("row %d: SelectIdx ID %d vs Where ID %d", k, users[j].ID, p.ID[v.Idx[k]])
+				t.Fatalf("row %d: selectIdx ID %d vs Where ID %d", k, users[j].ID, p.ID[v.Idx[k]])
 			}
 		}
-		mats := v.Users()
+		var u User
 		for k, j := range sel {
-			if !reflect.DeepEqual(users[j], *mats[k]) {
+			if p.UserAt(int(v.Idx[k]), &u); !reflect.DeepEqual(users[j], u) {
 				t.Fatalf("row %d differs after materialization", k)
 			}
 		}

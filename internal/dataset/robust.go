@@ -238,16 +238,25 @@ func (q *Quarantine) budgetErr() *BudgetError {
 	return &BudgetError{File: q.file, Bad: q.bad, Read: q.read, Budget: q.opts.maxBadFrac(), Counts: counts}
 }
 
+// overBudget reports whether the file's quarantined rows exceed the
+// absolute cap or the fractional budget. The fractional budget applies
+// once at least minRead rows were offered, so tiny prefixes of a file
+// being read are not failed by their first bad row.
+func (q *Quarantine) overBudget(minRead int) bool {
+	if q.opts.MaxBadRows > 0 && q.bad > q.opts.MaxBadRows {
+		return true
+	}
+	frac := q.opts.maxBadFrac()
+	return frac < 1 && q.read > 0 && q.read >= minRead && float64(q.bad) > frac*float64(q.read)
+}
+
 // note records one quarantined row and enforces the incremental budget.
 func (q *Quarantine) note(row int, class RowFault, cause error) error {
 	q.read++
 	q.bad++
 	q.rep.RowsRead++
 	q.rep.Diags = append(q.rep.Diags, RowDiag{File: q.file, Row: row, Class: class, Cause: cause.Error()})
-	if q.opts.MaxBadRows > 0 && q.bad > q.opts.MaxBadRows {
-		return q.budgetErr()
-	}
-	if frac := q.opts.maxBadFrac(); frac < 1 && q.read >= budgetFloor && float64(q.bad) > frac*float64(q.read) {
+	if q.overBudget(budgetFloor) {
 		return q.budgetErr()
 	}
 	return nil
@@ -261,21 +270,23 @@ func (q *Quarantine) kept() {
 }
 
 // demote retracts a previously kept row (post-pass faults: duplicate keys,
-// orphaned market references) and re-enforces the budget.
+// orphaned market references) and re-enforces both budgets. The file has
+// been read in full by then, so the fractional budget applies as it does
+// at end of file.
 func (q *Quarantine) demote(row int, class RowFault, cause error) error {
 	q.bad++
 	q.rep.RowsKept--
 	q.rep.Diags = append(q.rep.Diags, RowDiag{File: q.file, Row: row, Class: class, Cause: cause.Error()})
-	if q.opts.MaxBadRows > 0 && q.bad > q.opts.MaxBadRows {
+	if q.overBudget(0) {
 		return q.budgetErr()
 	}
 	return nil
 }
 
-// finish enforces the fractional budget at end of file and returns io.EOF
-// when the file is within budget.
+// finish enforces the budget at end of file and returns io.EOF when the
+// file is within it.
 func (q *Quarantine) finish() error {
-	if frac := q.opts.maxBadFrac(); frac < 1 && q.read > 0 && float64(q.bad) > frac*float64(q.read) {
+	if q.overBudget(0) {
 		return q.budgetErr()
 	}
 	return io.EOF
@@ -531,7 +542,7 @@ func checkPlanDomain(p *market.Plan) error {
 // (transport errors, exhausted budgets) are typed: *RowError, *BudgetError.
 func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineReport, error) {
 	rep := &QuarantineReport{}
-	d := &Dataset{Markets: make(map[string]market.MarketSummary)}
+	d := &Dataset{}
 
 	// Users. Row numbers are kept for the post-pass demotions below.
 	var userRows []int
@@ -577,27 +588,7 @@ func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineRep
 
 	// Rebuild per-market summaries from the surviving survey rows, exactly
 	// as the strict loader does.
-	byCountry := make(map[string]*market.Catalog)
-	for _, p := range d.Plans {
-		cat := byCountry[p.Country]
-		if cat == nil {
-			cat = &market.Catalog{}
-			if prof, ok := market.FindProfile(p.Country); ok {
-				cat.Country = prof.Country
-			} else {
-				cat.Country = market.Country{Code: p.Country, Name: p.Country}
-			}
-			byCountry[p.Country] = cat
-		}
-		cat.Plans = append(cat.Plans, p)
-	}
-	for code, cat := range byCountry {
-		sum, err := market.Summarize(*cat)
-		if err != nil {
-			continue // markets with no ≥1 Mbps plan carry no summary
-		}
-		d.Markets[code] = sum
-	}
+	d.Markets = summarizeMarkets(d.Plans)
 
 	// Users whose market lost its summary (quarantined survey rows) are
 	// orphans: demote them rather than fail validation.

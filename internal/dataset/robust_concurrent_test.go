@@ -17,20 +17,7 @@ import (
 // directory's reference.
 func dirtyDatasetDir(t *testing.T, variant int) string {
 	t.Helper()
-	dir := t.TempDir()
-	d := sampleDataset()
-	// The robust loader rebuilds market summaries from the saved plan
-	// survey; give both countries enough of a plan ladder for the
-	// upgrade-cost regression to succeed (mirrors TestLoadDirRoundTrip).
-	for _, mbps := range []float64{1, 2, 4, 8, 16} {
-		d.Plans = append(d.Plans,
-			planFor("US", mbps, 20+0.55*(mbps-1)),
-			planFor("JP", mbps, 21+0.08*(mbps-1)),
-		)
-	}
-	if err := d.SaveDir(dir); err != nil {
-		t.Fatal(err)
-	}
+	dir := savedSampleDir(t, sampleDataset())
 	path := filepath.Join(dir, "users.csv")
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -50,6 +37,25 @@ func dirtyDatasetDir(t *testing.T, variant int) string {
 		lines = append(lines, junk, junk)
 	}
 	if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")+"\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	return dir
+}
+
+// savedSampleDir saves d to a fresh directory after giving the US and JP
+// markets a plan ladder: the robust loader rebuilds market summaries from
+// the saved plan survey, and the upgrade-cost regression needs several
+// tiers to succeed (mirrors TestLoadDirRoundTrip).
+func savedSampleDir(t *testing.T, d *Dataset) string {
+	t.Helper()
+	dir := t.TempDir()
+	for _, mbps := range []float64{1, 2, 4, 8, 16} {
+		d.Plans = append(d.Plans,
+			planFor("US", mbps, 20+0.55*(mbps-1)),
+			planFor("JP", mbps, 21+0.08*(mbps-1)),
+		)
+	}
+	if err := d.SaveDir(dir); err != nil {
 		t.Fatal(err)
 	}
 	return dir

@@ -17,8 +17,8 @@ import (
 
 // Streaming CSV layer: record-at-a-time readers and writers with constant
 // per-row memory. The slice-based API (ReadUsers/WriteUsers and friends) is
-// a thin wrapper over these; experiments that must scale past RAM consume
-// the iterators directly (see SelectFrom / EachUser in filter.go).
+// a thin wrapper over these; consumers that must scale past RAM (bbstats'
+// one-pass overview) drain a UserSource directly.
 //
 // Readers reuse the csv.Reader record slice (ReuseRecord) and enforce the
 // header's field count on every row; writers encode each record into a
@@ -270,6 +270,14 @@ func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, er
 	}
 	cr.FieldsPerRecord = len(header)
 	return cr, nil
+}
+
+// UserSource yields users one record at a time; Read returns io.EOF after
+// the last user. *UserReader, *UserStream (a shard set) and a panel's
+// Source implement it, so one-pass consumers run unchanged over worlds
+// larger than RAM.
+type UserSource interface {
+	Read(*User) error
 }
 
 // UserReader iterates a users CSV one record at a time with constant

@@ -221,59 +221,6 @@ func TestQuotedFieldsSurviveStreaming(t *testing.T) {
 	}
 }
 
-func TestSelectFromMatchesSelect(t *testing.T) {
-	users := manyUsers(60)
-	preds := []Pred{ByCountry("US"), ByYear(2012)}
-	want := SelectIdx(users, preds...)
-	got, err := SelectFrom(UsersOf(users), preds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("SelectFrom found %d users, SelectIdx %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != users[want[i]] {
-			t.Errorf("selection %d differs: %+v vs %+v", i, got[i], users[want[i]])
-		}
-	}
-
-	// The same predicates applied to the CSV stream pick the same users.
-	var buf bytes.Buffer
-	if err := WriteUsers(&buf, users); err != nil {
-		t.Fatal(err)
-	}
-	ur, err := NewUserReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fromCSV, err := SelectFrom(ur, preds...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fromCSV) != len(want) {
-		t.Fatalf("streaming CSV selection found %d users, want %d", len(fromCSV), len(want))
-	}
-}
-
-func TestEachUserStopsOnError(t *testing.T) {
-	users := manyUsers(10)
-	seen := 0
-	err := EachUser(UsersOf(users), func(u *User) error {
-		seen++
-		if seen == 3 {
-			return errSink
-		}
-		return nil
-	})
-	if err != errSink {
-		t.Fatalf("EachUser returned %v, want sentinel", err)
-	}
-	if seen != 3 {
-		t.Fatalf("EachUser visited %d users after error, want 3", seen)
-	}
-}
-
 // TestLosslessFloatFields drives adversarial float64 values through a CSV
 // cycle and asserts exact field equality: denormals, 17-significant-digit
 // values, and the huge draws a heavy-tailed Pareto can emit.

@@ -416,12 +416,13 @@ func TestFig08UtilizationByTier(t *testing.T) {
 		}
 		// The paper's comparison point: BW's tier average (≈80%) against
 		// the US average peak utilization over ALL users (≈52%).
-		usAll := evalData(t).Panel().Where(dataset.ColCountry("US"), dataset.ColVantage(dataset.VantageDasu)).Users()
+		p := evalData(t).Panel()
+		usAll := p.Where(dataset.ColCountry("US"), dataset.ColVantage(dataset.VantageDasu))
 		total := 0.0
-		for _, u := range usAll {
-			total += u.PeakUtilization()
+		for _, i := range usAll.Idx {
+			total += p.PeakUtilization(int(i))
 		}
-		if usAvg := total / float64(len(usAll)); bw.Mean <= usAvg {
+		if usAvg := total / float64(usAll.Len()); bw.Mean <= usAvg {
 			t.Errorf("BW tier util %.2f should exceed the US overall average %.2f", bw.Mean, usAvg)
 		}
 	}

@@ -77,17 +77,6 @@ func (e *ExtC) Render() string {
 // RunExtC evaluates the design comparison over a set of capacity rungs.
 func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	classes := byClass(dasuView(d, 0))
-	// Both designs reuse the same class groups; materialize each class's
-	// rows from the columnar view once, shared across rungs.
-	classUsers := map[stats.CapacityClass][]*dataset.User{}
-	usersOf := func(k stats.CapacityClass) []*dataset.User {
-		if u, ok := classUsers[k]; ok {
-			return u
-		}
-		u := classes[k].Users()
-		classUsers[k] = u
-		return u
-	}
 	confs := []core.Confounder{
 		core.ConfounderRTT(), core.ConfounderLoss(),
 		core.ConfounderAccessPrice(), core.ConfounderUpgradeCost(),
@@ -99,8 +88,8 @@ func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		row := ExtCRow{Control: k, Treatment: k + 1}
 		exp := core.Experiment{
 			Name:      fmt.Sprintf("nn %v", k),
-			Treatment: usersOf(k + 1),
-			Control:   usersOf(k),
+			Treatment: classes[k+1],
+			Control:   classes[k],
 			Matcher:   core.Matcher{Confounders: confs},
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,
@@ -116,8 +105,8 @@ func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		}
 		qed := core.QED{
 			Name:        fmt.Sprintf("qed %v", k),
-			Treatment:   usersOf(k + 1),
-			Control:     usersOf(k),
+			Treatment:   classes[k+1],
+			Control:     classes[k],
 			Confounders: confs,
 			Outcome:     dataset.PeakUsageNoBT,
 			MinPairs:    MinGroup,

@@ -123,15 +123,15 @@ func RunExtA(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	if len(cappedIdx) == 0 || len(uncappedIdx) == 0 {
 		return nil, fmt.Errorf("extA: need both capped (%d) and uncapped (%d) users", len(cappedIdx), len(uncappedIdx))
 	}
-	capped := dataset.View{P: p, Idx: cappedIdx}.Users()
-	uncapped := dataset.View{P: p, Idx: uncappedIdx}.Users()
-	tight := dataset.View{P: p, Idx: tightIdx}.Users()
-	e := &ExtA{CappedShare: float64(len(capped)) / float64(v.Len())}
+	capped := dataset.View{P: p, Idx: cappedIdx}
+	uncapped := dataset.View{P: p, Idx: uncappedIdx}
+	tight := dataset.View{P: p, Idx: tightIdx}
+	e := &ExtA{CappedShare: float64(capped.Len()) / float64(v.Len())}
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 		core.ConfounderAccessPrice(), core.ConfounderUpgradeCost(),
 	}}
-	run := func(control []*dataset.User, label string) (core.Result, bool, error) {
+	run := func(control dataset.View, label string) (core.Result, bool, error) {
 		exp := core.Experiment{
 			Name:      "uncapped vs " + label,
 			Treatment: uncapped,
@@ -241,8 +241,8 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 
 	exp := core.Experiment{
 		Name:      "streamers vs browsers",
-		Treatment: dataset.View{P: p, Idx: byArch[traffic.Streamer]}.Users(),
-		Control:   dataset.View{P: p, Idx: byArch[traffic.Browser]}.Users(),
+		Treatment: dataset.View{P: p, Idx: byArch[traffic.Streamer]},
+		Control:   dataset.View{P: p, Idx: byArch[traffic.Browser]},
 		Matcher: core.Matcher{Confounders: []core.Confounder{
 			core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 			core.ConfounderAccessPrice(),

@@ -106,8 +106,8 @@ func RunFig06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	for _, c := range classes {
 		exp := core.Experiment{
 			Name:      fmt.Sprintf("%v: %d vs %d", c, last, first),
-			Treatment: newByClass[c].Users(),
-			Control:   oldByClass[c].Users(),
+			Treatment: newByClass[c],
+			Control:   oldByClass[c],
 			Matcher:   quadMatcher(),
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,

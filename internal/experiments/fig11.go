@@ -115,12 +115,10 @@ func RunFig11(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	// capacity; H (as the paper frames its surprise): the US user, enjoying
 	// lower latency and loss, imposes HIGHER demand despite the lower
 	// access price.
-	india := p.Where(dataset.ColCountry("IN"), dataset.ColVantage(dataset.VantageDasu)).Users()
-	us := p.Where(dataset.ColCountry("US"), dataset.ColVantage(dataset.VantageDasu)).Users()
 	exp := core.Experiment{
 		Name:      "US vs India at matched capacity",
-		Treatment: us,
-		Control:   india,
+		Treatment: p.Where(dataset.ColCountry("US"), dataset.ColVantage(dataset.VantageDasu)),
+		Control:   p.Where(dataset.ColCountry("IN"), dataset.ColVantage(dataset.VantageDasu)),
 		Matcher:   core.Matcher{Confounders: []core.Confounder{core.ConfounderCapacity()}},
 		Outcome:   dataset.PeakUsageNoBT,
 		MinPairs:  MinGroup,

@@ -214,46 +214,45 @@ func OverviewFromSource(src dataset.UserSource) (*StreamOverview, error) {
 }
 
 // OverviewExact computes the same artifact with the exact in-core
-// machinery (sorted order statistics, two-pass variance). It is the golden
-// reference the sketch is compared against under the tolerance manifest.
-func OverviewExact(users []dataset.User) (*StreamOverview, error) {
-	sel := dataset.SelectIdx(users, dataset.ByVantage(dataset.VantageDasu))
-	if len(sel) == 0 {
+// machinery (sorted order statistics, two-pass variance) over a panel's
+// end-host rows. It is the golden reference the sketch is compared against
+// under the tolerance manifest.
+func OverviewExact(p *dataset.Panel) (*StreamOverview, error) {
+	v := p.Where(dataset.ColVantage(dataset.VantageDasu))
+	if v.Len() == 0 {
 		return nil, fmt.Errorf("experiments: overview of an empty end-host panel")
 	}
-	out := &StreamOverview{Users: int64(len(sel))}
-	metrics := []struct {
-		dst    *DistSketch
-		metric func(*dataset.User) float64
-	}{
-		{&out.Capacity, func(u *dataset.User) float64 { return float64(u.Capacity) / 1e6 }},
-		{&out.RTT, func(u *dataset.User) float64 { return u.RTT }},
-		{&out.Loss, func(u *dataset.User) float64 { return float64(u.Loss) }},
+	out := &StreamOverview{Users: int64(v.Len())}
+	capMbps := v.Gather(p.Capacity)
+	for i := range capMbps {
+		capMbps[i] /= 1e6
 	}
-	for _, m := range metrics {
-		xs := make([]float64, len(sel))
-		for i, j := range sel {
-			xs[i] = m.metric(&users[j])
-		}
-		d, err := exactDist(xs)
+	for _, m := range []struct {
+		dst *DistSketch
+		xs  []float64
+	}{
+		{&out.Capacity, capMbps},
+		{&out.RTT, v.Gather(p.RTT)},
+		{&out.Loss, v.Gather(p.Loss)},
+	} {
+		d, err := exactDist(m.xs)
 		if err != nil {
 			return nil, err
 		}
 		*m.dst = d
 	}
-	n := float64(len(sel))
-	for _, j := range sel {
-		u := &users[j]
-		if u.Capacity < 1e6 {
+	n := float64(v.Len())
+	for _, i := range v.Idx {
+		if p.Capacity[i] < 1e6 {
 			out.FracBelow1Mbps++
 		}
-		if u.Capacity > 30e6 {
+		if p.Capacity[i] > 30e6 {
 			out.FracAbove30Mbps++
 		}
-		if u.RTT > 0.5 {
+		if p.RTT[i] > 0.5 {
 			out.FracRTTOver500++
 		}
-		if u.Loss > 0.01 {
+		if p.Loss[i] > 0.01 {
 			out.FracLossOver1++
 		}
 	}

@@ -28,11 +28,11 @@ func TestOverviewSketchVsExact(t *testing.T) {
 	d := evalData(t)
 	m := streamManifest(t)
 
-	exact, err := OverviewExact(d.Users)
+	exact, err := OverviewExact(d.Panel())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := OverviewFromSource(dataset.UsersOf(d.Users))
+	sketch, err := OverviewFromSource(d.Panel().Source())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,14 +109,18 @@ func TestOverviewScaleInvariantChecks(t *testing.T) {
 // rows is an error, not a zero-filled artifact.
 func TestOverviewEmptyPanel(t *testing.T) {
 	t.Parallel()
-	if _, err := OverviewFromSource(dataset.UsersOf(nil)); err == nil {
+	empty := dataset.BuildPanel(nil)
+	if _, err := OverviewFromSource(empty.Source()); err == nil {
 		t.Error("empty source produced an overview")
 	}
-	gw := []dataset.User{{ID: 1, Vantage: dataset.VantageGateway}}
-	if _, err := OverviewFromSource(dataset.UsersOf(gw)); err == nil {
+	gw := dataset.BuildPanel([]dataset.User{{ID: 1, Vantage: dataset.VantageGateway}})
+	if _, err := OverviewFromSource(gw.Source()); err == nil {
 		t.Error("gateway-only source produced an overview")
 	}
-	if _, err := OverviewExact(nil); err == nil {
-		t.Error("OverviewExact(nil) produced an overview")
+	if _, err := OverviewExact(empty); err == nil {
+		t.Error("OverviewExact of an empty panel produced an overview")
+	}
+	if _, err := OverviewExact(gw); err == nil {
+		t.Error("OverviewExact of a gateway-only panel produced an overview")
 	}
 }

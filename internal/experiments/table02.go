@@ -141,18 +141,16 @@ func qualityOnlyMatcher() core.Matcher {
 }
 
 // capacityLadder runs the adjacent-class experiment for `steps` rungs
-// starting at class `first`. The matcher needs full user rows, so each
-// populated rung materializes its two classes from the columnar view.
+// starting at class `first`.
 func capacityLadder(v dataset.View, first stats.CapacityClass, steps int, m core.Matcher, rng *randx.Source) ([]Table02Row, error) {
 	classes := byClass(v)
 	var rows []Table02Row
 	for k := first; k < first+stats.CapacityClass(steps); k++ {
-		control, treatment := classes[k].Users(), classes[k+1].Users()
 		row := Table02Row{Control: k, Treatment: k + 1}
 		exp := core.Experiment{
 			Name:      fmt.Sprintf("%v vs %v", k, k+1),
-			Treatment: treatment,
-			Control:   control,
+			Treatment: classes[k+1],
+			Control:   classes[k],
 			Matcher:   m,
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,

@@ -78,8 +78,8 @@ func RunTable03(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	} {
 		exp := core.Experiment{
 			Name:      fmt.Sprintf("%v vs %v", cmp.control, cmp.treatment),
-			Treatment: groups[cmp.treatment].Users(),
-			Control:   groups[cmp.control].Users(),
+			Treatment: groups[cmp.treatment],
+			Control:   groups[cmp.control],
 			Matcher:   m,
 			Outcome:   dataset.PeakUsageNoBT,
 			MinPairs:  MinGroup,

@@ -70,14 +70,13 @@ func (t *Table06) Render() string {
 func RunTable06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
 	p := v.P
-	groupIdx := map[market.UpgradeCostGroup][]int32{}
+	groups := map[market.UpgradeCostGroup]dataset.View{}
 	for _, i := range v.Idx {
 		g := market.GroupOfUpgradeCost(unit.PerMbps(p.UpgradeCost[i]))
-		groupIdx[g] = append(groupIdx[g], i)
-	}
-	groups := map[market.UpgradeCostGroup][]*dataset.User{}
-	for g, idx := range groupIdx {
-		groups[g] = dataset.View{P: p, Idx: idx}.Users()
+		gv := groups[g]
+		gv.P = p
+		gv.Idx = append(gv.Idx, i)
+		groups[g] = gv
 	}
 	// Matching on capacity, quality and access price isolates the
 	// upgrade-cost arrow from the access-price one.
@@ -91,7 +90,7 @@ func RunTable06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		{market.UpgradeCheap, market.UpgradeMid},
 		{market.UpgradeMid, market.UpgradeExpensive},
 	}
-	run := func(metric dataset.Metric, label string) ([]Table06Row, error) {
+	run := func(metric dataset.Column, label string) ([]Table06Row, error) {
 		var rows []Table06Row
 		populated := 0
 		for i, cmp := range comparisons {

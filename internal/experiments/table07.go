@@ -74,14 +74,14 @@ func RunTable07(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	treatments := []latencyBand{
 		{0, 0.064}, {0.064, 0.128}, {0.128, 0.256}, {0.256, 0.512},
 	}
-	inBand := func(b latencyBand) []*dataset.User {
+	inBand := func(b latencyBand) dataset.View {
 		var idx []int32
 		for _, i := range v.Idx {
 			if b.contains(v.P.RTT[i]) {
 				idx = append(idx, i)
 			}
 		}
-		return dataset.View{P: v.P, Idx: idx}.Users()
+		return dataset.View{P: v.P, Idx: idx}
 	}
 	controlUsers := inBand(control)
 	// Matching on capacity, loss and both market price metrics isolates

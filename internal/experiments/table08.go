@@ -80,14 +80,14 @@ func RunTable08(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		{lossy2, clean1},
 		{lossy2, clean2},
 	}
-	inBand := func(b lossBand) []*dataset.User {
+	inBand := func(b lossBand) dataset.View {
 		var idx []int32
 		for _, i := range v.Idx {
 			if b.contains(v.P.Loss[i]) {
 				idx = append(idx, i)
 			}
 		}
-		return dataset.View{P: v.P, Idx: idx}.Users()
+		return dataset.View{P: v.P, Idx: idx}
 	}
 	// Matching on capacity, latency and both market price metrics isolates
 	// loss from the market-development confounders it travels with.

@@ -10,6 +10,7 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 
@@ -188,7 +189,6 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusUnprocessableEntity, "quarantine rejected upload: %v", err)
 		return
 	}
-	d.Freeze()
 	hash, err := s.store.Put(name, d, rep)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "store: %v", err)
@@ -379,6 +379,51 @@ var defaultScenarioWorld = synth.Config{
 	Users: 800, FCCUsers: 200, Days: 2, SwitchTarget: 150, MinPerCountry: 10,
 }
 
+// options checks the request against the endpoint's ceilings and resolves
+// the scenario run options. Every count that sizes a world is capped (a
+// min_per_country applies per country, so it multiplies), and the worker
+// bound is clamped to GOMAXPROCS rather than trusted.
+func (req *scenarioRequest) options() (scenario.Options, error) {
+	if len(req.Packs) == 0 {
+		return scenario.Options{}, errors.New("scenario request names no packs")
+	}
+	if len(req.Packs) > maxScenarioPacks || len(req.Seeds) > maxScenarioSeeds {
+		return scenario.Options{}, fmt.Errorf("scenario request too large (max %d packs, %d seeds)", maxScenarioPacks, maxScenarioSeeds)
+	}
+	for _, p := range req.Packs {
+		if err := p.Validate(); err != nil {
+			return scenario.Options{}, fmt.Errorf("pack: %v", err)
+		}
+	}
+	opts := scenario.Options{Base: defaultScenarioWorld, Seeds: req.Seeds, Workers: min(req.Workers, runtime.GOMAXPROCS(0))}
+	if len(opts.Seeds) == 0 {
+		opts.Seeds = []uint64{1}
+	}
+	ws := req.World
+	if ws == nil {
+		return opts, nil
+	}
+	for _, f := range []struct {
+		name  string
+		v, mx int
+		dst   *int
+	}{
+		{"users", ws.Users, maxScenarioUsers, &opts.Base.Users},
+		{"fcc_users", ws.FCCUsers, maxScenarioUsers, &opts.Base.FCCUsers},
+		{"days", ws.Days, maxScenarioDays, &opts.Base.Days},
+		{"switch_target", ws.SwitchTarget, maxScenarioUsers, &opts.Base.SwitchTarget},
+		{"min_per_country", ws.MinPerCountry, maxScenarioUsers, &opts.Base.MinPerCountry},
+	} {
+		if f.v > f.mx {
+			return scenario.Options{}, fmt.Errorf("world too large (max %d %s)", f.mx, f.name)
+		}
+		if f.v > 0 {
+			*f.dst = f.v
+		}
+	}
+	return opts, nil
+}
+
 // handleScenarios — POST /v1/scenarios: run declarative counterfactual
 // packs against a baseline world, bounded by the request deadline (the
 // world builds run under BuildWorldCtx inside scenario.Run).
@@ -390,49 +435,12 @@ func (s *Server) handleScenarios(w http.ResponseWriter, r *http.Request) {
 		failBody(w, err, "scenario request")
 		return
 	}
-	if len(req.Packs) == 0 {
-		writeErr(w, http.StatusBadRequest, "scenario request names no packs")
+	opts, err := req.options()
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if len(req.Packs) > maxScenarioPacks || len(req.Seeds) > maxScenarioSeeds {
-		writeErr(w, http.StatusBadRequest, "scenario request too large (max %d packs, %d seeds)", maxScenarioPacks, maxScenarioSeeds)
-		return
-	}
-	for _, p := range req.Packs {
-		if err := p.Validate(); err != nil {
-			writeErr(w, http.StatusBadRequest, "pack: %v", err)
-			return
-		}
-	}
-	base := defaultScenarioWorld
-	if ws := req.World; ws != nil {
-		if ws.Users > maxScenarioUsers || ws.Days > maxScenarioDays {
-			writeErr(w, http.StatusBadRequest, "world too large (max %d users, %d days)", maxScenarioUsers, maxScenarioDays)
-			return
-		}
-		if ws.Users > 0 {
-			base.Users = ws.Users
-		}
-		if ws.FCCUsers > 0 {
-			base.FCCUsers = ws.FCCUsers
-		}
-		if ws.Days > 0 {
-			base.Days = ws.Days
-		}
-		if ws.SwitchTarget > 0 {
-			base.SwitchTarget = ws.SwitchTarget
-		}
-		if ws.MinPerCountry > 0 {
-			base.MinPerCountry = ws.MinPerCountry
-		}
-	}
-	seeds := req.Seeds
-	if len(seeds) == 0 {
-		seeds = []uint64{1}
-	}
-	rep, err := scenario.Run(r.Context(), req.Packs, scenario.Options{
-		Base: base, Seeds: seeds, Workers: req.Workers,
-	})
+	rep, err := scenario.Run(r.Context(), req.Packs, opts)
 	if err != nil {
 		switch {
 		case errors.Is(err, context.DeadlineExceeded):

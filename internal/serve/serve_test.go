@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -456,5 +457,64 @@ func TestScenarioEndpoint(t *testing.T) {
 		if r2.StatusCode != want {
 			t.Errorf("POST %q = %d, want %d", body, r2.StatusCode, want)
 		}
+	}
+}
+
+// TestScenarioRequestCaps pins the /v1/scenarios ceilings: every count
+// that sizes a world is refused with 400 past its cap, before any world
+// is built, and the worker bound is clamped to GOMAXPROCS.
+func TestScenarioRequestCaps(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	packs, err := scenario.LoadDir("../../testdata/scenarios")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const over = maxScenarioUsers + 1
+	procs := runtime.GOMAXPROCS(0)
+	for _, tc := range []struct {
+		name        string
+		world       *worldScale
+		workers     int
+		wantWorkers int // checked when the request is accepted
+	}{
+		{name: "users", world: &worldScale{Users: over}},
+		{name: "fcc_users", world: &worldScale{FCCUsers: over}},
+		{name: "days", world: &worldScale{Days: maxScenarioDays + 1}},
+		{name: "switch_target", world: &worldScale{SwitchTarget: over}},
+		{name: "min_per_country", world: &worldScale{MinPerCountry: over}},
+		{name: "workers", workers: 1 << 20, wantWorkers: procs},
+		{name: "at caps", world: &worldScale{
+			Users: maxScenarioUsers, FCCUsers: maxScenarioUsers, Days: maxScenarioDays,
+			SwitchTarget: maxScenarioUsers, MinPerCountry: maxScenarioUsers,
+		}, workers: 1, wantWorkers: 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			req := scenarioRequest{Packs: packs[:1], World: tc.world, Workers: tc.workers}
+			opts, err := req.options()
+			if tc.wantWorkers == 0 {
+				if err == nil {
+					t.Fatalf("options accepted an over-cap %s", tc.name)
+				}
+				b, err := json.Marshal(req)
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(b))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resp.Body.Close()
+				if resp.StatusCode != http.StatusBadRequest {
+					t.Fatalf("POST with over-cap %s = %d, want 400", tc.name, resp.StatusCode)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("options: %v", err)
+			}
+			if opts.Workers != tc.wantWorkers {
+				t.Fatalf("workers = %d, want %d", opts.Workers, tc.wantWorkers)
+			}
+		})
 	}
 }

@@ -249,7 +249,6 @@ func (s *DiskStore) load(name, hash string) (*Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	d.Freeze()
 	e := &Entry{Name: name, Hash: hash, Dataset: d}
 	if b, err := os.ReadFile(filepath.Join(dir, "quarantine.json")); err == nil {
 		var rep dataset.QuarantineReport

@@ -32,12 +32,13 @@ func TestShapesHoldAcrossSeeds(t *testing.T) {
 			return m
 		}
 		meanUtil := func(cc string) float64 {
-			users := w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Users()
+			p := w.Data.Panel()
+			v := p.Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu))
 			total := 0.0
-			for _, u := range users {
-				total += u.PeakUtilization()
+			for _, i := range v.Idx {
+				total += p.PeakUtilization(int(i))
 			}
-			return total / float64(len(users))
+			return total / float64(v.Len())
 		}
 		// Capacity ordering (Fig. 7a).
 		if !(medCap("BW") < medCap("SA") && medCap("SA") < medCap("US") && medCap("US") < medCap("JP")) {

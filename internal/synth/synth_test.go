@@ -115,10 +115,10 @@ func TestGlobalCapacityDistributionMatchesPaper(t *testing.T) {
 	// Fig. 1a: median ≈7.4 Mbps, IQR from ≈3.1 to ≈17.4 Mbps. We require
 	// the same regime, not the digits.
 	w := testWorld(t)
-	users := w.Data.Panel().Where(dataset.ColVantage(dataset.VantageDasu)).Users()
-	caps := make([]float64, len(users))
-	for i, u := range users {
-		caps[i] = u.Capacity.Mbps()
+	p := w.Data.Panel()
+	caps := p.Where(dataset.ColVantage(dataset.VantageDasu)).Gather(p.Capacity)
+	for i := range caps {
+		caps[i] /= 1e6
 	}
 	med := median(t, caps)
 	if med < 3.5 || med > 14 {
@@ -135,14 +135,15 @@ func TestCaseStudyMarketShapes(t *testing.T) {
 	// Table 4 and Fig. 7: median capacities ordered BW < SA < US < JP and
 	// within the paper's ranges.
 	w := testWorld(t)
+	p := w.Data.Panel()
 	medCap := func(cc string) float64 {
-		users := w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Users()
-		if len(users) < 5 {
-			t.Fatalf("%s has only %d users", cc, len(users))
+		v := p.Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu))
+		if v.Len() < 5 {
+			t.Fatalf("%s has only %d users", cc, v.Len())
 		}
-		caps := make([]float64, len(users))
-		for i, u := range users {
-			caps[i] = u.Capacity.Mbps()
+		caps := v.Gather(p.Capacity)
+		for i := range caps {
+			caps[i] /= 1e6
 		}
 		return median(t, caps)
 	}
@@ -168,13 +169,14 @@ func TestUtilizationReversesCapacityOrder(t *testing.T) {
 	// Fig. 7b: peak utilization order is exactly the reverse of the
 	// capacity order (Botswana hottest, Japan coldest).
 	w := testWorld(t)
+	p := w.Data.Panel()
 	meanUtil := func(cc string) float64 {
-		users := w.Data.Panel().Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu)).Users()
+		v := p.Where(dataset.ColCountry(cc), dataset.ColVantage(dataset.VantageDasu))
 		total := 0.0
-		for _, u := range users {
-			total += u.PeakUtilization()
+		for _, i := range v.Idx {
+			total += p.PeakUtilization(int(i))
 		}
-		return total / float64(len(users))
+		return total / float64(v.Len())
 	}
 	bw, sa, us, jp := meanUtil("BW"), meanUtil("SA"), meanUtil("US"), meanUtil("JP")
 	if !(bw > sa && sa > us && us > jp) {
@@ -229,19 +231,20 @@ func TestLongitudinalCohorts(t *testing.T) {
 
 func TestGatewayPanel(t *testing.T) {
 	w := testWorld(t)
-	fcc := w.Data.Panel().Where(dataset.ColVantage(dataset.VantageGateway)).Users()
-	if len(fcc) < 200 {
-		t.Fatalf("gateway panel has %d users, want ≈250", len(fcc))
+	p := w.Data.Panel()
+	fcc := p.Where(dataset.ColVantage(dataset.VantageGateway))
+	if fcc.Len() < 200 {
+		t.Fatalf("gateway panel has %d users, want ≈250", fcc.Len())
 	}
-	for _, u := range fcc {
-		if u.Country != "US" {
-			t.Fatalf("gateway user outside the US: %s", u.Country)
+	for _, i := range fcc.Idx {
+		if cc := p.Countries.Value(p.Country[i]); cc != "US" {
+			t.Fatalf("gateway user outside the US: %s", cc)
 		}
-		if u.UsesBT {
+		if p.UsesBT[i] {
 			t.Fatal("gateway users must not be BT-flagged")
 		}
-		if u.Year != 2013 {
-			t.Fatalf("gateway user in year %d", u.Year)
+		if p.Year[i] != 2013 {
+			t.Fatalf("gateway user in year %d", p.Year[i])
 		}
 	}
 }
@@ -250,22 +253,11 @@ func TestIndiaQualityProfile(t *testing.T) {
 	// Sec. 7 / Figs. 11–12: India's latency and loss distributions sit far
 	// above the rest of the population.
 	w := testWorld(t)
-	india := w.Data.Panel().Where(dataset.ColCountry("IN")).Users()
-	rest := w.Data.Panel().Where(dataset.ColNotCountry("IN"), dataset.ColVantage(dataset.VantageDasu)).Users()
-	medRTT := func(us []*dataset.User) float64 {
-		xs := make([]float64, len(us))
-		for i, u := range us {
-			xs[i] = u.RTT
-		}
-		return median(t, xs)
-	}
-	medLoss := func(us []*dataset.User) float64 {
-		xs := make([]float64, len(us))
-		for i, u := range us {
-			xs[i] = float64(u.Loss)
-		}
-		return median(t, xs)
-	}
+	p := w.Data.Panel()
+	india := p.Where(dataset.ColCountry("IN"))
+	rest := p.Where(dataset.ColNotCountry("IN"), dataset.ColVantage(dataset.VantageDasu))
+	medRTT := func(v dataset.View) float64 { return median(t, v.Gather(p.RTT)) }
+	medLoss := func(v dataset.View) float64 { return median(t, v.Gather(p.Loss)) }
 	if rIN, rRest := medRTT(india), medRTT(rest); rIN < 2*rRest || rIN < 0.1 {
 		t.Errorf("India median RTT %.0f ms should dwarf the rest's %.0f ms", rIN*1000, rRest*1000)
 	}
@@ -274,18 +266,18 @@ func TestIndiaQualityProfile(t *testing.T) {
 	}
 	// Nearly every Indian user above 100 ms (Fig. 11).
 	over := 0
-	for _, u := range india {
-		if u.RTT > 0.1 {
+	for _, i := range india.Idx {
+		if p.RTT[i] > 0.1 {
 			over++
 		}
 	}
-	if frac := float64(over) / float64(len(india)); frac < 0.85 {
+	if frac := float64(over) / float64(india.Len()); frac < 0.85 {
 		t.Errorf("only %.0f%% of Indian users above 100 ms, want nearly all", 100*frac)
 	}
 	// WebRTT tracks but exceeds the NDT RTT.
-	for _, u := range india[:min(10, len(india))] {
-		if u.WebRTT <= u.RTT {
-			t.Errorf("user %d WebRTT %v not above RTT %v", u.ID, u.WebRTT, u.RTT)
+	for _, i := range india.Idx[:min(10, india.Len())] {
+		if p.WebRTT[i] <= p.RTT[i] {
+			t.Errorf("user %d WebRTT %v not above RTT %v", p.ID[i], p.WebRTT[i], p.RTT[i])
 		}
 	}
 }
