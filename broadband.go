@@ -231,36 +231,38 @@ func SaveDatasetCtx(ctx context.Context, d *Dataset, dir string, opts SaveOption
 // constant per-row memory, for pipelines whose worlds do not fit in RAM.
 type (
 	// UserReader iterates a users CSV; Read returns io.EOF at the end.
-	UserReader = dataset.UserReader
+	UserReader = dataset.Reader[User]
 	// UserWriter streams user rows to CSV.
-	UserWriter = dataset.UserWriter
+	UserWriter = dataset.Writer[User]
 	// SwitchReader iterates a switches CSV.
-	SwitchReader = dataset.SwitchReader
+	SwitchReader = dataset.Reader[Switch]
 	// SwitchWriter streams switch rows to CSV.
-	SwitchWriter = dataset.SwitchWriter
+	SwitchWriter = dataset.Writer[Switch]
 	// PlanReader iterates a plan-survey CSV.
-	PlanReader = dataset.PlanReader
+	PlanReader = dataset.Reader[Plan]
 	// PlanWriter streams plan rows to CSV.
-	PlanWriter = dataset.PlanWriter
+	PlanWriter = dataset.Writer[Plan]
 )
 
 // NewUserReader validates the users header and returns a streaming reader.
-func NewUserReader(r io.Reader) (*UserReader, error) { return dataset.NewUserReader(r) }
+func NewUserReader(r io.Reader) (*UserReader, error) { return dataset.NewReader[User](r, "users") }
 
 // NewUserWriter writes the users header and returns a streaming writer.
-func NewUserWriter(w io.Writer) (*UserWriter, error) { return dataset.NewUserWriter(w) }
+func NewUserWriter(w io.Writer) (*UserWriter, error) { return dataset.NewWriter[User](w) }
 
 // NewSwitchReader validates the switches header and returns a streaming reader.
-func NewSwitchReader(r io.Reader) (*SwitchReader, error) { return dataset.NewSwitchReader(r) }
+func NewSwitchReader(r io.Reader) (*SwitchReader, error) {
+	return dataset.NewReader[Switch](r, "switches")
+}
 
 // NewSwitchWriter writes the switches header and returns a streaming writer.
-func NewSwitchWriter(w io.Writer) (*SwitchWriter, error) { return dataset.NewSwitchWriter(w) }
+func NewSwitchWriter(w io.Writer) (*SwitchWriter, error) { return dataset.NewWriter[Switch](w) }
 
 // NewPlanReader validates the plans header and returns a streaming reader.
-func NewPlanReader(r io.Reader) (*PlanReader, error) { return dataset.NewPlanReader(r) }
+func NewPlanReader(r io.Reader) (*PlanReader, error) { return dataset.NewReader[Plan](r, "plans") }
 
 // NewPlanWriter writes the plans header and returns a streaming writer.
-func NewPlanWriter(w io.Writer) (*PlanWriter, error) { return dataset.NewPlanWriter(w) }
+func NewPlanWriter(w io.Writer) (*PlanWriter, error) { return dataset.NewWriter[Plan](w) }
 
 // DefaultMarkets returns the built-in market profiles (a fresh copy; safe
 // to mutate for ablation studies).

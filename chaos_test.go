@@ -194,13 +194,13 @@ func assertNoPartialTables(t *testing.T, dir string, d *broadband.Dataset) {
 func countRows(base string, f *os.File) (int, error) {
 	switch base {
 	case "users.csv":
-		rows, err := dataset.ReadUsers(f)
+		rows, err := dataset.ReadAll[dataset.User](f, base)
 		return len(rows), err
 	case "switches.csv":
-		rows, err := dataset.ReadSwitches(f)
+		rows, err := dataset.ReadAll[dataset.Switch](f, base)
 		return len(rows), err
 	default:
-		rows, err := dataset.ReadPlans(f)
+		rows, err := dataset.ReadAll[broadband.Plan](f, base)
 		return len(rows), err
 	}
 }

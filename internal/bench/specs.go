@@ -321,7 +321,7 @@ const streamRows = 2000
 // decode spec's input and both specs' throughput byte count.
 var streamRaw = sync.OnceValues(func() ([]byte, error) {
 	var buf bytes.Buffer
-	err := dataset.WriteUsers(&buf, streamUsers(streamRows))
+	err := dataset.WriteAll(&buf, streamUsers(streamRows), 1)
 	return buf.Bytes(), err
 })
 
@@ -337,7 +337,7 @@ func benchStreamEncode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uw, err := dataset.NewUserWriter(io.Discard)
+		uw, err := dataset.NewWriter[dataset.User](io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -359,7 +359,7 @@ func benchStreamDecode(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ur, err := dataset.NewUserReader(bytes.NewReader(raw))
+		ur, err := dataset.NewReader[dataset.User](bytes.NewReader(raw), "users")
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -295,13 +295,13 @@ func TestChaosCorruptGzipIsTerminal(t *testing.T) {
 // the robust reader as terminal io faults carrying the injected cause.
 func TestChaosFlakyReaderSurfacesTypedIOFault(t *testing.T) {
 	var buf bytes.Buffer
-	if err := dataset.WriteUsers(&buf, fixture(t).Users); err != nil {
+	if err := dataset.WriteAll(&buf, fixture(t).Users, 1); err != nil {
 		t.Fatal(err)
 	}
 	in := New(Config{Seed: 11})
 	// Rate 1: the very first read fails, before the header parses.
 	r := in.FlakyReader("users.csv", bytes.NewReader(buf.Bytes()), 1)
-	_, err := dataset.ReadUsers(r)
+	_, err := dataset.ReadAll[dataset.User](r, "users")
 	var fe *FaultError
 	if !errors.As(err, &fe) {
 		t.Fatalf("want injected *FaultError in the chain, got %T: %v", err, err)

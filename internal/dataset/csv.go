@@ -23,45 +23,103 @@ import (
 // save → load cycle reproduces every float64 bit-for-bit and a second save
 // emits byte-identical files.
 //
-// The slice-based functions below are thin wrappers over the streaming
-// readers/writers in stream.go; worlds too large to materialize go through
-// those iterators directly.
+// Each of the three tables is described once, by a table descriptor: its
+// file name, header, record encoder and decoder, and the domain check the
+// quarantine applies. Everything else — the streaming Reader and Writer,
+// WriteAll/ReadAll, the sharded parallel encoder and both directory
+// loaders — is generic over the descriptor.
 
-var userHeader = []string{
-	"id", "country", "vantage", "year", "isp", "network",
-	"plan_down_mbps", "plan_up_mbps", "plan_price_usd", "plan_tech", "plan_cap_gb",
-	"capacity_mbps", "up_capacity_mbps", "rtt_ms", "web_rtt_ms", "loss_pct",
-	"mean_mbps", "peak_mbps", "mean_nobt_mbps", "peak_nobt_mbps", "uses_bt", "archetype",
-	"access_price_usd", "upgrade_cost_per_mbps",
+// Row is the set of record types stored as a table: users, service
+// switches and plan-survey rows.
+type Row interface {
+	User | Switch | market.Plan
 }
 
-// WriteUsers streams users as CSV.
-func WriteUsers(w io.Writer, users []User) error {
-	return WriteUsersParallel(w, users, 1)
+// table describes one CSV table.
+type table[T Row] struct {
+	name   string // "users", "switches", "plans": the file is name+".csv"
+	header []string
+	// encode appends one record's fields (the caller ends the row);
+	// decode is its mirror, accumulating conversion errors on p.
+	encode func(w *rowWriter, v *T)
+	decode func(p *parser, v *T)
+	// check rejects parsed rows that are physically or temporally
+	// impossible; the robust loader quarantines them as FaultDomain.
+	check func(v *T) error
 }
 
-// ReadUsers parses a users CSV produced by WriteUsers.
-func ReadUsers(r io.Reader) ([]User, error) {
-	ur, err := NewUserReader(r)
-	if err != nil {
-		return nil, err
+var (
+	usersTable = table[User]{
+		name: "users",
+		header: []string{
+			"id", "country", "vantage", "year", "isp", "network",
+			"plan_down_mbps", "plan_up_mbps", "plan_price_usd", "plan_tech", "plan_cap_gb",
+			"capacity_mbps", "up_capacity_mbps", "rtt_ms", "web_rtt_ms", "loss_pct",
+			"mean_mbps", "peak_mbps", "mean_nobt_mbps", "peak_nobt_mbps", "uses_bt", "archetype",
+			"access_price_usd", "upgrade_cost_per_mbps",
+		},
+		encode: encodeUser, decode: decodeUser, check: checkUserDomain,
 	}
-	var users []User
-	var u User
-	for {
-		switch err := ur.Read(&u); err {
-		case nil:
-			users = append(users, u)
-		case io.EOF:
-			return users, nil
-		default:
-			return nil, err
-		}
+	switchesTable = table[Switch]{
+		name: "switches",
+		header: []string{
+			"user_id", "country", "from_net", "to_net", "from_down_mbps", "to_down_mbps",
+			"before_mean_mbps", "before_peak_mbps", "before_mean_nobt_mbps", "before_peak_nobt_mbps",
+			"after_mean_mbps", "after_peak_mbps", "after_mean_nobt_mbps", "after_peak_nobt_mbps",
+		},
+		encode: encodeSwitch, decode: decodeSwitch, check: checkSwitchDomain,
 	}
+	plansTable = table[market.Plan]{
+		name: "plans",
+		header: []string{
+			"country", "isp", "down_mbps", "up_mbps", "price_local", "price_usd",
+			"cap_gb", "tech", "dedicated",
+		},
+		encode: encodePlan, decode: decodePlan, check: checkPlanDomain,
+	}
+)
+
+// tableOf returns the descriptor of T's table.
+func tableOf[T Row]() *table[T] {
+	var t any
+	switch any((*T)(nil)).(type) {
+	case *User:
+		t = &usersTable
+	case *Switch:
+		t = &switchesTable
+	case *market.Plan:
+		t = &plansTable
+	}
+	return t.(*table[T])
 }
 
-// decodeUser maps one CSV record onto a User. The field order is the
-// mirror of encodeUser; conversion errors accumulate on p.
+func encodeUser(w *rowWriter, u *User) {
+	w.i64(u.ID)
+	w.str(u.Country)
+	w.int(int(u.Vantage))
+	w.int(u.Year)
+	w.str(u.ISP)
+	w.str(u.NetworkKey)
+	w.f64(u.PlanDown.Mbps())
+	w.f64(u.PlanUp.Mbps())
+	w.f64(u.PlanPrice.Dollars())
+	w.int(int(u.PlanTech))
+	w.f64(u.PlanCap.GB())
+	w.f64(u.Capacity.Mbps())
+	w.f64(u.UpCapacity.Mbps())
+	w.f64(u.RTT * 1000)
+	w.f64(u.WebRTT * 1000)
+	w.f64(u.Loss.Percent())
+	w.f64(u.Usage.Mean.Mbps())
+	w.f64(u.Usage.Peak.Mbps())
+	w.f64(u.Usage.MeanNoBT.Mbps())
+	w.f64(u.Usage.PeakNoBT.Mbps())
+	w.bool(u.UsesBT)
+	w.int(int(u.Archetype))
+	w.f64(u.AccessPrice.Dollars())
+	w.f64(float64(u.UpgradeCost))
+}
+
 func decodeUser(p *parser, u *User) {
 	rec := p.rec
 	*u = User{
@@ -94,38 +152,23 @@ func decodeUser(p *parser, u *User) {
 	}
 }
 
-var switchHeader = []string{
-	"user_id", "country", "from_net", "to_net", "from_down_mbps", "to_down_mbps",
-	"before_mean_mbps", "before_peak_mbps", "before_mean_nobt_mbps", "before_peak_nobt_mbps",
-	"after_mean_mbps", "after_peak_mbps", "after_mean_nobt_mbps", "after_peak_nobt_mbps",
+func encodeSwitch(w *rowWriter, s *Switch) {
+	w.i64(s.UserID)
+	w.str(s.Country)
+	w.str(s.FromNet)
+	w.str(s.ToNet)
+	w.f64(s.FromDown.Mbps())
+	w.f64(s.ToDown.Mbps())
+	w.f64(s.Before.Mean.Mbps())
+	w.f64(s.Before.Peak.Mbps())
+	w.f64(s.Before.MeanNoBT.Mbps())
+	w.f64(s.Before.PeakNoBT.Mbps())
+	w.f64(s.After.Mean.Mbps())
+	w.f64(s.After.Peak.Mbps())
+	w.f64(s.After.MeanNoBT.Mbps())
+	w.f64(s.After.PeakNoBT.Mbps())
 }
 
-// WriteSwitches streams service-change records as CSV.
-func WriteSwitches(w io.Writer, switches []Switch) error {
-	return WriteSwitchesParallel(w, switches, 1)
-}
-
-// ReadSwitches parses a switches CSV produced by WriteSwitches.
-func ReadSwitches(r io.Reader) ([]Switch, error) {
-	sr, err := NewSwitchReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []Switch
-	var s Switch
-	for {
-		switch err := sr.Read(&s); err {
-		case nil:
-			out = append(out, s)
-		case io.EOF:
-			return out, nil
-		default:
-			return nil, err
-		}
-	}
-}
-
-// decodeSwitch maps one CSV record onto a Switch (mirror of encodeSwitch).
 func decodeSwitch(p *parser, s *Switch) {
 	rec := p.rec
 	*s = Switch{
@@ -146,37 +189,18 @@ func decodeSwitch(p *parser, s *Switch) {
 	}
 }
 
-var planHeader = []string{
-	"country", "isp", "down_mbps", "up_mbps", "price_local", "price_usd",
-	"cap_gb", "tech", "dedicated",
+func encodePlan(w *rowWriter, p *market.Plan) {
+	w.str(p.Country)
+	w.str(p.ISP)
+	w.f64(p.Down.Mbps())
+	w.f64(p.Up.Mbps())
+	w.f64(p.PriceLocal)
+	w.f64(p.PriceUSD.Dollars())
+	w.f64(p.Cap.GB())
+	w.int(int(p.Tech))
+	w.bool(p.Dedicated)
 }
 
-// WritePlans streams the plan survey as CSV.
-func WritePlans(w io.Writer, plans []market.Plan) error {
-	return WritePlansParallel(w, plans, 1)
-}
-
-// ReadPlans parses a plan survey CSV produced by WritePlans.
-func ReadPlans(r io.Reader) ([]market.Plan, error) {
-	pr, err := NewPlanReader(r)
-	if err != nil {
-		return nil, err
-	}
-	var out []market.Plan
-	var pl market.Plan
-	for {
-		switch err := pr.Read(&pl); err {
-		case nil:
-			out = append(out, pl)
-		case io.EOF:
-			return out, nil
-		default:
-			return nil, err
-		}
-	}
-}
-
-// decodePlan maps one CSV record onto a market.Plan (mirror of encodePlan).
 func decodePlan(p *parser, pl *market.Plan) {
 	rec := p.rec
 	*pl = market.Plan{
@@ -222,53 +246,35 @@ func (d *Dataset) SaveDirWith(dir string, opts SaveOptions) error {
 // removed, and tables already committed remain complete — an interrupted
 // save never leaves a partial artifact.
 func (d *Dataset) SaveDirCtx(ctx context.Context, dir string, opts SaveOptions) error {
+	if err := SaveTableCtx(ctx, dir, opts, d.Users); err != nil {
+		return err
+	}
+	if err := SaveTableCtx(ctx, dir, opts, d.Switches); err != nil {
+		return err
+	}
+	return SaveTableCtx(ctx, dir, opts, d.Plans)
+}
+
+// SaveTableCtx writes one table under dir as users.csv, switches.csv or
+// plans.csv (.csv.gz per opts) with the atomic staging contract of
+// SaveDirCtx, leaving the other tables alone. The out-of-core builder uses
+// it to place the switch panel and the plan survey next to a sharded user
+// table without materializing a Dataset.
+func SaveTableCtx[T Row](ctx context.Context, dir string, opts SaveOptions, rows []T) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}
-	if err := writeNamedTableCtx(ctx, dir, "users.csv", opts, func(w io.Writer) error {
-		return WriteUsersParallel(w, d.Users, opts.Workers)
-	}); err != nil {
-		return err
-	}
-	if err := WriteSwitchesFileCtx(ctx, dir, opts, d.Switches); err != nil {
-		return err
-	}
-	return WritePlansFileCtx(ctx, dir, opts, d.Plans)
-}
-
-// WriteSwitchesFileCtx writes switches.csv (or .csv.gz) under dir with the
-// atomic staging contract of SaveDirCtx, leaving the other tables alone.
-// The out-of-core builder uses it to place the switch panel next to a
-// sharded user table without materializing a Dataset.
-func WriteSwitchesFileCtx(ctx context.Context, dir string, opts SaveOptions, switches []Switch) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeNamedTableCtx(ctx, dir, "switches.csv", opts, func(w io.Writer) error {
-		return WriteSwitchesParallel(w, switches, opts.Workers)
-	})
-}
-
-// WritePlansFileCtx is WriteSwitchesFileCtx for the plan survey.
-func WritePlansFileCtx(ctx context.Context, dir string, opts SaveOptions, plans []market.Plan) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	return writeNamedTableCtx(ctx, dir, "plans.csv", opts, func(w io.Writer) error {
-		return WritePlansParallel(w, plans, opts.Workers)
-	})
-}
-
-// writeNamedTableCtx writes dir/name (appending .gz per opts) atomically
-// through fn, wrapping failures with the table name.
-func writeNamedTableCtx(ctx context.Context, dir, name string, opts SaveOptions, fn func(io.Writer) error) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
+	t := tableOf[T]()
+	name := t.name + ".csv"
 	if opts.Gzip {
 		name += ".gz"
 	}
-	if err := writeTableCtx(ctx, filepath.Join(dir, name), opts.Gzip, fn); err != nil {
+	if err := writeTableCtx(ctx, filepath.Join(dir, name), opts.Gzip, func(w io.Writer) error {
+		return writeSharded(w, t, rows, opts.Workers)
+	}); err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", name, err)
 	}
 	return nil
@@ -288,16 +294,12 @@ func (c *ctxWriter) Write(p []byte) (int, error) {
 	return c.w.Write(p)
 }
 
-// writeTable stages path in a temp sibling and runs fn over a buffered
-// (optionally gzip-compressed) writer, renaming into place only after a
-// complete, flushed write. Any failure abandons the staging file, so the
-// final path either keeps its previous content or does not exist — a later
-// LoadDir can never trip over a partial table.
-func writeTable(path string, gz bool, fn func(io.Writer) error) error {
-	return writeTableCtx(context.Background(), path, gz, fn)
-}
-
-// writeTableCtx is writeTable with per-write cancellation checks.
+// writeTableCtx stages path in a temp sibling and runs fn over a buffered
+// (optionally gzip-compressed) writer that checks ctx on every write,
+// renaming into place only after a complete, flushed write. Any failure
+// abandons the staging file, so the final path either keeps its previous
+// content or does not exist — a later LoadDir can never trip over a
+// partial table.
 func writeTableCtx(ctx context.Context, path string, gz bool, fn func(io.Writer) error) error {
 	fp, err := fsx.CreateAtomic(path)
 	if err != nil {

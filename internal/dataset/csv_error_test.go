@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"context"
 	"errors"
 	"io"
 	"os"
@@ -31,30 +32,30 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestWritersSurfaceSinkErrors(t *testing.T) {
 	d := sampleDataset()
-	if err := WriteUsers(&errWriter{}, d.Users); err == nil {
-		t.Error("WriteUsers must surface write failures")
+	if err := WriteAll(&errWriter{}, d.Users, 1); err == nil {
+		t.Error("WriteAll must surface write failures (users)")
 	}
-	if err := WriteUsers(&errWriter{n: 64}, d.Users); err == nil {
-		t.Error("WriteUsers must surface mid-stream failures")
+	if err := WriteAll(&errWriter{n: 64}, d.Users, 1); err == nil {
+		t.Error("WriteAll must surface mid-stream failures (users)")
 	}
-	if err := WriteSwitches(&errWriter{}, d.Switches); err == nil {
-		t.Error("WriteSwitches must surface write failures")
+	if err := WriteAll(&errWriter{}, d.Switches, 1); err == nil {
+		t.Error("WriteAll must surface write failures (switches)")
 	}
-	if err := WritePlans(&errWriter{}, d.Plans); err == nil {
-		t.Error("WritePlans must surface write failures")
+	if err := WriteAll(&errWriter{}, d.Plans, 1); err == nil {
+		t.Error("WriteAll must surface write failures (plans)")
 	}
 }
 
 // truncReader returns a header then cuts off mid-record.
 func TestReadersRejectTruncation(t *testing.T) {
 	var b strings.Builder
-	if err := WriteUsers(&writerTo{&b}, sampleDataset().Users); err != nil {
+	if err := WriteAll(&writerTo{&b}, sampleDataset().Users, 1); err != nil {
 		t.Fatal(err)
 	}
 	full := b.String()
 	// Chop inside the final record: the CSV reader sees a short row.
 	cut := full[:len(full)-10]
-	if _, err := ReadUsers(strings.NewReader(cut)); err == nil {
+	if _, err := ReadAll[User](strings.NewReader(cut), "users"); err == nil {
 		t.Error("truncated users CSV should fail")
 	}
 }
@@ -117,19 +118,19 @@ func TestLoadDirRejectsTruncatedGzip(t *testing.T) {
 // garbage appended to a numeric field.
 func TestReadersRejectTrailingGarbage(t *testing.T) {
 	var b strings.Builder
-	if err := WriteUsers(&writerTo{&b}, sampleDataset().Users); err != nil {
+	if err := WriteAll(&writerTo{&b}, sampleDataset().Users, 1); err != nil {
 		t.Fatal(err)
 	}
 	full := b.String()
 
 	lines := strings.SplitAfter(full, "\n")
 	extraField := strings.TrimSuffix(lines[1], "\n") + ",garbage\n"
-	if _, err := ReadUsers(strings.NewReader(lines[0] + extraField)); err == nil {
+	if _, err := ReadAll[User](strings.NewReader(lines[0]+extraField), "users"); err == nil {
 		t.Error("row with an extra trailing field should fail")
 	}
 
 	garbled := strings.Replace(full, "true", "truex", 1)
-	if _, err := ReadUsers(strings.NewReader(garbled)); err == nil {
+	if _, err := ReadAll[User](strings.NewReader(garbled), "users"); err == nil {
 		t.Error("field with trailing garbage should fail")
 	}
 }
@@ -138,7 +139,7 @@ func TestReadersRejectTrailingGarbage(t *testing.T) {
 // be refused — silently accepting it would transpose every field.
 func TestReadersRejectReorderedHeader(t *testing.T) {
 	var b strings.Builder
-	if err := WriteUsers(&writerTo{&b}, sampleDataset().Users); err != nil {
+	if err := WriteAll(&writerTo{&b}, sampleDataset().Users, 1); err != nil {
 		t.Fatal(err)
 	}
 	full := b.String()
@@ -146,10 +147,10 @@ func TestReadersRejectReorderedHeader(t *testing.T) {
 	if swapped == full {
 		t.Fatal("header swap did not apply")
 	}
-	if _, err := ReadUsers(strings.NewReader(swapped)); err == nil {
+	if _, err := ReadAll[User](strings.NewReader(swapped), "users"); err == nil {
 		t.Error("reordered header should fail")
 	}
-	if _, err := NewUserReader(strings.NewReader(swapped)); err == nil {
+	if _, err := NewReader[User](strings.NewReader(swapped), "users"); err == nil {
 		t.Error("streaming reader must reject a reordered header too")
 	}
 }
@@ -159,7 +160,7 @@ func TestReadersRejectReorderedHeader(t *testing.T) {
 func TestWriteTableRemovesPartialFile(t *testing.T) {
 	for _, gz := range []bool{false, true} {
 		path := filepath.Join(t.TempDir(), "x.csv")
-		err := writeTable(path, gz, func(w io.Writer) error {
+		err := writeTableCtx(context.Background(), path, gz, func(w io.Writer) error {
 			if _, err := w.Write([]byte("id,country\npartial")); err != nil {
 				return err
 			}
@@ -176,7 +177,7 @@ func TestWriteTableRemovesPartialFile(t *testing.T) {
 
 func TestWriteTableChecksCloseOnce(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "ok.csv")
-	if err := writeTable(path, false, func(w io.Writer) error {
+	if err := writeTableCtx(context.Background(), path, false, func(w io.Writer) error {
 		_, err := w.Write([]byte("hello\n"))
 		return err
 	}); err != nil {

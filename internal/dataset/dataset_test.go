@@ -41,12 +41,7 @@ func sampleUser(id int64, country string, capMbps float64) User {
 func sampleDataset() *Dataset {
 	usProfile, _ := market.FindProfile("US")
 	jpProfile, _ := market.FindProfile("JP")
-	return &Dataset{
-		Users: []User{
-			sampleUser(1, "US", 10),
-			sampleUser(2, "US", 2),
-			sampleUser(3, "JP", 50),
-		},
+	d := &Dataset{
 		Switches: []Switch{{
 			UserID: 1, Country: "US",
 			FromNet: "a", ToNet: "b",
@@ -63,6 +58,12 @@ func sampleDataset() *Dataset {
 			"JP": {Country: jpProfile.Country, AccessPrice: 21, AccessGroup: market.AccessCheap},
 		},
 	}
+	d.SetUsers(BuildPanel([]User{
+		sampleUser(1, "US", 10),
+		sampleUser(2, "US", 2),
+		sampleUser(3, "JP", 50),
+	}))
+	return d
 }
 
 func TestValidateAcceptsGoodData(t *testing.T) {
@@ -98,10 +99,10 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestUsersCSVRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, d.Users); err != nil {
+	if err := WriteAll(&buf, d.Users, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadUsers(&buf)
+	got, err := ReadAll[User](&buf, "users")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,10 +132,10 @@ func TestUsersCSVRoundTrip(t *testing.T) {
 func TestSwitchesCSVRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteSwitches(&buf, d.Switches); err != nil {
+	if err := WriteAll(&buf, d.Switches, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadSwitches(&buf)
+	got, err := ReadAll[Switch](&buf, "switches")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,10 +151,10 @@ func TestSwitchesCSVRoundTrip(t *testing.T) {
 func TestPlansCSVRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WritePlans(&buf, d.Plans); err != nil {
+	if err := WriteAll(&buf, d.Plans, 1); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadPlans(&buf)
+	got, err := ReadAll[market.Plan](&buf, "plans")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,24 +164,24 @@ func TestPlansCSVRoundTrip(t *testing.T) {
 }
 
 func TestReadRejectsBadInput(t *testing.T) {
-	if _, err := ReadUsers(strings.NewReader("")); err == nil {
+	if _, err := ReadAll[User](strings.NewReader(""), "users"); err == nil {
 		t.Error("empty users input should error")
 	}
-	if _, err := ReadUsers(strings.NewReader("not,a,users,header\n")); err == nil {
+	if _, err := ReadAll[User](strings.NewReader("not,a,users,header\n"), "users"); err == nil {
 		t.Error("wrong header should error")
 	}
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, sampleDataset().Users); err != nil {
+	if err := WriteAll(&buf, sampleDataset().Users, 1); err != nil {
 		t.Fatal(err)
 	}
 	corrupted := strings.Replace(buf.String(), "2012", "twenty12", 1)
-	if _, err := ReadUsers(strings.NewReader(corrupted)); err == nil {
+	if _, err := ReadAll[User](strings.NewReader(corrupted), "users"); err == nil {
 		t.Error("non-numeric field should error")
 	}
-	if _, err := ReadSwitches(strings.NewReader("")); err == nil {
+	if _, err := ReadAll[Switch](strings.NewReader(""), "switches"); err == nil {
 		t.Error("empty switches input should error")
 	}
-	if _, err := ReadPlans(strings.NewReader("x\n")); err == nil {
+	if _, err := ReadAll[market.Plan](strings.NewReader("x\n"), "plans"); err == nil {
 		t.Error("bad plans header should error")
 	}
 }
@@ -206,7 +207,7 @@ func TestSaveDir(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadUsers(bytes.NewReader(raw))
+	back, err := ReadAll[User](bytes.NewReader(raw), "users")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dataset
 
 import (
+	"errors"
 	"fmt"
 	"io"
 
@@ -12,89 +13,130 @@ import (
 // SaveOptions.Gzip; a sharded users-*-of-*.csv panel written out-of-core
 // loads the same way) and reconstructs the per-market summaries from the
 // plan survey. Tables are consumed through the streaming readers, one
-// record at a time, so transient memory stays constant per row. Country
+// record at a time, and users go straight into the columnar panel. Country
 // metadata (region, GDP per capita) is rejoined from the built-in market
 // profiles; plans for countries without a profile are kept but contribute
 // no market summary.
 func LoadDir(dir string) (*Dataset, error) {
 	d := &Dataset{}
-
-	read := func(base string, fn func(io.Reader, string) error) error {
-		rc, path, err := openTablePath(dir, base)
-		if err != nil {
-			return err
-		}
-		defer rc.Close()
-		return fn(rc, path)
-	}
-	// Users come through UserStream, so a directory written out-of-core
-	// (users-*-of-*.csv shards, DESIGN.md §8) loads with the same call as
-	// a monolithic one.
-	if err := func() error {
-		us, err := StreamUsersDir(dir)
-		if err != nil {
-			return err
-		}
-		defer us.Close()
-		var u User
-		for {
-			switch err := us.Read(&u); err {
-			case nil:
-				d.Users = append(d.Users, u)
-			case io.EOF:
-				return nil
-			default:
-				return err
-			}
-		}
-	}(); err != nil {
-		return nil, fmt.Errorf("dataset: loading users: %w", err)
-	}
-	if err := read("switches.csv", func(r io.Reader, path string) error {
-		sr, err := NewSwitchReaderFile(r, path)
-		if err != nil {
-			return err
-		}
-		var s Switch
-		for {
-			switch err := sr.Read(&s); err {
-			case nil:
-				d.Switches = append(d.Switches, s)
-			case io.EOF:
-				return nil
-			default:
-				return err
-			}
-		}
+	p := NewPanel(0)
+	if err := loadTables(dir, d, nil, QuarantineOptions{}, func(u *User, _ int, _ *Quarantine) {
+		p.Append(u)
 	}); err != nil {
-		return nil, fmt.Errorf("dataset: loading switches: %w", err)
+		return nil, err
 	}
-	if err := read("plans.csv", func(r io.Reader, path string) error {
-		pr, err := NewPlanReaderFile(r, path)
-		if err != nil {
-			return err
-		}
-		var pl market.Plan
-		for {
-			switch err := pr.Read(&pl); err {
-			case nil:
-				d.Plans = append(d.Plans, pl)
-			case io.EOF:
-				return nil
-			default:
-				return err
-			}
-		}
-	}); err != nil {
-		return nil, fmt.Errorf("dataset: loading plans: %w", err)
-	}
-
 	d.Markets = summarizeMarkets(d.Plans)
+	d.SetUsers(p)
 	if err := d.Validate(); err != nil {
 		return nil, fmt.Errorf("dataset: loaded data invalid: %w", err)
 	}
-	d.Freeze()
 	return d, nil
+}
+
+// loadTables is the table loop LoadDir and LoadDirRobust share: it streams
+// the user table file by file (users.csv(.gz) or its shard set) into
+// keepUser, then the switch panel and the plan survey into d. With rep nil
+// the load is strict: the first faulty row fails it, and errors name the
+// table being loaded. Otherwise every file gets its own Quarantine under
+// opts writing into rep, and keepUser receives it with each user's row so
+// post-passes can charge demotions to the file the row came from.
+func loadTables(dir string, d *Dataset, rep *QuarantineReport, opts QuarantineOptions, keepUser func(u *User, row int, q *Quarantine)) error {
+	users, err := userTableFiles(dir)
+	if err != nil {
+		return loadErr(rep, "users", dir, err)
+	}
+	if err := loadTable(users, rep, opts, keepUser); err != nil {
+		return err
+	}
+	switches, _ := tablePath(dir, "switches.csv")
+	if err := loadTable([]string{switches}, rep, opts, func(s *Switch, _ int, _ *Quarantine) {
+		d.Switches = append(d.Switches, *s)
+	}); err != nil {
+		return err
+	}
+	plans, _ := tablePath(dir, "plans.csv")
+	return loadTable([]string{plans}, rep, opts, func(pl *market.Plan, _ int, _ *Quarantine) {
+		d.Plans = append(d.Plans, *pl)
+	})
+}
+
+// loadTable streams each file of one table through readRows.
+func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOptions, keep func(v *T, row int, q *Quarantine)) error {
+	for _, path := range files {
+		var q *Quarantine
+		if rep != nil {
+			q = NewQuarantine(path, opts, rep)
+		}
+		err := func() error {
+			rc, err := openPath(path)
+			if err != nil {
+				return err
+			}
+			defer rc.Close()
+			return readRows(rc, path, q, func(v *T, row int) { keep(v, row, q) })
+		}()
+		if err != nil {
+			return loadErr(rep, tableOf[T]().name, path, err)
+		}
+	}
+	return nil
+}
+
+// loadErr shapes a table-load failure. A strict load (rep nil) names the
+// table; a robust load keeps its typed errors and types any other failure
+// (opening the file, finding the shard set) as a terminal FaultIO.
+func loadErr(rep *QuarantineReport, table, file string, err error) error {
+	if rep == nil {
+		return fmt.Errorf("dataset: loading %s: %w", table, err)
+	}
+	var re *RowError
+	var be *BudgetError
+	if errors.As(err, &re) || errors.As(err, &be) {
+		return err
+	}
+	return &RowError{File: file, Class: FaultIO, Err: err}
+}
+
+// readRows streams one table file through keep, passing each row with its
+// 1-based line. With q nil the first faulty row aborts the read (the
+// strict contract). Otherwise rows that fail structurally, at parse time
+// or the table's domain check are quarantined against q and skipped; the
+// read fails with a *BudgetError once q's budget is exhausted and with a
+// terminal *RowError when the transport itself fails (truncation, gzip
+// corruption, I/O).
+func readRows[T Row](r io.Reader, file string, q *Quarantine, keep func(v *T, row int)) error {
+	tr, err := NewReader[T](r, file)
+	if err != nil {
+		return err
+	}
+	var v T
+	var re *RowError
+	for {
+		err := tr.Read(&v)
+		if err == nil && q != nil {
+			if derr := tr.t.check(&v); derr != nil {
+				err = &RowError{File: file, Row: tr.row, Class: FaultDomain, Err: derr}
+			}
+		}
+		switch {
+		case err == nil:
+			if q != nil {
+				q.kept()
+			}
+			keep(&v, tr.row)
+		case err == io.EOF:
+			if q != nil {
+				return q.finish()
+			}
+			return nil
+		case q != nil && errors.As(err, &re) && re.Class.recoverable():
+			if qerr := q.note(re.Row, re.Class, re.Err); qerr != nil {
+				return qerr
+			}
+		default:
+			return err
+		}
+	}
 }
 
 // summarizeMarkets rebuilds the per-market summaries (access price,

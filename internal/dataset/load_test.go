@@ -1,7 +1,11 @@
 package dataset
 
 import (
+	"errors"
+	"io/fs"
+	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
@@ -54,6 +58,27 @@ func TestLoadDirRoundTrip(t *testing.T) {
 func TestLoadDirMissingFiles(t *testing.T) {
 	if _, err := LoadDir(t.TempDir()); err == nil {
 		t.Error("empty directory should fail to load")
+	}
+}
+
+// TestLoadDirMissingTableNamesPlainFile: when neither switches.csv nor
+// switches.csv.gz exists, both loaders name the plain file — the one
+// SaveDir writes — not the .gz fallback they tried last.
+func TestLoadDirMissingTableNamesPlainFile(t *testing.T) {
+	dir := savedSampleDir(t, sampleDataset())
+	plain := filepath.Join(dir, "switches.csv")
+	if err := os.Remove(plain); err != nil {
+		t.Fatal(err)
+	}
+	want := "open " + plain + ": "
+	_, err := LoadDir(dir)
+	if err == nil || !strings.Contains(err.Error(), want) || !errors.Is(err, fs.ErrNotExist) {
+		t.Errorf("LoadDir error = %v, want one naming %s", err, plain)
+	}
+	_, _, err = LoadDirRobust(dir, QuarantineOptions{})
+	var re *RowError
+	if !errors.As(err, &re) || re.File != plain || re.Class != FaultIO || !strings.Contains(err.Error(), want) {
+		t.Errorf("LoadDirRobust error = %v, want an io fault naming %s", err, plain)
 	}
 }
 

@@ -217,44 +217,6 @@ func TestPanelValidateCatchesMismatch(t *testing.T) {
 	}
 }
 
-func TestDatasetPanelCache(t *testing.T) {
-	d := sampleDataset()
-	// Unfrozen: Panel() builds on the fly, no cache write.
-	p1 := d.Panel()
-	p2 := d.Panel()
-	if p1 == p2 {
-		t.Fatal("uncached Panel() returned the same instance twice")
-	}
-	// Freeze caches; Panel() then returns the cached instance.
-	f := d.Freeze()
-	if got := d.Panel(); got != f {
-		t.Fatal("Panel() ignored the frozen cache")
-	}
-	// Mutating the row count invalidates the cache.
-	d.Users = append(d.Users, sampleUser(99, "US", 5))
-	if got := d.Panel(); got == f {
-		t.Fatal("Panel() returned a stale cache after Users grew")
-	}
-	if got := d.Freeze(); got == f {
-		t.Fatal("Freeze() kept a stale cache after Users grew")
-	}
-	// AttachPanel rejects a mismatched panel, accepts a matching one.
-	d2 := sampleDataset()
-	d2.AttachPanel(BuildPanel(d2.Users[:1]))
-	if d2.panel != nil {
-		t.Fatal("AttachPanel accepted a panel with the wrong row count")
-	}
-	good := BuildPanel(d2.Users)
-	d2.AttachPanel(good)
-	if d2.Panel() != good {
-		t.Fatal("AttachPanel did not install the matching panel")
-	}
-	d2.ResetPanel()
-	if d2.panel != nil {
-		t.Fatal("ResetPanel left the cache in place")
-	}
-}
-
 func TestDictDeterminism(t *testing.T) {
 	d := NewDict()
 	words := []string{"b", "a", "b", "c", "a"}

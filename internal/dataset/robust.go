@@ -3,7 +3,6 @@ package dataset
 import (
 	"errors"
 	"fmt"
-	"io"
 	"math"
 	"sort"
 	"strings"
@@ -11,7 +10,7 @@ import (
 	"github.com/nwca/broadband/internal/market"
 )
 
-// Quarantine-hardened ingestion. The strict loaders (LoadDir, ReadUsers …)
+// Quarantine-hardened ingestion. The strict loaders (LoadDir, ReadAll)
 // abort on the first malformed row — the right contract for data this
 // pipeline wrote itself. Real measurement panels are dirtier: host churn,
 // counter resets, duplicated and missing samples, corrupted uploads. The
@@ -208,8 +207,7 @@ func (e *BudgetError) Error() string {
 }
 
 // Quarantine tracks one file's row budget and routes diagnostics into the
-// shared report. Create one per file with NewQuarantine and hand it to the
-// robust readers.
+// shared report. LoadDirRobust creates one per file with NewQuarantine.
 type Quarantine struct {
 	file      string
 	opts      QuarantineOptions
@@ -283,93 +281,12 @@ func (q *Quarantine) demote(row int, class RowFault, cause error) error {
 	return nil
 }
 
-// finish enforces the budget at end of file and returns io.EOF when the
-// file is within it.
+// finish enforces the budget at end of file.
 func (q *Quarantine) finish() error {
 	if q.overBudget(0) {
 		return q.budgetErr()
 	}
-	return io.EOF
-}
-
-// rowSource is the streaming-reader shape shared by UserReader,
-// SwitchReader and PlanReader: Read fills the next record, Row reports the
-// 1-based line of the record just returned.
-type rowSource[T any] interface {
-	Read(*T) error
-	Row() int
-}
-
-// RobustReader wraps a streaming reader with the quarantine contract: Read
-// skips rows that fail structurally, at parse time, or at domain
-// validation, recording each in the report; it returns io.EOF at end of
-// stream, a *BudgetError when the error budget is exhausted, and a terminal
-// *RowError when the transport itself fails (truncation, gzip corruption,
-// I/O). It never panics.
-type RobustReader[T any] struct {
-	src    rowSource[T]
-	domain func(*T) error
-	q      *Quarantine
-}
-
-// Read fills v with the next row that survives quarantine.
-func (r *RobustReader[T]) Read(v *T) error {
-	for {
-		err := r.src.Read(v)
-		if err == nil {
-			if derr := r.domain(v); derr != nil {
-				if qerr := r.q.note(r.src.Row(), FaultDomain, derr); qerr != nil {
-					return qerr
-				}
-				continue
-			}
-			r.q.kept()
-			return nil
-		}
-		if err == io.EOF {
-			return r.q.finish()
-		}
-		var re *RowError
-		if errors.As(err, &re) && re.Class.recoverable() {
-			if qerr := r.q.note(re.Row, re.Class, re.Err); qerr != nil {
-				return qerr
-			}
-			continue
-		}
-		return err // terminal: truncated stream, I/O failure, header fault
-	}
-}
-
-// Row reports the 1-based line of the record Read last returned.
-func (r *RobustReader[T]) Row() int { return r.src.Row() }
-
-// NewRobustUserReader wraps a users CSV stream in the quarantine contract.
-// The file name seeds diagnostics; q may be shared across files only via
-// separate Quarantine values writing into one report.
-func NewRobustUserReader(rd io.Reader, file string, q *Quarantine) (*RobustReader[User], error) {
-	ur, err := NewUserReaderFile(rd, file)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustReader[User]{src: ur, domain: checkUserDomain, q: q}, nil
-}
-
-// NewRobustSwitchReader is NewRobustUserReader for the switches table.
-func NewRobustSwitchReader(rd io.Reader, file string, q *Quarantine) (*RobustReader[Switch], error) {
-	sr, err := NewSwitchReaderFile(rd, file)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustReader[Switch]{src: sr, domain: checkSwitchDomain, q: q}, nil
-}
-
-// NewRobustPlanReader is NewRobustUserReader for the plan survey.
-func NewRobustPlanReader(rd io.Reader, file string, q *Quarantine) (*RobustReader[market.Plan], error) {
-	pr, err := NewPlanReaderFile(rd, file)
-	if err != nil {
-		return nil, err
-	}
-	return &RobustReader[market.Plan]{src: pr, domain: checkPlanDomain, q: q}, nil
+	return nil
 }
 
 // Domain bounds. Values outside them are physically or temporally
@@ -537,112 +454,78 @@ func checkPlanDomain(p *market.Plan) error {
 // LoadDirRobust reads a dataset directory the way LoadDir does, but under
 // the quarantine contract: malformed, out-of-domain, duplicated and
 // orphaned rows are skipped and reported instead of aborting the load, up
-// to the configured error budget. The report is returned even when the
-// load fails, so callers can see how far ingestion got. Terminal failures
+// to the configured error budget, which applies to each file on its own
+// (each user shard included). The report is returned even when the load
+// fails, so callers can see how far ingestion got. Terminal failures
 // (transport errors, exhausted budgets) are typed: *RowError, *BudgetError.
 func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineReport, error) {
 	rep := &QuarantineReport{}
 	d := &Dataset{}
 
-	// Users. Row numbers are kept for the post-pass demotions below.
-	var userRows []int
-	userQ, err := loadTableRobust(dir, "users.csv", opts, rep, NewRobustUserReader, func(u *User, row int) {
-		d.Users = append(d.Users, *u)
-		userRows = append(userRows, row)
-	})
-	if err != nil {
-		return nil, rep, err
+	// Users go straight into the panel, as in LoadDir; each keeps its file
+	// gate and row for the post-pass demotions.
+	type origin struct {
+		q   *Quarantine
+		row int
 	}
-	// Switches.
-	if _, err := loadTableRobust(dir, "switches.csv", opts, rep, NewRobustSwitchReader, func(s *Switch, _ int) {
-		d.Switches = append(d.Switches, *s)
+	p := NewPanel(0)
+	var origins []origin
+	if err := loadTables(dir, d, rep, opts, func(u *User, row int, q *Quarantine) {
+		p.Append(u)
+		origins = append(origins, origin{q, row})
 	}); err != nil {
 		return nil, rep, err
 	}
-	// Plan survey.
-	if _, err := loadTableRobust(dir, "plans.csv", opts, rep, NewRobustPlanReader, func(p *market.Plan, _ int) {
-		d.Plans = append(d.Plans, *p)
-	}); err != nil {
-		return nil, rep, err
-	}
-
-	// Duplicated user IDs: keep the first occurrence (duplicate-sample
-	// pathology), demote the rest.
-	seen := make(map[int64]bool, len(d.Users))
-	kept := d.Users[:0]
-	keptRows := userRows[:0]
-	for i := range d.Users {
-		u := &d.Users[i]
-		if seen[u.ID] {
-			if err := userQ.demote(userRows[i], FaultDuplicate, fmt.Errorf("duplicate user id %d", u.ID)); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		seen[u.ID] = true
-		kept = append(kept, *u)
-		keptRows = append(keptRows, userRows[i])
-	}
-	d.Users = kept
-	userRows = keptRows
 
 	// Rebuild per-market summaries from the surviving survey rows, exactly
 	// as the strict loader does.
 	d.Markets = summarizeMarkets(d.Plans)
 
-	// Users whose market lost its summary (quarantined survey rows) are
-	// orphans: demote them rather than fail validation.
-	kept = d.Users[:0]
-	for i := range d.Users {
-		u := &d.Users[i]
-		if _, ok := d.Markets[u.Country]; !ok {
-			if err := userQ.demote(userRows[i], FaultReference, fmt.Errorf("market %q has no plan survey", u.Country)); err != nil {
+	// Duplicated user IDs keep their first occurrence (duplicate-sample
+	// pathology); users whose market lost its summary (quarantined survey
+	// rows) are orphans. Both are demoted rather than failing validation:
+	// all duplicates first, then the orphans, in file order.
+	demoted := make([]bool, p.Len())
+	n := 0
+	seen := make(map[int64]bool, p.Len())
+	for i, id := range p.ID {
+		if seen[id] {
+			demoted[i], n = true, n+1
+			if err := origins[i].q.demote(origins[i].row, FaultDuplicate, fmt.Errorf("duplicate user id %d", id)); err != nil {
 				return nil, rep, err
 			}
 			continue
 		}
-		kept = append(kept, *u)
+		seen[id] = true
 	}
-	d.Users = kept
+	for i, c := range p.Country {
+		country := p.Countries.Value(c)
+		if _, ok := d.Markets[country]; ok || demoted[i] {
+			continue
+		}
+		demoted[i], n = true, n+1
+		if err := origins[i].q.demote(origins[i].row, FaultReference, fmt.Errorf("market %q has no plan survey", country)); err != nil {
+			return nil, rep, err
+		}
+	}
+	if n > 0 {
+		// Re-append the survivors so the dictionaries intern only them.
+		kept := NewPanel(p.Len() - n)
+		var u User
+		for i := range demoted {
+			if !demoted[i] {
+				p.UserAt(i, &u)
+				kept.Append(&u)
+			}
+		}
+		p = kept
+	}
+	d.SetUsers(p)
 
 	// The surviving dataset must satisfy the strict invariants — anything
 	// else would mean the quarantine let corruption through.
 	if err := d.Validate(); err != nil {
 		return nil, rep, fmt.Errorf("dataset: robust load left invalid data: %w", err)
 	}
-	// Freeze only after the dedup/demotion post-passes above: the panel
-	// must project the surviving rows, not the raw parse.
-	d.Freeze()
 	return d, rep, nil
-}
-
-// loadTableRobust streams one table through its robust reader, returning
-// the quarantine gate so post-passes can demote rows against the same
-// budget.
-func loadTableRobust[T any](
-	dir, base string, opts QuarantineOptions, rep *QuarantineReport,
-	open func(io.Reader, string, *Quarantine) (*RobustReader[T], error),
-	keep func(*T, int),
-) (*Quarantine, error) {
-	rc, path, err := openTablePath(dir, base)
-	if err != nil {
-		return nil, &RowError{File: path, Class: FaultIO, Err: err}
-	}
-	defer rc.Close()
-	q := NewQuarantine(path, opts, rep)
-	rr, err := open(rc, path, q)
-	if err != nil {
-		return nil, err
-	}
-	var v T
-	for {
-		err := rr.Read(&v)
-		if err == io.EOF {
-			return q, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-		keep(&v, rr.Row())
-	}
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -64,5 +65,43 @@ func TestPostPassDemotionsEnforceBudget(t *testing.T) {
 				t.Fatalf("loose load kept %d users, want 3", len(got.Users))
 			}
 		})
+	}
+}
+
+// TestShardDemotionChargesItsFile: over a sharded user table every shard
+// is its own quarantine file, so a post-pass demotion is reported against
+// the shard its row came from, at that shard's row number.
+func TestShardDemotionChargesItsFile(t *testing.T) {
+	d := sampleDataset()
+	dir := savedSampleDir(t, d)
+	if err := os.Remove(filepath.Join(dir, "users.csv")); err != nil {
+		t.Fatal(err)
+	}
+	writeShardSet(t, dir, d.Users, 3, false)
+	// Repeat shard 0's user at the end of shard 2, as its second data row.
+	first, err := os.ReadFile(filepath.Join(dir, UserShardName(0, 3, false)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := filepath.Join(dir, UserShardName(2, 3, false))
+	raw, err := os.ReadFile(last)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup := strings.SplitAfter(string(first), "\n")[1]
+	if err := os.WriteFile(last, append(raw, dup...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	got, rep, err := LoadDirRobust(dir, QuarantineOptions{MaxBadFrac: 0.9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []RowDiag{{File: last, Row: 3, Class: FaultDuplicate, Cause: "duplicate user id 1"}}
+	if !reflect.DeepEqual(rep.Diags, want) {
+		t.Fatalf("diags = %v, want %v", rep.Diags, want)
+	}
+	if len(got.Users) != len(d.Users) || rep.RowsRead != rep.RowsKept+1 {
+		t.Fatalf("kept %d users (want %d); report %d of %d kept", len(got.Users), len(d.Users), rep.RowsKept, rep.RowsRead)
 	}
 }

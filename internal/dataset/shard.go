@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 
-	"github.com/nwca/broadband/internal/market"
 	"github.com/nwca/broadband/internal/par"
 )
 
@@ -26,19 +25,20 @@ func shardRange(n, shards, i int) (lo, hi int) {
 // writeSharded encodes items across workers shards and writes header then
 // shards in order. workers <= 1 (or few items) degrades to a single
 // streaming pass that never buffers more than one row.
-func writeSharded[T any](w io.Writer, header []string, table string, items []T, workers int, enc func(*rowWriter, *T) error) error {
+func writeSharded[T Row](w io.Writer, t *table[T], items []T, workers int) error {
 	n := len(items)
 	workers = par.Workers(workers)
 	if workers > n {
 		workers = n
 	}
 	if workers <= 1 {
-		rw := rowWriter{w: w, table: table}
-		if err := rw.header(header); err != nil {
+		rw := rowWriter{w: w, table: t.name}
+		if err := rw.header(t.header); err != nil {
 			return err
 		}
 		for i := range items {
-			if err := enc(&rw, &items[i]); err != nil {
+			t.encode(&rw, &items[i])
+			if err := rw.endRow(); err != nil {
 				return err
 			}
 		}
@@ -48,9 +48,10 @@ func writeSharded[T any](w io.Writer, header []string, table string, items []T, 
 	if err := par.ForN(workers, workers, func(i int) error {
 		lo, hi := shardRange(n, workers, i)
 		// Seed the row counter so error messages report absolute rows.
-		rw := rowWriter{w: &bufs[i], table: table, row: 1 + lo}
+		rw := rowWriter{w: &bufs[i], table: t.name, row: 1 + lo}
 		for j := lo; j < hi; j++ {
-			if err := enc(&rw, &items[j]); err != nil {
+			t.encode(&rw, &items[j])
+			if err := rw.endRow(); err != nil {
 				return err
 			}
 		}
@@ -58,31 +59,21 @@ func writeSharded[T any](w io.Writer, header []string, table string, items []T, 
 	}); err != nil {
 		return err
 	}
-	rw := rowWriter{w: w, table: table}
-	if err := rw.header(header); err != nil {
+	rw := rowWriter{w: w, table: t.name}
+	if err := rw.header(t.header); err != nil {
 		return err
 	}
 	for i := range bufs {
 		if _, err := w.Write(bufs[i].Bytes()); err != nil {
-			return fmt.Errorf("dataset: writing %s shard %d: %w", table, i, err)
+			return fmt.Errorf("dataset: writing %s shard %d: %w", t.name, i, err)
 		}
 	}
 	return nil
 }
 
-// WriteUsersParallel streams users as CSV, encoding across workers shards
-// (0 = GOMAXPROCS, 1 = sequential). Output is byte-identical to WriteUsers
-// for every worker count.
-func WriteUsersParallel(w io.Writer, users []User, workers int) error {
-	return writeSharded(w, userHeader, "users", users, workers, encodeUser)
-}
-
-// WriteSwitchesParallel is WriteSwitches with sharded parallel encoding.
-func WriteSwitchesParallel(w io.Writer, switches []Switch, workers int) error {
-	return writeSharded(w, switchHeader, "switches", switches, workers, encodeSwitch)
-}
-
-// WritePlansParallel is WritePlans with sharded parallel encoding.
-func WritePlansParallel(w io.Writer, plans []market.Plan, workers int) error {
-	return writeSharded(w, planHeader, "plans", plans, workers, encodePlan)
+// WriteAll writes a whole table as CSV, encoding across workers shards
+// (0 = GOMAXPROCS, 1 = sequential). Output is byte-identical to a Writer
+// fed the same rows, for every worker count.
+func WriteAll[T Row](w io.Writer, rows []T, workers int) error {
+	return writeSharded(w, tableOf[T](), rows, workers)
 }

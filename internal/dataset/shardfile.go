@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -21,8 +23,8 @@ import (
 // streaming writers with constant per-row memory; concatenating the shard
 // bodies in index order yields exactly the rows of the monolithic
 // users.csv. Readers never see the difference: StreamUsersDir returns a
-// UserSource over either layout, and LoadDir falls back to the shard set
-// when users.csv is absent.
+// UserSource over either layout, and LoadDir and LoadDirRobust fall back
+// to the shard set when users.csv is absent.
 
 // userShardRe matches a shard file name and captures (index, total, gz).
 var userShardRe = regexp.MustCompile(`^users-(\d{5})-of-(\d{5})\.csv(\.gz)?$`)
@@ -89,13 +91,13 @@ func FindUserShards(dir string) ([]string, error) {
 // complete write (the usual atomic-table contract), and an empty shard is
 // a valid header-only CSV, so a shard set is always complete and loadable.
 // It returns the final path.
-func WriteUserShardCtx(ctx context.Context, dir string, i, total int, gz bool, fn func(*UserWriter) error) (string, error) {
+func WriteUserShardCtx(ctx context.Context, dir string, i, total int, gz bool, fn func(*Writer[User]) error) (string, error) {
 	if i < 0 || total <= 0 || i >= total {
 		return "", fmt.Errorf("dataset: shard index %d of %d out of range", i, total)
 	}
 	path := filepath.Join(dir, UserShardName(i, total, gz))
 	err := writeTableCtx(ctx, path, gz, func(w io.Writer) error {
-		uw, err := NewUserWriter(w)
+		uw, err := NewWriter[User](w)
 		if err != nil {
 			return err
 		}
@@ -107,6 +109,24 @@ func WriteUserShardCtx(ctx context.Context, dir string, i, total int, gz bool, f
 	return path, nil
 }
 
+// userTableFiles lists the files holding the user table under dir:
+// users.csv (or users.csv.gz) when present, else the complete shard set.
+// The monolithic file wins when both layouts are present: it is what
+// SaveDir writes, and a stray shard set cannot shadow it. With neither, the
+// list is the missing users.csv, so opening it reports the name SaveDir
+// writes.
+func userTableFiles(dir string) ([]string, error) {
+	path, ok := tablePath(dir, "users.csv")
+	if ok {
+		return []string{path}, nil
+	}
+	files, err := FindUserShards(dir)
+	if errors.Is(err, fs.ErrNotExist) {
+		return []string{path}, nil
+	}
+	return files, err
+}
+
 // UserStream is a closable UserSource over the user table of a dataset
 // directory — the monolithic users.csv(.gz) or a shard set — opening one
 // file at a time, so resident memory is one reader regardless of panel
@@ -115,43 +135,36 @@ type UserStream struct {
 	files []string
 	next  int
 	rc    io.ReadCloser
-	ur    *UserReader
+	ur    *Reader[User]
 }
 
 // StreamUsersDir opens the user table under dir for streaming: users.csv
-// (or users.csv.gz) when present, else the complete shard set. The caller
+// (or users.csv.gz) when present, else the complete shard set. The first
+// file is opened and its header checked before it returns. The caller
 // owns Close.
 func StreamUsersDir(dir string) (*UserStream, error) {
-	// The monolithic file wins when both layouts are present: it is what
-	// SaveDir writes, and a stray shard set cannot shadow it.
-	if rc, path, err := openTablePath(dir, "users.csv"); err == nil {
-		ur, err := NewUserReaderFile(rc, path)
-		if err != nil {
-			rc.Close()
-			return nil, err
-		}
-		return &UserStream{files: []string{path}, next: 1, rc: rc, ur: ur}, nil
-	} else if !os.IsNotExist(err) {
-		return nil, err
-	}
-	files, err := FindUserShards(dir)
+	files, err := userTableFiles(dir)
 	if err != nil {
 		return nil, err
 	}
-	return &UserStream{files: files}, nil
+	s := &UserStream{files: files}
+	if err := s.open(); err != nil {
+		return nil, err
+	}
+	return s, nil
 }
 
 // Files returns the paths the stream reads, in order.
 func (s *UserStream) Files() []string { return s.files }
 
-// open advances to shard s.next.
+// open advances to file s.next.
 func (s *UserStream) open() error {
 	path := s.files[s.next]
 	rc, err := openPath(path)
 	if err != nil {
 		return err
 	}
-	ur, err := NewUserReaderFile(rc, path)
+	ur, err := NewReader[User](rc, path)
 	if err != nil {
 		rc.Close()
 		return err

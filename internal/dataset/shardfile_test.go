@@ -38,7 +38,7 @@ func writeShardSet(t *testing.T, dir string, users []User, total int, gz bool) {
 	t.Helper()
 	for i := 0; i < total; i++ {
 		lo, hi := i*len(users)/total, (i+1)*len(users)/total
-		_, err := WriteUserShardCtx(context.Background(), dir, i, total, gz, func(w *UserWriter) error {
+		_, err := WriteUserShardCtx(context.Background(), dir, i, total, gz, func(w *Writer[User]) error {
 			for j := lo; j < hi; j++ {
 				if err := w.Write(&users[j]); err != nil {
 					return err
@@ -124,8 +124,8 @@ func TestMonolithicFileWinsOverShards(t *testing.T) {
 	dir := t.TempDir()
 	writeShardSet(t, dir, shardTestUsers(6), 2, false)
 	mono := shardTestUsers(3)
-	if err := writeTable(filepath.Join(dir, "users.csv"), false, func(w io.Writer) error {
-		return WriteUsers(w, mono)
+	if err := writeTableCtx(context.Background(), filepath.Join(dir, "users.csv"), false, func(w io.Writer) error {
+		return WriteAll(w, mono, 1)
 	}); err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestFindUserShardsRejectsBrokenSets(t *testing.T) {
 		t.Parallel()
 		dir := t.TempDir()
 		for _, c := range []struct{ i, n int }{{-1, 2}, {2, 2}, {0, 0}} {
-			if _, err := WriteUserShardCtx(context.Background(), dir, c.i, c.n, false, func(*UserWriter) error { return nil }); err == nil {
+			if _, err := WriteUserShardCtx(context.Background(), dir, c.i, c.n, false, func(*Writer[User]) error { return nil }); err == nil {
 				t.Errorf("WriteUserShardCtx(%d, %d) accepted an out-of-range index", c.i, c.n)
 			}
 		}

@@ -11,14 +11,13 @@ import (
 	"strings"
 	"unicode"
 	"unicode/utf8"
-
-	"github.com/nwca/broadband/internal/market"
 )
 
 // Streaming CSV layer: record-at-a-time readers and writers with constant
-// per-row memory. The slice-based API (ReadUsers/WriteUsers and friends) is
-// a thin wrapper over these; consumers that must scale past RAM (bbstats'
-// one-pass overview) drain a UserSource directly.
+// per-row memory, generic over the table descriptors in csv.go. ReadAll,
+// WriteAll and the directory loaders are built on them; consumers that
+// must scale past RAM (bbstats' one-pass overview) drain a UserSource
+// directly.
 //
 // Readers reuse the csv.Reader record slice (ReuseRecord) and enforce the
 // header's field count on every row; writers encode each record into a
@@ -116,115 +115,29 @@ func fieldNeedsQuotes(field string) bool {
 	return unicode.IsSpace(r1)
 }
 
-// Per-record encoders. Field order is the single source of truth shared
-// with the decoders below; the slice writers and the sharded parallel
-// encoder both go through these.
-
-func encodeUser(w *rowWriter, u *User) error {
-	w.i64(u.ID)
-	w.str(u.Country)
-	w.int(int(u.Vantage))
-	w.int(u.Year)
-	w.str(u.ISP)
-	w.str(u.NetworkKey)
-	w.f64(u.PlanDown.Mbps())
-	w.f64(u.PlanUp.Mbps())
-	w.f64(u.PlanPrice.Dollars())
-	w.int(int(u.PlanTech))
-	w.f64(u.PlanCap.GB())
-	w.f64(u.Capacity.Mbps())
-	w.f64(u.UpCapacity.Mbps())
-	w.f64(u.RTT * 1000)
-	w.f64(u.WebRTT * 1000)
-	w.f64(u.Loss.Percent())
-	w.f64(u.Usage.Mean.Mbps())
-	w.f64(u.Usage.Peak.Mbps())
-	w.f64(u.Usage.MeanNoBT.Mbps())
-	w.f64(u.Usage.PeakNoBT.Mbps())
-	w.bool(u.UsesBT)
-	w.int(int(u.Archetype))
-	w.f64(u.AccessPrice.Dollars())
-	w.f64(float64(u.UpgradeCost))
-	return w.endRow()
+// Writer streams one table to CSV a record at a time with constant
+// per-row memory. NewWriter writes the header; each Write emits one row.
+// Errors are sticky and carry the row number.
+type Writer[T Row] struct {
+	t *table[T]
+	w rowWriter
 }
 
-func encodeSwitch(w *rowWriter, s *Switch) error {
-	w.i64(s.UserID)
-	w.str(s.Country)
-	w.str(s.FromNet)
-	w.str(s.ToNet)
-	w.f64(s.FromDown.Mbps())
-	w.f64(s.ToDown.Mbps())
-	w.f64(s.Before.Mean.Mbps())
-	w.f64(s.Before.Peak.Mbps())
-	w.f64(s.Before.MeanNoBT.Mbps())
-	w.f64(s.Before.PeakNoBT.Mbps())
-	w.f64(s.After.Mean.Mbps())
-	w.f64(s.After.Peak.Mbps())
-	w.f64(s.After.MeanNoBT.Mbps())
-	w.f64(s.After.PeakNoBT.Mbps())
-	return w.endRow()
-}
-
-func encodePlan(w *rowWriter, p *market.Plan) error {
-	w.str(p.Country)
-	w.str(p.ISP)
-	w.f64(p.Down.Mbps())
-	w.f64(p.Up.Mbps())
-	w.f64(p.PriceLocal)
-	w.f64(p.PriceUSD.Dollars())
-	w.f64(p.Cap.GB())
-	w.int(int(p.Tech))
-	w.bool(p.Dedicated)
-	return w.endRow()
-}
-
-// UserWriter streams users to CSV one record at a time with constant
-// per-row memory. The header is written by NewUserWriter; each Write emits
-// one row. Errors are sticky and carry the row number.
-type UserWriter struct{ w rowWriter }
-
-// NewUserWriter writes the users header and returns the streaming writer.
-func NewUserWriter(w io.Writer) (*UserWriter, error) {
-	uw := &UserWriter{rowWriter{w: w, table: "users"}}
-	if err := uw.w.header(userHeader); err != nil {
+// NewWriter writes T's table header and returns the streaming writer.
+func NewWriter[T Row](w io.Writer) (*Writer[T], error) {
+	t := tableOf[T]()
+	tw := &Writer[T]{t: t, w: rowWriter{w: w, table: t.name}}
+	if err := tw.w.header(t.header); err != nil {
 		return nil, err
 	}
-	return uw, nil
+	return tw, nil
 }
 
-// Write appends one user row.
-func (w *UserWriter) Write(u *User) error { return encodeUser(&w.w, u) }
-
-// SwitchWriter streams service-change records; see UserWriter.
-type SwitchWriter struct{ w rowWriter }
-
-// NewSwitchWriter writes the switches header and returns the streaming writer.
-func NewSwitchWriter(w io.Writer) (*SwitchWriter, error) {
-	sw := &SwitchWriter{rowWriter{w: w, table: "switches"}}
-	if err := sw.w.header(switchHeader); err != nil {
-		return nil, err
-	}
-	return sw, nil
+// Write appends one row.
+func (w *Writer[T]) Write(v *T) error {
+	w.t.encode(&w.w, v)
+	return w.w.endRow()
 }
-
-// Write appends one switch row.
-func (w *SwitchWriter) Write(s *Switch) error { return encodeSwitch(&w.w, s) }
-
-// PlanWriter streams plan-survey records; see UserWriter.
-type PlanWriter struct{ w rowWriter }
-
-// NewPlanWriter writes the plans header and returns the streaming writer.
-func NewPlanWriter(w io.Writer) (*PlanWriter, error) {
-	pw := &PlanWriter{rowWriter{w: w, table: "plans"}}
-	if err := pw.w.header(planHeader); err != nil {
-		return nil, err
-	}
-	return pw, nil
-}
-
-// Write appends one plan row.
-func (w *PlanWriter) Write(p *market.Plan) error { return encodePlan(&w.w, p) }
 
 // wrapReadErr converts a csv.Reader error into the typed *RowError every
 // dataset load reports. Structural CSV faults (field count, quoting) carry
@@ -273,46 +186,43 @@ func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, er
 }
 
 // UserSource yields users one record at a time; Read returns io.EOF after
-// the last user. *UserReader, *UserStream (a shard set) and a panel's
+// the last user. *Reader[User], *UserStream (a shard set) and a panel's
 // Source implement it, so one-pass consumers run unchanged over worlds
 // larger than RAM.
 type UserSource interface {
 	Read(*User) error
 }
 
-// UserReader iterates a users CSV one record at a time with constant
-// memory. Read fills the caller's User and returns io.EOF after the last
+// Reader iterates one table's CSV a record at a time with constant
+// memory. Read fills the caller's record and returns io.EOF after the last
 // row; every other error is a *RowError carrying the file, the 1-based row
 // number (the header is row 1) and the fault class.
-type UserReader struct {
+type Reader[T Row] struct {
+	t    *table[T]
 	cr   *csv.Reader
+	p    parser // reused per row, so decoding allocates nothing
 	file string
 	row  int
 }
 
-// NewUserReader validates the users header and returns the iterator. Load
-// errors name the table; use NewUserReaderFile to carry a real path.
-func NewUserReader(r io.Reader) (*UserReader, error) {
-	return NewUserReaderFile(r, "users")
-}
-
-// NewUserReaderFile is NewUserReader with an explicit file name (typically
-// the path being read) stamped onto every error.
-func NewUserReaderFile(r io.Reader, file string) (*UserReader, error) {
-	cr, err := newStreamReader(r, file, userHeader)
+// NewReader validates T's table header and returns the iterator. file
+// (typically the path being read) is stamped onto every error.
+func NewReader[T Row](r io.Reader, file string) (*Reader[T], error) {
+	t := tableOf[T]()
+	cr, err := newStreamReader(r, file, t.header)
 	if err != nil {
 		return nil, err
 	}
-	return &UserReader{cr: cr, file: file, row: 1}, nil
+	return &Reader[T]{t: t, cr: cr, file: file, row: 1}, nil
 }
 
 // Row reports the 1-based line of the record Read last returned (or, after
 // an error, of the record it failed on).
-func (r *UserReader) Row() int { return r.row }
+func (r *Reader[T]) Row() int { return r.row }
 
-// Read parses the next user into u. It returns io.EOF at end of stream,
-// leaving u unspecified.
-func (r *UserReader) Read(u *User) error {
+// Read parses the next record into v. It returns io.EOF at end of stream,
+// leaving v unspecified.
+func (r *Reader[T]) Read(v *T) error {
 	rec, err := r.cr.Read()
 	if err != nil {
 		if err == io.EOF {
@@ -328,104 +238,20 @@ func (r *UserReader) Read(u *User) error {
 	// FieldPos gives the record's physical start line, so numbering stays
 	// exact even after a structurally bad row was skipped.
 	r.row, _ = r.cr.FieldPos(0)
-	p := &parser{rec: rec}
-	decodeUser(p, u)
-	if p.err != nil {
-		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: p.err}
+	r.p = parser{rec: rec}
+	r.t.decode(&r.p, v)
+	if r.p.err != nil {
+		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: r.p.err}
 	}
 	return nil
 }
 
-// SwitchReader iterates a switches CSV; see UserReader.
-type SwitchReader struct {
-	cr   *csv.Reader
-	file string
-	row  int
-}
-
-// NewSwitchReader validates the switches header and returns the iterator.
-func NewSwitchReader(r io.Reader) (*SwitchReader, error) {
-	return NewSwitchReaderFile(r, "switches")
-}
-
-// NewSwitchReaderFile is NewSwitchReader with an explicit file name.
-func NewSwitchReaderFile(r io.Reader, file string) (*SwitchReader, error) {
-	cr, err := newStreamReader(r, file, switchHeader)
+// ReadAll parses a whole table; file names it in errors.
+func ReadAll[T Row](r io.Reader, file string) ([]T, error) {
+	var out []T
+	err := readRows(r, file, nil, func(v *T, _ int) { out = append(out, *v) })
 	if err != nil {
 		return nil, err
 	}
-	return &SwitchReader{cr: cr, file: file, row: 1}, nil
-}
-
-// Row reports the 1-based line of the record Read last returned.
-func (r *SwitchReader) Row() int { return r.row }
-
-// Read parses the next switch into s, returning io.EOF at end of stream.
-func (r *SwitchReader) Read(s *Switch) error {
-	rec, err := r.cr.Read()
-	if err != nil {
-		if err == io.EOF {
-			return err
-		}
-		err = wrapReadErr(r.file, err)
-		var re *RowError
-		if errors.As(err, &re) && re.Row > 0 {
-			r.row = re.Row
-		}
-		return err
-	}
-	r.row, _ = r.cr.FieldPos(0)
-	p := &parser{rec: rec}
-	decodeSwitch(p, s)
-	if p.err != nil {
-		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: p.err}
-	}
-	return nil
-}
-
-// PlanReader iterates a plan-survey CSV; see UserReader.
-type PlanReader struct {
-	cr   *csv.Reader
-	file string
-	row  int
-}
-
-// NewPlanReader validates the plans header and returns the iterator.
-func NewPlanReader(r io.Reader) (*PlanReader, error) {
-	return NewPlanReaderFile(r, "plans")
-}
-
-// NewPlanReaderFile is NewPlanReader with an explicit file name.
-func NewPlanReaderFile(r io.Reader, file string) (*PlanReader, error) {
-	cr, err := newStreamReader(r, file, planHeader)
-	if err != nil {
-		return nil, err
-	}
-	return &PlanReader{cr: cr, file: file, row: 1}, nil
-}
-
-// Row reports the 1-based line of the record Read last returned.
-func (r *PlanReader) Row() int { return r.row }
-
-// Read parses the next plan into p, returning io.EOF at end of stream.
-func (r *PlanReader) Read(pl *market.Plan) error {
-	rec, err := r.cr.Read()
-	if err != nil {
-		if err == io.EOF {
-			return err
-		}
-		err = wrapReadErr(r.file, err)
-		var re *RowError
-		if errors.As(err, &re) && re.Row > 0 {
-			r.row = re.Row
-		}
-		return err
-	}
-	r.row, _ = r.cr.FieldPos(0)
-	p := &parser{rec: rec}
-	decodePlan(p, pl)
-	if p.err != nil {
-		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: p.err}
-	}
-	return nil
+	return out, nil
 }

@@ -30,7 +30,7 @@ func BenchmarkWriteUsersStream(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		uw, err := NewUserWriter(io.Discard)
+		uw, err := NewWriter[User](io.Discard)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -49,7 +49,7 @@ func BenchmarkWriteUsersParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteUsersParallel(&buf, users, 0); err != nil {
+		if err := WriteAll(&buf, users, 0); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,14 +57,14 @@ func BenchmarkWriteUsersParallel(b *testing.B) {
 
 func BenchmarkReadUsersStream(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, benchUserSet()); err != nil {
+	if err := WriteAll(&buf, benchUserSet(), 1); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ur, err := NewUserReader(bytes.NewReader(raw))
+		ur, err := NewReader[User](bytes.NewReader(raw), "users")
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -91,7 +91,7 @@ func BenchmarkReadUsersStream(b *testing.B) {
 // as the allocation baseline the iterators are measured against.
 func BenchmarkReadUsersBaselineReadAll(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, benchUserSet()); err != nil {
+	if err := WriteAll(&buf, benchUserSet(), 1); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -122,14 +122,14 @@ func BenchmarkReadUsersBaselineReadAll(b *testing.B) {
 // the hood, plus the result slice the caller asked for).
 func BenchmarkReadUsersSlice(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, benchUserSet()); err != nil {
+	if err := WriteAll(&buf, benchUserSet(), 1); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		users, err := ReadUsers(bytes.NewReader(raw))
+		users, err := ReadAll[User](bytes.NewReader(raw), "users")
 		if err != nil {
 			b.Fatal(err)
 		}

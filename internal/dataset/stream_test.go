@@ -34,10 +34,10 @@ func manyUsers(n int) []User {
 func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 	d := sampleDataset()
 	var slice, stream bytes.Buffer
-	if err := WriteUsers(&slice, d.Users); err != nil {
+	if err := WriteAll(&slice, d.Users, 1); err != nil {
 		t.Fatal(err)
 	}
-	uw, err := NewUserWriter(&stream)
+	uw, err := NewWriter[User](&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,10 +52,10 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 
 	slice.Reset()
 	stream.Reset()
-	if err := WriteSwitches(&slice, d.Switches); err != nil {
+	if err := WriteAll(&slice, d.Switches, 1); err != nil {
 		t.Fatal(err)
 	}
-	sw, err := NewSwitchWriter(&stream)
+	sw, err := NewWriter[Switch](&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +70,10 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 
 	slice.Reset()
 	stream.Reset()
-	if err := WritePlans(&slice, d.Plans); err != nil {
+	if err := WriteAll(&slice, d.Plans, 1); err != nil {
 		t.Fatal(err)
 	}
-	pw, err := NewPlanWriter(&stream)
+	pw, err := NewWriter[market.Plan](&stream)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,16 +90,16 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 func TestStreamingReaderMatchesSliceAPI(t *testing.T) {
 	users := manyUsers(137)
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, users); err != nil {
+	if err := WriteAll(&buf, users, 1); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 
-	whole, err := ReadUsers(bytes.NewReader(raw))
+	whole, err := ReadAll[User](bytes.NewReader(raw), "users")
 	if err != nil {
 		t.Fatal(err)
 	}
-	ur, err := NewUserReader(bytes.NewReader(raw))
+	ur, err := NewReader[User](bytes.NewReader(raw), "users")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,12 +131,12 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	users := manyUsers(101)
 	d := sampleDataset()
 	var ref bytes.Buffer
-	if err := WriteUsersParallel(&ref, users, 1); err != nil {
+	if err := WriteAll(&ref, users, 1); err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{2, 3, 7, 16, 101, 333} {
 		var got bytes.Buffer
-		if err := WriteUsersParallel(&got, users, workers); err != nil {
+		if err := WriteAll(&got, users, workers); err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
 		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
@@ -145,11 +145,11 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	}
 
 	var refS bytes.Buffer
-	if err := WriteSwitchesParallel(&refS, d.Switches, 1); err != nil {
+	if err := WriteAll(&refS, d.Switches, 1); err != nil {
 		t.Fatal(err)
 	}
 	var gotS bytes.Buffer
-	if err := WriteSwitchesParallel(&gotS, d.Switches, 4); err != nil {
+	if err := WriteAll(&gotS, d.Switches, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refS.Bytes(), gotS.Bytes()) {
@@ -157,11 +157,11 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	}
 
 	var refP bytes.Buffer
-	if err := WritePlansParallel(&refP, d.Plans, 1); err != nil {
+	if err := WriteAll(&refP, d.Plans, 1); err != nil {
 		t.Fatal(err)
 	}
 	var gotP bytes.Buffer
-	if err := WritePlansParallel(&gotP, d.Plans, 4); err != nil {
+	if err := WriteAll(&gotP, d.Plans, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refP.Bytes(), gotP.Bytes()) {
@@ -209,10 +209,10 @@ func TestQuotedFieldsSurviveStreaming(t *testing.T) {
 	u.ISP = `Comma, "Quote" & Co`
 	u.NetworkKey = "net with space/città"
 	var buf bytes.Buffer
-	if err := WriteUsers(&buf, []User{u}); err != nil {
+	if err := WriteAll(&buf, []User{u}, 1); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadUsers(&buf)
+	back, err := ReadAll[User](&buf, "users")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,10 +244,10 @@ func TestLosslessFloatFields(t *testing.T) {
 		u.AccessPrice = unit.USD(v)
 		u.UpgradeCost = unit.PerMbps(v)
 		var buf bytes.Buffer
-		if err := WriteUsers(&buf, []User{u}); err != nil {
+		if err := WriteAll(&buf, []User{u}, 1); err != nil {
 			t.Fatal(err)
 		}
-		back, err := ReadUsers(&buf)
+		back, err := ReadAll[User](&buf, "users")
 		if err != nil {
 			t.Fatalf("value %g: %v", v, err)
 		}
@@ -263,10 +263,10 @@ func TestLosslessFloatFields(t *testing.T) {
 
 		p := market.Plan{Country: "US", ISP: "X", PriceLocal: v, PriceUSD: unit.USD(v)}
 		buf.Reset()
-		if err := WritePlans(&buf, []market.Plan{p}); err != nil {
+		if err := WriteAll(&buf, []market.Plan{p}, 1); err != nil {
 			t.Fatal(err)
 		}
-		plans, err := ReadPlans(&buf)
+		plans, err := ReadAll[market.Plan](&buf, "plans")
 		if err != nil {
 			t.Fatalf("value %g: %v", v, err)
 		}
@@ -282,21 +282,21 @@ func TestLosslessFloatFields(t *testing.T) {
 func TestScaledFieldsStableAfterOneCycle(t *testing.T) {
 	users := manyUsers(200)
 	var first bytes.Buffer
-	if err := WriteUsers(&first, users); err != nil {
+	if err := WriteAll(&first, users, 1); err != nil {
 		t.Fatal(err)
 	}
-	loaded, err := ReadUsers(bytes.NewReader(first.Bytes()))
+	loaded, err := ReadAll[User](bytes.NewReader(first.Bytes()), "users")
 	if err != nil {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := WriteUsers(&second, loaded); err != nil {
+	if err := WriteAll(&second, loaded, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {
 		t.Error("users CSV not byte-identical after save→load→save")
 	}
-	reloaded, err := ReadUsers(bytes.NewReader(second.Bytes()))
+	reloaded, err := ReadAll[User](bytes.NewReader(second.Bytes()), "users")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +311,7 @@ func TestStreamWriterReportsRowNumber(t *testing.T) {
 	users := manyUsers(50)
 	// The header is ~280 bytes and each user row >80; failing after 600
 	// bytes lands mid-stream, a few data rows in.
-	uw, err := NewUserWriter(&errWriter{n: 600})
+	uw, err := NewWriter[User](&errWriter{n: 600})
 	if err != nil {
 		t.Fatal(err)
 	}

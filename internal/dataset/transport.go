@@ -49,26 +49,18 @@ func openPath(path string) (io.ReadCloser, error) {
 	return &gzipFile{Reader: zr, fp: fp}, nil
 }
 
-// openTable opens dir/base, falling back to dir/base.gz, so a directory
-// written with SaveOptions.Gzip loads with the same call as a plain one.
-func openTable(dir, base string) (io.ReadCloser, error) {
-	rc, _, err := openTablePath(dir, base)
-	return rc, err
-}
-
-// openTablePath is openTable returning the path actually opened, so load
-// errors can name the real file (plain or .gz). On failure the returned
-// path is the plain variant.
-func openTablePath(dir, base string) (io.ReadCloser, string, error) {
+// tablePath resolves table file base under dir: the plain file when it
+// exists, else its .gz variant, so a directory written with
+// SaveOptions.Gzip loads with the same call as a plain one. When neither
+// exists, ok is false and path is the plain name — what SaveDir writes,
+// and what opening it then reports as missing. A stat failure other than
+// absence counts as present, so opening the file surfaces the real error.
+func tablePath(dir, base string) (path string, ok bool) {
 	plain := filepath.Join(dir, base)
-	rc, err := openPath(plain)
-	if err == nil || !errors.Is(err, fs.ErrNotExist) {
-		return rc, plain, err
+	for _, p := range []string{plain, plain + ".gz"} {
+		if _, err := os.Stat(p); !errors.Is(err, fs.ErrNotExist) {
+			return p, true
+		}
 	}
-	gz := plain + ".gz"
-	rc, err = openPath(gz)
-	if err != nil && errors.Is(err, fs.ErrNotExist) {
-		return nil, plain, err
-	}
-	return rc, gz, err
+	return plain, false
 }

@@ -11,8 +11,6 @@ package dataset
 
 import (
 	"fmt"
-	"sync"
-	"sync/atomic"
 
 	"github.com/nwca/broadband/internal/market"
 	"github.com/nwca/broadband/internal/traffic"
@@ -123,6 +121,8 @@ type Switch struct {
 
 // Dataset bundles everything one world generation produces.
 type Dataset struct {
+	// Users is the row form of the users table, derived from the panel by
+	// SetUsers; treat it as read-only.
 	Users    []User
 	Switches []Switch
 	// Plans is the retail-plan survey (all markets).
@@ -131,105 +131,24 @@ type Dataset struct {
 	// keyed by ISO code.
 	Markets map[string]market.MarketSummary
 
-	// panel caches the columnar projection of Users. It is attached at
-	// single-threaded construction points (world build, dataset load) via
-	// Freeze; Panel falls back to building an uncached projection when the
-	// cache is missing or its length no longer matches Users. A plain
-	// pointer, not a sync primitive: Dataset must stay copyable by value,
-	// and the concurrency contract is "freeze before fanning out readers".
-	// Code that mutates Users in place must call ResetPanel.
+	// panel is the users table in columnar form, installed once by
+	// SetUsers. A plain pointer, so Dataset stays copyable by value.
 	panel *Panel
 }
 
-// Freeze builds (or rebuilds) the cached columnar panel from Users and
-// returns it. Call it after constructing or mutating a dataset, before
-// concurrent readers start; it is not itself safe for concurrent use.
-func (d *Dataset) Freeze() *Panel {
-	if d.panel == nil || d.panel.Len() != len(d.Users) {
-		d.panel = BuildPanel(d.Users)
-	}
-	return d.panel
+// SetUsers installs p as the dataset's users table and derives Users from
+// it. Every constructor calls it exactly once — world build, LoadDir, and
+// LoadDirRobust after its post-passes — before the dataset is shared; the
+// panel is never rebuilt afterwards, and p must not change once
+// installed.
+func (d *Dataset) SetUsers(p *Panel) {
+	d.panel = p
+	d.Users = p.Users()
 }
 
-// Panel returns the columnar projection of Users: the cached panel when
-// fresh, otherwise a newly built uncached one. Safe for concurrent readers
-// as long as nobody mutates the dataset underneath them.
-//
-// The uncached fallback is deduplicated per dataset: N callers racing on
-// an unfrozen dataset share one build instead of each paying for a full
-// projection (the duplication the serve fan-out exposed). The flight never
-// writes the cache field — concurrent Panel calls must stay write-free so
-// they cannot race Freeze's single-threaded contract — and the flight
-// entry is dropped as soon as the build lands, so a later mutation can
-// never be served a stale panel.
-func (d *Dataset) Panel() *Panel {
-	if d.panel != nil && d.panel.Len() == len(d.Users) {
-		return d.panel
-	}
-	panelMu.Lock()
-	if c, ok := panelCalls[d]; ok {
-		c.refs++
-		panelMu.Unlock()
-		<-c.done
-		return c.p
-	}
-	c := &panelCall{done: make(chan struct{})}
-	panelCalls[d] = c
-	panelMu.Unlock()
-
-	if panelBuildBarrier != nil {
-		panelBuildBarrier()
-	}
-	panelFallbackBuilds.Add(1)
-	c.p = BuildPanel(d.Users)
-
-	panelMu.Lock()
-	delete(panelCalls, d)
-	panelMu.Unlock()
-	close(c.done)
-	return c.p
-}
-
-// panelCalls deduplicates concurrent uncached Panel builds, keyed by
-// dataset identity. The flight leader removes its entry before signalling
-// done, so entries live only for the duration of one build and the map
-// never pins finished datasets in memory.
-var (
-	panelMu    sync.Mutex
-	panelCalls = make(map[*Dataset]*panelCall)
-)
-
-// panelCall is one in-progress fallback build. The leader closes done
-// after publishing p; refs counts the callers that joined the flight
-// (everyone but the leader).
-type panelCall struct {
-	done chan struct{}
-	p    *Panel
-	refs int
-}
-
-// panelFallbackBuilds counts uncached fallback builds — a test hook
-// pinning the one-build-per-flight contract.
-var panelFallbackBuilds atomic.Int64
-
-// panelBuildBarrier, when non-nil, runs in the flight leader after its
-// flight is registered and before the build starts. Test-only: it lets a
-// test hold a build open until every racing caller has joined the flight,
-// making the one-build assertion deterministic. Nil in production.
-var panelBuildBarrier func()
-
-// ResetPanel drops the cached panel; the next Freeze or Panel rebuilds it.
-func (d *Dataset) ResetPanel() { d.panel = nil }
-
-// AttachPanel installs a pre-built panel as the cache — used by world
-// generation, which builds the columns first and materializes Users from
-// them. A panel whose length does not match Users is ignored (Panel would
-// treat it as stale anyway).
-func (d *Dataset) AttachPanel(p *Panel) {
-	if p != nil && p.Len() == len(d.Users) {
-		d.panel = p
-	}
-}
+// Panel returns the users table in columnar form, as installed by
+// SetUsers (nil before). Safe for concurrent readers.
+func (d *Dataset) Panel() *Panel { return d.panel }
 
 // Validate performs schema-level sanity checks and returns the first
 // violation found. Generation bugs should die here, not three experiments
@@ -237,6 +156,9 @@ func (d *Dataset) AttachPanel(p *Panel) {
 func (d *Dataset) Validate() error {
 	if len(d.Users) == 0 {
 		return fmt.Errorf("dataset: no users")
+	}
+	if d.panel == nil || d.panel.Len() != len(d.Users) {
+		return fmt.Errorf("dataset: %d users but no matching panel (build datasets with SetUsers)", len(d.Users))
 	}
 	seen := make(map[int64]bool, len(d.Users))
 	for i := range d.Users {

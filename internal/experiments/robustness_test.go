@@ -34,7 +34,9 @@ func runAllAgainst(t *testing.T, d *dataset.Dataset, label string) {
 
 func TestRunnersOnEmptyDataset(t *testing.T) {
 	t.Parallel()
-	runAllAgainst(t, &dataset.Dataset{Markets: map[string]market.MarketSummary{}}, "empty")
+	d := &dataset.Dataset{Markets: map[string]market.MarketSummary{}}
+	d.SetUsers(dataset.NewPanel(0))
+	runAllAgainst(t, d, "empty")
 }
 
 func TestRunnersOnSwitchlessDataset(t *testing.T) {

@@ -33,7 +33,6 @@ func testWorld(t *testing.T) *dataset.Dataset {
 			return
 		}
 		worldData = &w.Data
-		worldData.Freeze()
 	})
 	if worldErr != nil {
 		t.Fatalf("build test world: %v", worldErr)
@@ -52,15 +51,15 @@ func worldTables(t *testing.T) (users, switches, plans []byte) {
 	d := testWorld(t)
 	csvOnce.Do(func() {
 		var u, s, p bytes.Buffer
-		if err := dataset.WriteUsers(&u, d.Users); err != nil {
+		if err := dataset.WriteAll(&u, d.Users, 1); err != nil {
 			worldErr = err
 			return
 		}
-		if err := dataset.WriteSwitches(&s, d.Switches); err != nil {
+		if err := dataset.WriteAll(&s, d.Switches, 1); err != nil {
 			worldErr = err
 			return
 		}
-		if err := dataset.WritePlans(&p, d.Plans); err != nil {
+		if err := dataset.WriteAll(&p, d.Plans, 1); err != nil {
 			worldErr = err
 			return
 		}

@@ -15,8 +15,8 @@ import (
 	"github.com/nwca/broadband/internal/fsx"
 )
 
-// Entry is one stored dataset: the frozen in-memory panel plus the
-// quarantine report its upload produced. Entries are immutable once
+// Entry is one stored dataset, loaded with its panel, plus the quarantine
+// report its upload produced. Entries are immutable once
 // stored — a re-upload under the same name replaces the entry wholesale —
 // so concurrent readers never need a lock past the store lookup.
 type Entry struct {
@@ -60,13 +60,13 @@ func (e *Entry) info() Info {
 // the artifact cache serve byte-identical results across re-uploads.
 func HashDataset(d *dataset.Dataset) (string, error) {
 	h := sha256.New()
-	if err := dataset.WriteUsers(h, d.Users); err != nil {
+	if err := dataset.WriteAll(h, d.Users, 1); err != nil {
 		return "", err
 	}
-	if err := dataset.WriteSwitches(h, d.Switches); err != nil {
+	if err := dataset.WriteAll(h, d.Switches, 1); err != nil {
 		return "", err
 	}
-	if err := dataset.WritePlans(h, d.Plans); err != nil {
+	if err := dataset.WriteAll(h, d.Plans, 1); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil
@@ -77,8 +77,8 @@ func HashDataset(d *dataset.Dataset) (string, error) {
 // query handlers Get the same names.
 type Store interface {
 	// Put stores a dataset under name, replacing any previous entry, and
-	// returns its content hash. The dataset must already be validated and
-	// frozen; the store takes ownership.
+	// returns its content hash. The dataset must come from a loader (which
+	// validates it and builds its panel); the store takes ownership.
 	Put(name string, d *dataset.Dataset, rep *dataset.QuarantineReport) (string, error)
 	// Get returns the current entry for name.
 	Get(name string) (*Entry, bool)

@@ -110,7 +110,7 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 	err = par.ForNCtx(ctx, par.Workers(cfg.Workers), spec.Shards, func(s int) error {
 		lo, hi := s*lay.total/spec.Shards, (s+1)*lay.total/spec.Shards
 		skipped[s] = make(map[string]int)
-		path, err := dataset.WriteUserShardCtx(ctx, spec.Dir, s, spec.Shards, spec.Gzip, func(uw *dataset.UserWriter) error {
+		path, err := dataset.WriteUserShardCtx(ctx, spec.Dir, s, spec.Shards, spec.Gzip, func(uw *dataset.Writer[dataset.User]) error {
 			for i := lo; i < hi; i++ {
 				if err := ctx.Err(); err != nil {
 					return err
@@ -163,10 +163,10 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 		return nil, err
 	}
 	opts := dataset.SaveOptions{Gzip: spec.Gzip, Workers: cfg.Workers}
-	if err := dataset.WriteSwitchesFileCtx(ctx, spec.Dir, opts, w.Data.Switches); err != nil {
+	if err := dataset.SaveTableCtx(ctx, spec.Dir, opts, w.Data.Switches); err != nil {
 		return nil, err
 	}
-	if err := dataset.WritePlansFileCtx(ctx, spec.Dir, opts, w.Data.Plans); err != nil {
+	if err := dataset.SaveTableCtx(ctx, spec.Dir, opts, w.Data.Plans); err != nil {
 		return nil, err
 	}
 	return &ShardReport{

@@ -34,7 +34,7 @@ func TestBuildShardedMatchesMonolithic(t *testing.T) {
 		t.Fatal(err)
 	}
 	var monoCSV bytes.Buffer
-	if err := dataset.WriteUsers(&monoCSV, mono.Data.Users); err != nil {
+	if err := dataset.WriteAll(&monoCSV, mono.Data.Users, 1); err != nil {
 		t.Fatal(err)
 	}
 

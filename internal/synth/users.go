@@ -177,9 +177,8 @@ func (g *generator) populate() error {
 		return err
 	}
 	// Merge sequentially into the columnar panel (dictionary interning is
-	// order-sensitive and single-threaded); the row-form Users the CSV
-	// contract requires are materialized from the columns, so both forms
-	// exist and agree by construction.
+	// order-sensitive and single-threaded); SetUsers installs it as the
+	// users table and derives the row form from it.
 	g.world.Skipped = make(map[string]int)
 	panel := dataset.NewPanel(lay.total)
 	for i := range results {
@@ -190,8 +189,7 @@ func (g *generator) populate() error {
 		panel.Append(results[i].user)
 		g.world.Truth[results[i].user.ID] = results[i].truth
 	}
-	g.world.Data.Users = panel.Users()
-	g.world.Data.AttachPanel(panel)
+	g.world.Data.SetUsers(panel)
 	return nil
 }
 

@@ -2,8 +2,10 @@ package broadband_test
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	broadband "github.com/nwca/broadband"
@@ -99,5 +101,35 @@ func TestGzipDatasetPreservesAnalyses(t *testing.T) {
 	}
 	if orig.Render() != back.Render() {
 		t.Error("Table 1 differs after gzip round trip")
+	}
+}
+
+// TestLoadDatasetRobustReadsShardedWorld: the robust loader discovers the
+// user table the way LoadDataset does (the monolithic file, otherwise the
+// shard set), so a world written out-of-core loads robustly with exactly
+// the strict loader's rows and nothing quarantined.
+func TestLoadDatasetRobustReadsShardedWorld(t *testing.T) {
+	dir := t.TempDir()
+	cfg := broadband.WorldConfig{Seed: 4, Users: 700, FCCUsers: 120, Days: 1, SwitchTarget: 60, MinPerCountry: 10}
+	if _, err := broadband.BuildWorldSharded(context.Background(), cfg, broadband.ShardSpec{Dir: dir, Shards: 3}); err != nil {
+		t.Fatal(err)
+	}
+	strict, err := broadband.LoadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	robust, rep, err := broadband.LoadDatasetRobust(dir, broadband.QuarantineOptions{})
+	if err != nil {
+		t.Fatalf("robust load of a sharded world: %v", err)
+	}
+	if len(rep.Diags) != 0 || rep.RowsKept != rep.RowsRead {
+		t.Fatalf("clean sharded world quarantined rows:\n%s", rep.Render())
+	}
+	if want := len(strict.Users) + len(strict.Switches) + len(strict.Plans); rep.RowsRead != want {
+		t.Errorf("report read %d rows, want %d", rep.RowsRead, want)
+	}
+	if !reflect.DeepEqual(strict.Users, robust.Users) || !reflect.DeepEqual(strict.Switches, robust.Switches) ||
+		!reflect.DeepEqual(strict.Plans, robust.Plans) {
+		t.Fatal("robust load of a sharded world differs from LoadDataset")
 	}
 }
