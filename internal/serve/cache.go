@@ -2,16 +2,20 @@ package serve
 
 import "sync"
 
-// resultCache memoizes serialized artifact results keyed on (dataset
-// content hash, artifact ID, seed). Because the key is the content hash —
-// not the dataset name — concurrent identical queries are byte-identical
-// by construction: whichever request wins the per-entry once serializes
-// the report, and every other request serves the exact same bytes. A
+// resultCache memoizes one rendered artifact per (dataset content hash,
+// artifact ID, seed). Because the key is the content hash — not the
+// dataset name — concurrent identical queries are byte-identical by
+// construction: whichever request wins the per-entry once computes the
+// result, and every other request serves the exact same bytes. A
 // re-upload that changes the data changes the hash, so stale results are
 // unreachable rather than invalidated.
 type resultCache struct {
 	mu sync.Mutex
 	m  map[resultKey]*resultEntry
+
+	// Counters, guarded by mu: computations run, entries evicted to stay
+	// within maxCacheBytes, and bytes held by completed entries.
+	computes, evictions, bytes int64
 }
 
 type resultKey struct {
@@ -20,47 +24,86 @@ type resultKey struct {
 	seed     uint64
 }
 
-type resultEntry struct {
-	once sync.Once
-	data []byte
-	err  error
+// artifactResult is everything a response needs from one artifact run:
+// the canonical golden.Marshal bytes artifact GETs serve, and the
+// report's own title and rendered text /reports assembles.
+type artifactResult struct {
+	data  []byte
+	title string
+	text  string
 }
 
-// maxCacheEntries bounds the cache; seeds are caller-chosen, so the key
-// space is unbounded. Eviction is arbitrary (map order) — the cache is a
-// dedup layer, not an LRU; recomputing an evicted entry is just work.
-const maxCacheEntries = 4096
+// size is what an entry is charged against maxCacheBytes.
+func (r artifactResult) size() int64 { return int64(len(r.data) + len(r.title) + len(r.text)) }
+
+type resultEntry struct {
+	once sync.Once
+	res  artifactResult
+	err  error
+	// charged is the entry's resident size once it completed and was
+	// retained; zero while it is in flight. Guarded by the cache's mu.
+	charged int64
+}
+
+// maxCacheBytes bounds the bytes the cache retains; seeds are
+// caller-chosen, so the key space is unbounded. Eviction is arbitrary
+// (map order) — the cache is a dedup layer, not an LRU; recomputing an
+// evicted entry is just work. The query workload's whole working set
+// (≈800 entries of ≈7 KB) fits with room to spare.
+const maxCacheBytes = 64 << 20
 
 func newResultCache() *resultCache {
 	return &resultCache{m: make(map[resultKey]*resultEntry)}
 }
 
-// get returns the cached bytes for k, computing them at most once per
-// entry however many requests race. Failed computations are not cached:
-// an error entry is removed so the next request retries (a context
-// deadline from one slow request must not poison the key forever).
-func (c *resultCache) get(k resultKey, compute func() ([]byte, error)) ([]byte, error) {
+// get returns the cached result for k, computing it at most once per
+// entry however many requests race. compute takes no request context, so
+// a leader that gives up cannot fail its joiners, and a computation that
+// was started always finishes into the cache. Failed computations are
+// not cached: the entry is removed so the next request retries.
+func (c *resultCache) get(k resultKey, compute func() (artifactResult, error)) (artifactResult, error) {
 	c.mu.Lock()
 	e, ok := c.m[k]
 	if !ok {
-		if len(c.m) >= maxCacheEntries {
-			for victim := range c.m {
-				delete(c.m, victim)
-				break
-			}
-		}
 		e = &resultEntry{}
 		c.m[k] = e
 	}
 	c.mu.Unlock()
 
-	e.once.Do(func() { e.data, e.err = compute() })
-	if e.err != nil {
+	e.once.Do(func() {
+		e.res, e.err = compute()
 		c.mu.Lock()
-		if c.m[k] == e {
+		defer c.mu.Unlock()
+		c.computes++
+		switch size := e.res.size(); {
+		case e.err != nil:
 			delete(c.m, k)
+		case size > maxCacheBytes:
+			// Served to the requests already holding e, never retained.
+			delete(c.m, k)
+			c.evictions++
+		default:
+			e.charged = size
+			c.bytes += size
+			c.evictLocked(e)
 		}
-		c.mu.Unlock()
+	})
+	return e.res, e.err
+}
+
+// evictLocked drops completed entries other than keep until the resident
+// bytes fit the budget. In-flight entries hold no charged bytes and are
+// never dropped, so their joiners still find them. c.mu must be held.
+func (c *resultCache) evictLocked(keep *resultEntry) {
+	for k, e := range c.m {
+		if c.bytes <= maxCacheBytes {
+			return
+		}
+		if e == keep || e.charged == 0 {
+			continue
+		}
+		delete(c.m, k)
+		c.bytes -= e.charged
+		c.evictions++
 	}
-	return e.data, e.err
 }

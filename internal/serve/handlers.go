@@ -17,6 +17,7 @@ import (
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/golden"
+	"github.com/nwca/broadband/internal/par"
 	"github.com/nwca/broadband/internal/scenario"
 	"github.com/nwca/broadband/internal/synth"
 )
@@ -194,11 +195,13 @@ func (s *Server) handleUpload(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusInternalServerError, "store: %v", err)
 		return
 	}
-	e, _ := s.store.Get(name)
+	// The reply describes what was stored, not what a Get finds now: a
+	// DELETE may already have raced in behind the Put.
+	stored := &Entry{Name: name, Hash: hash, Dataset: d, Quarantine: rep}
 	writeJSON(w, http.StatusCreated, struct {
 		Info
 		Quarantine *dataset.QuarantineReport `json:"quarantine,omitempty"`
-	}{e.info(), rep})
+	}{stored.info(), rep})
 	s.logf("stored dataset %s@%s: %d users, %d rows quarantined", name, hash[:12], len(d.Users), len(rep.Diags))
 }
 
@@ -285,13 +288,7 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
-	body, err := s.cache.get(resultKey{hash: e.Hash, artifact: entry.ID, seed: seed}, func() ([]byte, error) {
-		rep, err := broadband.Run(entry.ID, e.Dataset, seed)
-		if err != nil {
-			return nil, err
-		}
-		return golden.Marshal(rep)
-	})
+	res, err := s.artifact(e, entry, seed)
 	if err != nil {
 		writeErr(w, http.StatusInternalServerError, "%s: %v", entry.ID, err)
 		return
@@ -299,7 +296,22 @@ func (s *Server) handleArtifact(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	w.Header().Set("X-Dataset-Hash", e.Hash)
 	w.Header().Set("X-Artifact-Id", entry.ID)
-	w.Write(body)
+	w.Write(res.data)
+}
+
+// artifact returns one registry artifact of a stored dataset at seed from
+// the result cache, running it on a miss. It is the only place the server
+// computes an artifact, whether a GET asks for it alone or /reports as
+// part of the whole registry.
+func (s *Server) artifact(e *Entry, entry broadband.ReportEntry, seed uint64) (artifactResult, error) {
+	return s.cache.get(resultKey{hash: e.Hash, artifact: entry.ID, seed: seed}, func() (artifactResult, error) {
+		rep, err := broadband.Run(entry.ID, e.Dataset, seed)
+		if err != nil {
+			return artifactResult{}, err
+		}
+		data, err := golden.Marshal(rep)
+		return artifactResult{data: data, title: rep.Title(), text: rep.Render()}, err
+	})
 }
 
 // renderedReport is one entry of the full-registry report response.
@@ -310,8 +322,11 @@ type renderedReport struct {
 }
 
 // handleReports — GET /v1/datasets/{name}/reports?seed=N: every registry
-// artifact rendered, through RunAllCtx so the request deadline cuts the
-// fan-out short instead of letting an abandoned request run to completion.
+// artifact rendered, assembled from the per-artifact result cache. The
+// fan-out keeps RunAll's contract: every dispatched artifact runs and the
+// lowest-indexed failure is reported, but once the request deadline
+// passes no new artifact is dispatched. Those already running finish into
+// the cache, so a patient retry reuses them.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	name, ok := datasetName(w, r)
 	if !ok {
@@ -326,23 +341,35 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusNotFound, "no dataset %q", name)
 		return
 	}
-	reports, err := broadband.RunAllCtx(r.Context(), e.Dataset, seed)
-	if err != nil {
-		switch {
-		case errors.Is(err, context.DeadlineExceeded):
-			writeErr(w, http.StatusGatewayTimeout, "reports: deadline exceeded after %d of %d artifacts", len(reports), len(broadband.Experiments()))
-		case errors.Is(err, context.Canceled):
-			// Client gone; nobody reads this.
-		default:
-			writeErr(w, http.StatusInternalServerError, "reports: %v", err)
+	reg := broadband.Experiments()
+	results := make([]artifactResult, len(reg))
+	errs := make([]error, len(reg))
+	// fn never fails: errors are collected so every dispatched entry runs.
+	ctxErr := par.ForNCtx(r.Context(), par.Workers(0), len(reg), func(i int) error {
+		results[i], errs[i] = s.artifact(e, reg[i], seed)
+		return nil
+	})
+	out := make([]renderedReport, 0, len(reg))
+	for i, entry := range reg {
+		if results[i].data == nil && errs[i] == nil {
+			// Never dispatched: the context was cut first. Report the
+			// contiguous prefix that completed.
+			break
 		}
-		return
+		if errs[i] != nil {
+			writeErr(w, http.StatusInternalServerError, "reports: broadband: %s: %v", entry.ID, errs[i])
+			return
+		}
+		out = append(out, renderedReport{ID: entry.ID, Title: results[i].title, Text: results[i].text})
 	}
-	out := make([]renderedReport, len(reports))
-	for i, rep := range reports {
-		out[i] = renderedReport{ID: rep.ID(), Title: rep.Title(), Text: rep.Render()}
+	switch {
+	case ctxErr == nil:
+		writeJSON(w, http.StatusOK, out)
+	case errors.Is(ctxErr, context.DeadlineExceeded):
+		writeErr(w, http.StatusGatewayTimeout, "reports: deadline exceeded after %d of %d artifacts", len(out), len(reg))
+	case errors.Is(ctxErr, context.Canceled):
+		// Client gone; nobody reads this.
 	}
-	writeJSON(w, http.StatusOK, out)
 }
 
 // scenarioRequest is the POST /v1/scenarios body.

@@ -67,8 +67,8 @@ func (s *Server) withAdmission(next http.Handler) http.Handler {
 	})
 }
 
-// withTimeout deadlines the request: the context (which RunAllCtx and
-// scenario.Run observe) and the body (which upload copies read through a
+// withTimeout deadlines the request: the context (which the /reports
+// fan-out and scenario.Run observe) and the body (which upload copies read through a
 // context-checking wrapper, so a dribbling client fails the read instead
 // of holding a slot forever).
 func (s *Server) withTimeout(next http.Handler) http.Handler {

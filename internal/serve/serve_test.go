@@ -4,18 +4,23 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
 	"runtime"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/chaos"
 	"github.com/nwca/broadband/internal/dataset"
+	"github.com/nwca/broadband/internal/golden"
 	"github.com/nwca/broadband/internal/scenario"
+	"github.com/nwca/broadband/internal/synth"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
@@ -145,6 +150,29 @@ func TestUploadQueryLifecycle(t *testing.T) {
 	gr.Body.Close()
 	if gr.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted dataset still served: %d", gr.StatusCode)
+	}
+}
+
+// forgetfulStore loses every dataset between Put and Get, as a DELETE
+// racing in behind an upload would.
+type forgetfulStore struct{ *MemStore }
+
+func (forgetfulStore) Get(string) (*Entry, bool) { return nil, false }
+
+func TestUploadRepliesWithoutRereadingStore(t *testing.T) {
+	_, ts := newTestServer(t, Config{Store: forgetfulStore{NewMemStore()}})
+	body, ctype := cleanUploadBody(t)
+	resp := postUpload(t, ts.URL, "panel", body, ctype)
+	b, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("upload status %d: %s", resp.StatusCode, b)
+	}
+	var created Info
+	if err := json.Unmarshal(b, &created); err != nil {
+		t.Fatal(err)
+	}
+	if created.Name != "panel" || created.Hash == "" || created.Users != len(testWorld(t).Users) {
+		t.Fatalf("created = %+v", created)
 	}
 }
 
@@ -375,35 +403,172 @@ func TestDrainShedsAndCompletes(t *testing.T) {
 	}
 }
 
-func TestReportsEndpointRunsRegistry(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full registry fan-out")
+// reportsReference renders /reports from RunAll, independently of the
+// server's cache and its response types.
+func reportsReference(t *testing.T, d *dataset.Dataset, seed uint64) []byte {
+	t.Helper()
+	reports, err := broadband.RunAll(d, seed)
+	if err != nil {
+		t.Fatalf("RunAll seed %d: %v", seed, err)
 	}
-	_, ts := newTestServer(t, Config{})
-	body, ctype := cleanUploadBody(t)
-	if resp := postUpload(t, ts.URL, "panel", body, ctype); resp.StatusCode != http.StatusCreated {
-		t.Fatalf("upload status %d", resp.StatusCode)
+	type rendered struct {
+		ID    string `json:"id"`
+		Title string `json:"title"`
+		Text  string `json:"text"`
 	}
-	r, err := http.Get(ts.URL + "/v1/datasets/panel/reports?seed=1")
+	out := make([]rendered, len(reports))
+	for i, rep := range reports {
+		out[i] = rendered{rep.ID(), rep.Title(), rep.Render()}
+	}
+	b, err := json.Marshal(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return append(b, '\n')
+}
+
+// getBody GETs path and returns the status and body.
+func getBody(t *testing.T, url string) (int, []byte) {
+	t.Helper()
+	r, err := http.Get(url)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Body.Close()
-	if r.StatusCode != http.StatusOK {
-		b, _ := io.ReadAll(r.Body)
-		t.Fatalf("reports status %d: %s", r.StatusCode, b)
-	}
-	var out []renderedReport
-	if err := json.NewDecoder(r.Body).Decode(&out); err != nil {
+	b, err := io.ReadAll(r.Body)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if len(out) != 20 {
-		t.Fatalf("%d reports, want 20", len(out))
+	return r.StatusCode, b
+}
+
+// getOK GETs path and fails the test unless it answers 200.
+func getOK(t *testing.T, url string) []byte {
+	t.Helper()
+	code, b := getBody(t, url)
+	if code != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", url, code, b)
 	}
-	for _, rep := range out {
-		if rep.Text == "" {
-			t.Fatalf("artifact %s rendered empty", rep.ID)
+	return b
+}
+
+func TestReportsAssembledFromArtifactCache(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry fan-out")
+	}
+	s, ts := newTestServer(t, Config{})
+	d := testWorld(t)
+	if _, err := s.store.Put("panel", d, nil); err != nil {
+		t.Fatal(err)
+	}
+	reg := broadband.Experiments()
+	artifactURL := func(id string, seed int) string {
+		return fmt.Sprintf("%s/v1/datasets/panel/artifacts/%s?seed=%d", ts.URL, golden.Slug(id), seed)
+	}
+	wantComputes := func(step string, want int64) {
+		t.Helper()
+		if got, _, _ := s.cache.counters(); got != want {
+			t.Fatalf("%s: %d computes in total, want %d", step, got, want)
 		}
+	}
+
+	for _, e := range reg {
+		getOK(t, artifactURL(e.ID, 1))
+	}
+	wantComputes("warm seed 1", 20)
+	if got := getOK(t, ts.URL+"/v1/datasets/panel/reports?seed=1"); !bytes.Equal(got, reportsReference(t, d, 1)) {
+		t.Fatal("/reports?seed=1 differs from RunAll rendered in process")
+	}
+	wantComputes("/reports on a warm seed", 20)
+
+	if got := getOK(t, ts.URL+"/v1/datasets/panel/reports?seed=3"); !bytes.Equal(got, reportsReference(t, d, 3)) {
+		t.Fatal("/reports?seed=3 differs from RunAll rendered in process")
+	}
+	wantComputes("/reports on a cold seed", 40)
+	for _, e := range reg {
+		rep, err := broadband.Run(e.ID, d, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := golden.Marshal(rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := getOK(t, artifactURL(e.ID, 3)); !bytes.Equal(got, want) {
+			t.Fatalf("%s at seed 3 differs from golden.Marshal(broadband.Run(...))", e.ID)
+		}
+	}
+	wantComputes("artifact GETs after /reports", 40)
+}
+
+// A /reports cut by its deadline answers 504 with the completed prefix,
+// yet every artifact it dispatched finishes into the cache: a client that
+// retries with patience is served from them, and no artifact is computed
+// twice.
+func TestReportsDeadlineKeepsDispatchedWork(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full registry fan-out")
+	}
+	// A cold /reports on the test world takes ≈17 ms on two cores.
+	s, ts := newTestServer(t, Config{RequestTimeout: time.Millisecond})
+	d := testWorld(t)
+	if _, err := s.store.Put("panel", d, nil); err != nil {
+		t.Fatal(err)
+	}
+	url := ts.URL + "/v1/datasets/panel/reports?seed=5"
+	cut := regexp.MustCompile(`^\{"error":"reports: deadline exceeded after ([0-9]+) of 20 artifacts"\}\n$`)
+
+	code, body := getBody(t, url)
+	if code != http.StatusGatewayTimeout || !cut.Match(body) {
+		t.Fatalf("cold /reports under a 1ms deadline = %d %s, want 504 after k of 20", code, body)
+	}
+	s.cache.mu.Lock()
+	for k, e := range s.cache.m {
+		if e.charged == 0 {
+			t.Errorf("entry %v left in the cache without a result", k)
+		}
+	}
+	s.cache.mu.Unlock()
+
+	for tries := 1; code != http.StatusOK; tries++ {
+		if tries == 1000 {
+			t.Fatalf("no /reports succeeded in %d tries; last %d %s", tries, code, body)
+		}
+		if code, body = getBody(t, url); code != http.StatusOK && !cut.Match(body) {
+			t.Fatalf("retry = %d %s", code, body)
+		}
+	}
+	if !bytes.Equal(body, reportsReference(t, d, 5)) {
+		t.Fatal("/reports after retries differs from RunAll rendered in process")
+	}
+	if computes, _, _ := s.cache.counters(); computes != 20 || len(s.cache.m) != 20 {
+		t.Fatalf("%d computes, %d entries across the retries; want 20 and 20", computes, len(s.cache.m))
+	}
+}
+
+// On a world too small for Table 3, /reports answers RunAll's own error:
+// the lowest-indexed failure, and no failed artifact stays cached.
+func TestReportsFailureMatchesRunAll(t *testing.T) {
+	w, err := synth.Build(synth.Config{Seed: 20140705, Users: 200, FCCUsers: 50, Days: 1, SwitchTarget: 40, MinPerCountry: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, runErr := broadband.RunAll(&w.Data, 1)
+	if runErr == nil {
+		t.Fatal("RunAll succeeded on a 200-user world; the test needs a failing artifact")
+	}
+	s, ts := newTestServer(t, Config{})
+	if _, err := s.store.Put("small", &w.Data, nil); err != nil {
+		t.Fatal(err)
+	}
+	code, body := getBody(t, ts.URL+"/v1/datasets/small/reports?seed=1")
+	want, _ := json.Marshal(map[string]string{"error": "reports: " + runErr.Error()})
+	if code != http.StatusInternalServerError || !bytes.Equal(body, append(want, '\n')) {
+		t.Fatalf("/reports = %d %s, want 500 %s", code, body, want)
+	}
+	computes, _, _ := s.cache.counters()
+	if n := len(s.cache.m); computes != 20 || n >= 20 {
+		t.Fatalf("%d computes, %d entries cached; want 20 computes and the failures dropped", computes, n)
 	}
 }
 
