@@ -30,8 +30,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"testing"
 	"time"
@@ -39,24 +41,40 @@ import (
 	"github.com/nwca/broadband/internal/bench"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bbbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	// Register the testing flags (-test.benchtime et al.) so bbbench can
-	// forward its -benchtime to testing.Benchmark.
+	// forward its -benchtime to testing.Benchmark; they stay settable from
+	// the command line too.
 	testing.Init()
+	flag.CommandLine.VisitAll(func(f *flag.Flag) { fs.Var(f.Value, f.Name, f.Usage) })
+	fail := func(err error) int {
+		fmt.Fprintf(stderr, "bbbench: %v\n", err)
+		return 2
+	}
 	var (
-		out       = flag.String("out", "", "trajectory file to write; never overwritten (default: the next free BENCH_<n>.json)")
-		set       = flag.String("set", "full", "benchmark set: full or smoke")
-		benchtime = flag.String("benchtime", "1s", "per-benchmark target time (or Nx iteration count)")
-		baseline  = flag.String("baseline", "", "prior trajectory to compare against (or \"auto\" for the newest BENCH_<n>.json); regressions exit nonzero")
-		tolerance = flag.Float64("tolerance", 0.20, "allowed relative slowdown vs -baseline (0.20 = 20%)")
-		only      = flag.String("only", "", "run a single spec by name")
-		list      = flag.Bool("list", false, "list specs and exit")
+		out       = fs.String("out", "", "trajectory file to write; never overwritten (default: the next free BENCH_<n>.json)")
+		set       = fs.String("set", "full", "benchmark set: full or smoke")
+		benchtime = fs.String("benchtime", "1s", "per-benchmark target time (or Nx iteration count)")
+		baseline  = fs.String("baseline", "", "prior trajectory to compare against (or \"auto\" for the newest BENCH_<n>.json); regressions exit nonzero")
+		tolerance = fs.Float64("tolerance", 0.20, "allowed relative slowdown vs -baseline (0.20 = 20%)")
+		only      = fs.String("only", "", "run a single spec by name")
+		list      = fs.Bool("list", false, "list specs and exit")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	specs, err := bench.Select(*set)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if *list {
 		for _, s := range specs {
@@ -64,9 +82,9 @@ func main() {
 			if s.Smoke {
 				tag = "  (smoke)"
 			}
-			fmt.Printf("%-22s%s\n", s.Name, tag)
+			fmt.Fprintf(stdout, "%-22s%s\n", s.Name, tag)
 		}
-		return
+		return 0
 	}
 	if *only != "" {
 		found := false
@@ -78,11 +96,11 @@ func main() {
 			}
 		}
 		if !found {
-			fail(fmt.Errorf("no spec named %q in set %q", *only, *set))
+			return fail(fmt.Errorf("no spec named %q in set %q", *only, *set))
 		}
 	}
 	if err := flag.Set("test.benchtime", *benchtime); err != nil {
-		fail(fmt.Errorf("bad -benchtime: %w", err))
+		return fail(fmt.Errorf("bad -benchtime: %w", err))
 	}
 	// Resolve the baseline before anything is written: -out may itself be a
 	// BENCH_<n>.json, and "auto" must never pick the file this run creates.
@@ -91,64 +109,64 @@ func main() {
 		var err error
 		baselinePath, err = bench.LatestBaseline(".")
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		if baselinePath == "" {
-			fmt.Fprintln(os.Stderr, "bbbench: no BENCH_<n>.json baseline found; recording without gating")
+			fmt.Fprintln(stderr, "bbbench: no BENCH_<n>.json baseline found; recording without gating")
 		} else {
-			fmt.Fprintf(os.Stderr, "bbbench: gating against %s\n", baselinePath)
+			fmt.Fprintf(stderr, "bbbench: gating against %s\n", baselinePath)
 		}
 	}
 
 	if *out == "" {
 		if *out, err = bench.NextBaseline("."); err != nil {
-			fail(err)
+			return fail(err)
 		}
 	}
 	if _, err := os.Stat(*out); err == nil {
-		fail(fmt.Errorf("%s already exists; pick another -out", *out))
+		return fail(fmt.Errorf("%s already exists; pick another -out", *out))
 	}
 
 	traj := bench.NewTrajectory(time.Now())
 	for _, s := range specs {
-		fmt.Fprintf(os.Stderr, "bbbench: %s...\n", s.Name)
+		fmt.Fprintf(stderr, "bbbench: %s...\n", s.Name)
 		r, err := bench.Measure(s)
 		if err != nil {
-			fail(err)
+			return fail(err)
 		}
 		line := fmt.Sprintf("%-22s %10d iters %14.1f ns/op %9d allocs/op %12d B/op",
 			r.Name, r.Iters, r.NsPerOp, r.AllocsPerOp, r.BytesPerOp)
 		if r.MBPerS > 0 {
 			line += fmt.Sprintf(" %10.1f MB/s", r.MBPerS)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 		traj.Benchmarks = append(traj.Benchmarks, r)
 	}
 
 	if err := traj.WriteNew(*out); err != nil {
-		fail(err)
+		return fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "bbbench: wrote %s (%d benchmarks)\n", *out, len(traj.Benchmarks))
+	fmt.Fprintf(stderr, "bbbench: wrote %s (%d benchmarks)\n", *out, len(traj.Benchmarks))
 
 	if baselinePath == "" {
-		return
+		return 0
 	}
 	bf, err := os.Open(baselinePath)
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	base, err := bench.ReadTrajectory(bf)
 	bf.Close()
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	if base.OS != traj.OS || base.Arch != traj.Arch {
-		fmt.Fprintf(os.Stderr, "bbbench: warning: baseline host %s/%s differs from this host %s/%s; ns/op comparison is unreliable\n",
+		fmt.Fprintf(stderr, "bbbench: warning: baseline host %s/%s differs from this host %s/%s; ns/op comparison is unreliable\n",
 			base.OS, base.Arch, traj.OS, traj.Arch)
 	}
 	deltas, missing, err := bench.CompareGated(traj, base, *tolerance, bench.AllocGate(specs))
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	// A baseline entry missing from the current run is a warning when some
 	// other set still defines the spec (a smoke run against a full-set
@@ -156,7 +174,7 @@ func main() {
 	// deleted spec must retire its baseline entry explicitly, not silently.
 	universe, err := bench.Select("full")
 	if err != nil {
-		fail(err)
+		return fail(err)
 	}
 	unknown := make(map[string]bool)
 	for _, name := range bench.MissingUnknown(missing, universe) {
@@ -164,9 +182,9 @@ func main() {
 	}
 	for _, name := range missing {
 		if unknown[name] {
-			fmt.Fprintf(os.Stderr, "bbbench: baseline benchmark %q matches no current spec (renamed or dropped?)\n", name)
+			fmt.Fprintf(stderr, "bbbench: baseline benchmark %q matches no current spec (renamed or dropped?)\n", name)
 		} else {
-			fmt.Fprintf(os.Stderr, "bbbench: warning: baseline benchmark %q not in this run (still defined in the full set)\n", name)
+			fmt.Fprintf(stderr, "bbbench: warning: baseline benchmark %q not in this run (still defined in the full set)\n", name)
 		}
 	}
 	for _, d := range deltas {
@@ -184,26 +202,22 @@ func main() {
 			line += fmt.Sprintf("  | %d -> %d allocs/op (%.2fx) %s",
 				d.BaseAllocs, d.CurAllocs, d.AllocRatio, allocVerdict)
 		}
-		fmt.Println(line)
+		fmt.Fprintln(stdout, line)
 	}
 	failed := false
 	if reg := bench.Regressions(deltas); len(reg) > 0 {
-		fmt.Fprintf(os.Stderr, "bbbench: %d of %d benchmarks regressed beyond %.0f%% of %s\n",
+		fmt.Fprintf(stderr, "bbbench: %d of %d benchmarks regressed beyond %.0f%% of %s\n",
 			len(reg), len(deltas), *tolerance*100, baselinePath)
 		failed = true
 	}
 	if len(unknown) > 0 {
-		fmt.Fprintf(os.Stderr, "bbbench: %d baseline benchmark(s) match no current spec; rename them in %s or record a new baseline\n",
+		fmt.Fprintf(stderr, "bbbench: %d baseline benchmark(s) match no current spec; rename them in %s or record a new baseline\n",
 			len(unknown), baselinePath)
 		failed = true
 	}
 	if failed {
-		os.Exit(1)
+		return 1
 	}
-	fmt.Fprintf(os.Stderr, "bbbench: no regressions vs %s (tolerance %.0f%%)\n", baselinePath, *tolerance*100)
-}
-
-func fail(err error) {
-	fmt.Fprintf(os.Stderr, "bbbench: %v\n", err)
-	os.Exit(2)
+	fmt.Fprintf(stderr, "bbbench: no regressions vs %s (tolerance %.0f%%)\n", baselinePath, *tolerance*100)
+	return 0
 }

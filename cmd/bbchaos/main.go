@@ -47,26 +47,32 @@ type report struct {
 	Violations map[string][]string         `json:"violations,omitempty"`
 }
 
-func main() { os.Exit(run()) }
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
 // run is the whole command; it returns the exit status rather than
 // exiting, so the deferred removal of the throwaway work directory runs
 // on every path.
-func run() int {
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bbchaos", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		chaosSeed = flag.Uint64("chaos-seed", 1, "chaos seed (the fault pattern is a pure function of it)")
-		rate      = flag.Float64("rate", 0.01, "per-row fault probability")
-		truncate  = flag.Float64("truncate", 0, "per-table shard-truncation probability")
-		corrupt   = flag.Float64("corrupt", 0, "per-table gzip-corruption probability (gzip datasets)")
-		dataDir   = flag.String("data", "", "perturb a copy of this dataset directory instead of generating a world")
-		seed      = flag.Uint64("seed", cli.CanonicalWorld.Seed, "world seed when generating; also the experiments' seed")
-		worldCfg  = cli.WorldFlags(flag.CommandLine, broadband.WorldConfig{Users: 2000, FCCUsers: 500, Days: 2, SwitchTarget: 400, MinPerCountry: 10})
-		badFrac   = flag.Float64("max-bad-frac", 0, "quarantine error budget as a bad-row fraction (0 = the default 5%)")
-		manifest  = flag.String("manifest", "testdata/assertions.json", "assertion manifest (empty to skip the scorecard)")
-		reportTo  = flag.String("report", "", "write the JSON injection+drift report to this file")
-		keep      = flag.String("keep", "", "keep the perturbed dataset in this directory instead of a throwaway temp dir")
+		chaosSeed = fs.Uint64("chaos-seed", 1, "chaos seed (the fault pattern is a pure function of it)")
+		rate      = fs.Float64("rate", 0.01, "per-row fault probability")
+		truncate  = fs.Float64("truncate", 0, "per-table shard-truncation probability")
+		corrupt   = fs.Float64("corrupt", 0, "per-table gzip-corruption probability (gzip datasets)")
+		dataDir   = fs.String("data", "", "perturb a copy of this dataset directory instead of generating a world")
+		seed      = fs.Uint64("seed", cli.CanonicalWorld.Seed, "world seed when generating; also the experiments' seed")
+		worldCfg  = cli.WorldFlags(fs, broadband.WorldConfig{Users: 2000, FCCUsers: 500, Days: 2, SwitchTarget: 400, MinPerCountry: 10})
+		badFrac   = fs.Float64("max-bad-frac", 0, "quarantine error budget as a bad-row fraction (0 = the default 5%)")
+		manifest  = fs.String("manifest", "testdata/assertions.json", "assertion manifest (empty to skip the scorecard)")
+		reportTo  = fs.String("report", "", "write the JSON injection+drift report to this file")
+		keep      = fs.String("keep", "", "keep the perturbed dataset in this directory instead of a throwaway temp dir")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	cfg := worldCfg()
 	cfg.Seed = *seed
 
@@ -74,7 +80,7 @@ func run() int {
 	defer stop()
 
 	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "bbchaos: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "bbchaos: "+format+"\n", args...)
 		return 2
 	}
 
@@ -100,10 +106,10 @@ func run() int {
 	} else {
 		world, err := broadband.BuildWorldCtx(ctx, cfg)
 		if err != nil {
-			return cli.ExitCode("bbchaos", err, 2)
+			return cli.ExitCode(stderr, "bbchaos", err, 2)
 		}
 		if err := broadband.SaveDatasetCtx(ctx, &world.Data, workDir, broadband.SaveOptions{Workers: cfg.Workers}); err != nil {
-			return cli.ExitCode("bbchaos", err, 2)
+			return cli.ExitCode(stderr, "bbchaos", err, 2)
 		}
 	}
 
@@ -117,7 +123,7 @@ func run() int {
 	if err != nil {
 		return fail("injecting faults: %v", err)
 	}
-	fmt.Fprint(os.Stderr, log.Render())
+	fmt.Fprint(stderr, log.Render())
 
 	rep := &report{Seed: *chaosSeed, Rate: *rate, Injected: log}
 	finish := func(code int) int {
@@ -136,23 +142,23 @@ func run() int {
 	d, qrep, err := broadband.LoadDatasetRobust(workDir, broadband.QuarantineOptions{MaxBadFrac: *badFrac})
 	rep.Quarantine = qrep
 	if qrep != nil {
-		fmt.Fprint(os.Stderr, qrep.Render())
+		fmt.Fprint(stderr, qrep.Render())
 	}
 	if err != nil {
 		if errors.Is(err, ctx.Err()) && ctx.Err() != nil {
-			return cli.ExitCode("bbchaos", err, 2)
+			return cli.ExitCode(stderr, "bbchaos", err, 2)
 		}
 		rep.LoadError = err.Error()
-		fmt.Fprintf(os.Stderr, "bbchaos: damaged dataset rejected: %v\n", err)
+		fmt.Fprintf(stderr, "bbchaos: damaged dataset rejected: %v\n", err)
 		return finish(1)
 	}
 
 	if err := ctx.Err(); err != nil {
-		return cli.ExitCode("bbchaos", err, 2)
+		return cli.ExitCode(stderr, "bbchaos", err, 2)
 	}
 	reports, err := broadband.RunAllWorkersCtx(ctx, d, cfg.Seed, cfg.Workers)
 	if err != nil {
-		return cli.ExitCode("bbchaos", err, 2)
+		return cli.ExitCode(stderr, "bbchaos", err, 2)
 	}
 
 	violations := map[string][]string{}
@@ -175,18 +181,18 @@ func run() int {
 		}
 	}
 	rep.Violations = violations
-	fmt.Fprintf(os.Stderr, "bbchaos: %d artifacts recomputed on the damaged dataset in %v\n",
+	fmt.Fprintf(stderr, "bbchaos: %d artifacts recomputed on the damaged dataset in %v\n",
 		len(reports), time.Since(start).Round(time.Millisecond))
 	if len(violations) > 0 {
 		for id, vs := range violations {
 			for _, v := range vs {
-				fmt.Fprintf(os.Stderr, "bbchaos: %s: %s\n", id, v)
+				fmt.Fprintf(stderr, "bbchaos: %s: %s\n", id, v)
 			}
 		}
-		fmt.Fprintf(os.Stderr, "bbchaos: conclusions moved under fault rate %g (%d artifacts violated)\n", *rate, len(violations))
+		fmt.Fprintf(stderr, "bbchaos: conclusions moved under fault rate %g (%d artifacts violated)\n", *rate, len(violations))
 		return finish(1)
 	}
-	fmt.Fprintf(os.Stderr, "bbchaos: scorecard intact under fault rate %g\n", *rate)
+	fmt.Fprintf(stderr, "bbchaos: scorecard intact under fault rate %g\n", *rate)
 	return finish(0)
 }
 

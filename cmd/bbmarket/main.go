@@ -10,8 +10,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 
@@ -20,13 +22,23 @@ import (
 	"github.com/nwca/broadband/internal/randx"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bbmarket", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed    = flag.Uint64("seed", 20140705, "catalog generation seed")
-		country = flag.String("country", "", "show one country's catalog (ISO code)")
-		regions = flag.Bool("regions", false, "show regional upgrade-cost shares")
+		seed    = fs.Uint64("seed", 20140705, "catalog generation seed")
+		country = fs.String("country", "", "show one country's catalog (ISO code)")
+		regions = fs.Bool("regions", false, "show regional upgrade-cost shares")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	// Ctrl-C / SIGTERM stops the per-country sweep at the next market.
 	ctx, stop := cli.Context()
@@ -38,23 +50,23 @@ func main() {
 	if *country != "" {
 		cat, ok := catalogs[*country]
 		if !ok {
-			fmt.Fprintf(os.Stderr, "bbmarket: unknown country %q\n", *country)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bbmarket: unknown country %q\n", *country)
+			return 1
 		}
 		sum, err := market.Summarize(cat)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bbmarket: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bbmarket: %v\n", err)
+			return 1
 		}
-		fmt.Printf("%s (%s) — %s\n", cat.Country.Name, cat.Country.Code, cat.Country.Region)
-		fmt.Printf("GDP per capita (PPP): $%.0f\n", cat.Country.GDPPerCapitaPPP)
-		fmt.Printf("access price:  %v/month (group %v)\n", sum.AccessPrice, sum.AccessGroup)
-		fmt.Printf("upgrade cost:  %v (r=%.2f over %d plans, reliable=%v)\n\n",
+		fmt.Fprintf(stdout, "%s (%s) — %s\n", cat.Country.Name, cat.Country.Code, cat.Country.Region)
+		fmt.Fprintf(stdout, "GDP per capita (PPP): $%.0f\n", cat.Country.GDPPerCapitaPPP)
+		fmt.Fprintf(stdout, "access price:  %v/month (group %v)\n", sum.AccessPrice, sum.AccessGroup)
+		fmt.Fprintf(stdout, "upgrade cost:  %v (r=%.2f over %d plans, reliable=%v)\n\n",
 			sum.Upgrade.Slope, sum.Upgrade.R, sum.Upgrade.N, sum.Upgrade.Reliable())
 		for _, p := range cat.Plans {
-			fmt.Printf("  %v\n", p)
+			fmt.Fprintf(stdout, "  %v\n", p)
 		}
-		return
+		return 0
 	}
 
 	if *regions {
@@ -82,16 +94,16 @@ func main() {
 				a.o10++
 			}
 		}
-		fmt.Printf("%-28s %4s %6s %6s %6s\n", "Region", "n", ">$1", ">$5", ">$10")
+		fmt.Fprintf(stdout, "%-28s %4s %6s %6s %6s\n", "Region", "n", ">$1", ">$5", ">$10")
 		for _, r := range market.Regions() {
 			a := byRegion[r]
 			if a == nil {
 				continue
 			}
-			fmt.Printf("%-28s %4d %5.0f%% %5.0f%% %5.0f%%\n", r, a.n,
+			fmt.Fprintf(stdout, "%-28s %4d %5.0f%% %5.0f%% %5.0f%%\n", r, a.n,
 				100*float64(a.o1)/float64(a.n), 100*float64(a.o5)/float64(a.n), 100*float64(a.o10)/float64(a.n))
 		}
-		return
+		return 0
 	}
 
 	codes := make([]string, 0, len(catalogs))
@@ -99,17 +111,18 @@ func main() {
 		codes = append(codes, cc)
 	}
 	sort.Strings(codes)
-	fmt.Printf("%-4s %-22s %-28s %10s %14s %6s\n", "cc", "country", "region", "access", "upgrade", "plans")
+	fmt.Fprintf(stdout, "%-4s %-22s %-28s %10s %14s %6s\n", "cc", "country", "region", "access", "upgrade", "plans")
 	for _, cc := range codes {
 		if err := ctx.Err(); err != nil {
-			cli.Exit("bbmarket", err, 1)
+			return cli.ExitCode(stderr, "bbmarket", err, 1)
 		}
 		cat := catalogs[cc]
 		sum, err := market.Summarize(cat)
 		if err != nil {
 			continue
 		}
-		fmt.Printf("%-4s %-22s %-28s %10v %14v %6d\n",
+		fmt.Fprintf(stdout, "%-4s %-22s %-28s %10v %14v %6d\n",
 			cc, cat.Country.Name, cat.Country.Region, sum.AccessPrice, sum.Upgrade.Slope, len(cat.Plans))
 	}
+	return 0
 }

@@ -27,6 +27,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -37,34 +38,44 @@ import (
 	"github.com/nwca/broadband/internal/par"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bbrepro", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		seed     = flag.Uint64("seed", cli.CanonicalWorld.Seed, "world seed")
-		worldCfg = cli.WorldFlags(flag.CommandLine, cli.CanonicalWorld)
-		only     = flag.String("only", "", "run a single artifact, e.g. \"Table 2\" or \"Fig. 6\"")
-		list     = flag.Bool("list", false, "list artifacts and exit")
-		dataDir  = flag.String("data", "", "analyze a dataset directory written by bbgen instead of generating a world")
-		ext      = flag.Bool("ext", false, "also run the extension analyses (beyond the paper's artifacts)")
-		verify   = flag.Bool("verify", false, "after printing, check artifacts against -golden and -manifest; exit 1 on drift")
-		golDir   = flag.String("golden", "testdata/golden", "golden directory for -verify")
-		manifest = flag.String("manifest", "testdata/assertions.json", "assertion manifest for -verify (empty to skip assertions)")
-		report   = flag.String("report", "", "with -verify, also write the JSON drift report to this file")
+		seed     = fs.Uint64("seed", cli.CanonicalWorld.Seed, "world seed")
+		worldCfg = cli.WorldFlags(fs, cli.CanonicalWorld)
+		only     = fs.String("only", "", "run a single artifact, e.g. \"Table 2\" or \"Fig. 6\"")
+		list     = fs.Bool("list", false, "list artifacts and exit")
+		dataDir  = fs.String("data", "", "analyze a dataset directory written by bbgen instead of generating a world")
+		ext      = fs.Bool("ext", false, "also run the extension analyses (beyond the paper's artifacts)")
+		verify   = fs.Bool("verify", false, "after printing, check artifacts against -golden and -manifest; exit 1 on drift")
+		golDir   = fs.String("golden", "testdata/golden", "golden directory for -verify")
+		manifest = fs.String("manifest", "testdata/assertions.json", "assertion manifest for -verify (empty to skip assertions)")
+		report   = fs.String("report", "", "with -verify, also write the JSON drift report to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 	if *report != "" && !*verify {
-		cli.Exit("bbrepro", errors.New("-report needs -verify"), 2)
+		return cli.ExitCode(stderr, "bbrepro", errors.New("-report needs -verify"), 2)
 	}
 	cfg := worldCfg()
 	cfg.Seed = *seed
 
 	if *list {
 		for _, e := range broadband.Experiments() {
-			fmt.Printf("%-9s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-9s %s\n", e.ID, e.Title)
 		}
 		for _, e := range broadband.ExtensionExperiments() {
-			fmt.Printf("%-9s %s\n", e.ID, e.Title)
+			fmt.Fprintf(stdout, "%-9s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	// Ctrl-C / SIGTERM cancels generation and the experiment fan-out.
@@ -74,35 +85,35 @@ func main() {
 	start := time.Now()
 	var data *broadband.Dataset
 	if *dataDir != "" {
-		fmt.Fprintf(os.Stderr, "bbrepro: loading dataset from %s...\n", *dataDir)
+		fmt.Fprintf(stderr, "bbrepro: loading dataset from %s...\n", *dataDir)
 		loaded, err := broadband.LoadDataset(*dataDir)
 		if err != nil {
-			cli.Exit("bbrepro", err, 1)
+			return cli.ExitCode(stderr, "bbrepro", err, 1)
 		}
 		data = loaded
 	} else {
-		fmt.Fprintf(os.Stderr, "bbrepro: generating world (seed=%d, users=%d)...\n", cfg.Seed, cfg.Users)
+		fmt.Fprintf(stderr, "bbrepro: generating world (seed=%d, users=%d)...\n", cfg.Seed, cfg.Users)
 		world, err := broadband.BuildWorldCtx(ctx, cfg)
 		if err != nil {
-			cli.Exit("bbrepro", err, 1)
+			return cli.ExitCode(stderr, "bbrepro", err, 1)
 		}
 		if n := world.SkippedHouseholds(); n > 0 {
-			fmt.Fprintf(os.Stderr, "bbrepro: %d households skipped (no affordable plan after every redraw)\n", n)
+			fmt.Fprintf(stderr, "bbrepro: %d households skipped (no affordable plan after every redraw)\n", n)
 		}
 		data = &world.Data
 	}
-	fmt.Fprintf(os.Stderr, "bbrepro: dataset ready in %v (%d users, %d switches, %d plans)\n\n",
+	fmt.Fprintf(stderr, "bbrepro: dataset ready in %v (%d users, %d switches, %d plans)\n\n",
 		time.Since(start).Round(time.Millisecond),
 		len(data.Users), len(data.Switches), len(data.Plans))
 
 	if *only != "" {
 		rep, err := broadband.Run(*only, data, cfg.Seed)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %v\n", err)
-			os.Exit(1)
+			fmt.Fprintf(stderr, "bbrepro: %v\n", err)
+			return 1
 		}
-		fmt.Print(rep.Render())
-		return
+		fmt.Fprint(stdout, rep.Render())
+		return 0
 	}
 	entries := broadband.Experiments()
 	if *ext {
@@ -120,52 +131,54 @@ func main() {
 		return nil
 	})
 	if ctxErr != nil {
-		cli.Exit("bbrepro", ctxErr, 1)
+		return cli.ExitCode(stderr, "bbrepro", ctxErr, 1)
 	}
 	failed := 0
 	for i, e := range entries {
 		if errs[i] != nil {
-			fmt.Fprintf(os.Stderr, "bbrepro: %s: %v\n", e.ID, errs[i])
+			fmt.Fprintf(stderr, "bbrepro: %s: %v\n", e.ID, errs[i])
 			failed++
 			continue
 		}
-		fmt.Println(reports[i].Render())
+		fmt.Fprintln(stdout, reports[i].Render())
 	}
 	if failed > 0 {
-		fmt.Fprintf(os.Stderr, "bbrepro: %d of %d artifacts failed\n", failed, len(entries))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "bbrepro: %d of %d artifacts failed\n", failed, len(entries))
+		return 1
 	}
-	if *verify {
-		// Only the paper's registry artifacts carry goldens; with -ext the
-		// extension reports print above but are not gated.
-		arts := make([]golden.Artifact, 0, len(entries))
-		for i, e := range entries {
-			if _, ok := broadband.FindExperiment(e.ID); ok {
-				arts = append(arts, golden.Artifact{ID: e.ID, Obj: reports[i]})
-			}
+	if !*verify {
+		return 0
+	}
+	// Only the paper's registry artifacts carry goldens; with -ext the
+	// extension reports print above but are not gated.
+	arts := make([]golden.Artifact, 0, len(entries))
+	for i, e := range entries {
+		if _, ok := broadband.FindExperiment(e.ID); ok {
+			arts = append(arts, golden.Artifact{ID: e.ID, Obj: reports[i]})
 		}
-		var m *golden.Manifest
-		if *manifest != "" {
-			loaded, err := golden.LoadManifest(*manifest)
-			if err != nil {
-				cli.Exit("bbrepro", err, 2)
-			}
-			m = loaded
-		}
-		r, err := golden.Verify(arts, *golDir, m)
+	}
+	var m *golden.Manifest
+	if *manifest != "" {
+		loaded, err := golden.LoadManifest(*manifest)
 		if err != nil {
-			cli.Exit("bbrepro", err, 2)
+			return cli.ExitCode(stderr, "bbrepro", err, 2)
 		}
-		fmt.Fprint(os.Stderr, r.Render())
-		if *report != "" {
-			if err := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *report, r.JSON(), 0o644); err != nil {
-				cli.Exit("bbrepro", err, 2)
-			}
-		}
-		if !r.OK() {
-			fmt.Fprintf(os.Stderr, "bbrepro: verify: %d of %d artifacts drifted or violated assertions\n", r.Failed(), len(r.Artifacts))
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "bbrepro: verify: all %d artifacts match the goldens\n", len(r.Artifacts))
+		m = loaded
 	}
+	r, err := golden.Verify(arts, *golDir, m)
+	if err != nil {
+		return cli.ExitCode(stderr, "bbrepro", err, 2)
+	}
+	fmt.Fprint(stderr, r.Render())
+	if *report != "" {
+		if err := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *report, r.JSON(), 0o644); err != nil {
+			return cli.ExitCode(stderr, "bbrepro", err, 2)
+		}
+	}
+	if !r.OK() {
+		fmt.Fprintf(stderr, "bbrepro: verify: %d of %d artifacts drifted or violated assertions\n", r.Failed(), len(r.Artifacts))
+		return 1
+	}
+	fmt.Fprintf(stderr, "bbrepro: verify: all %d artifacts match the goldens\n", len(r.Artifacts))
+	return 0
 }

@@ -12,14 +12,19 @@
 package main
 
 import (
+	"io"
 	"os"
 
 	"github.com/nwca/broadband/internal/cli"
 	"github.com/nwca/broadband/internal/scenario"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
 	ctx, stop := cli.Context()
 	defer stop()
-	os.Exit(scenario.Main(ctx, os.Args[1:], os.Stdout, os.Stderr))
+	return scenario.Main(ctx, args, stdout, stderr)
 }

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"net/http"
 	"os"
@@ -24,23 +25,33 @@ import (
 	"github.com/nwca/broadband/internal/serve"
 )
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	storeDir := flag.String("store", "", "dataset storage directory (empty = in-memory)")
-	maxInFlight := flag.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent requests served before shedding with 429")
-	timeout := flag.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
-	drain := flag.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
-	maxUpload := flag.Int64("max-upload", serve.DefaultMaxUploadBytes, "upload body cap in bytes")
-	badFrac := flag.Float64("max-bad-frac", 0, "upload quarantine error budget (0 = default 5%)")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stderr)) }
 
-	logger := log.New(os.Stderr, "bbserve: ", log.LstdFlags)
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bbserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	addr := fs.String("addr", ":8080", "listen address")
+	storeDir := fs.String("store", "", "dataset storage directory (empty = in-memory)")
+	maxInFlight := fs.Int("max-inflight", serve.DefaultMaxInFlight, "concurrent requests served before shedding with 429")
+	timeout := fs.Duration("timeout", serve.DefaultRequestTimeout, "per-request deadline")
+	drain := fs.Duration("drain", 15*time.Second, "graceful-shutdown drain deadline")
+	maxUpload := fs.Int64("max-upload", serve.DefaultMaxUploadBytes, "upload body cap in bytes")
+	badFrac := fs.Float64("max-bad-frac", 0, "upload quarantine error budget (0 = default 5%)")
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
+
+	logger := log.New(stderr, "bbserve: ", log.LstdFlags)
 
 	var store serve.Store
 	if *storeDir != "" {
 		ds, err := serve.NewDiskStore(*storeDir)
 		if err != nil {
-			cli.Exit("bbserve", err, 1)
+			return cli.ExitCode(stderr, "bbserve", err, 1)
 		}
 		store = ds
 	}
@@ -71,7 +82,7 @@ func main() {
 
 	select {
 	case err := <-errc:
-		cli.Exit("bbserve", err, 1)
+		return cli.ExitCode(stderr, "bbserve", err, 1)
 	case <-ctx.Done():
 	}
 
@@ -88,7 +99,7 @@ func main() {
 		logger.Printf("shutdown: %v", err)
 	}
 	logger.Printf("drained; exiting")
-	cli.Exit("bbserve", ctx.Err(), 1) // context.Canceled → exit 130
+	return cli.ExitCode(stderr, "bbserve", ctx.Err(), 1) // context.Canceled → exit 130
 }
 
 func storeDesc(dir string) string {

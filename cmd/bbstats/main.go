@@ -15,8 +15,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"github.com/nwca/broadband/internal/cli"
@@ -25,45 +27,56 @@ import (
 	"github.com/nwca/broadband/internal/golden"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("bbstats", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		data     = flag.String("data", "data", "dataset directory (monolithic or sharded users table)")
-		asJSON   = flag.Bool("json", false, "emit the overview as canonical JSON instead of text")
-		maxRSSMB = flag.Int64("maxrss-mb", 0, "fail when peak RSS exceeds this budget in MiB (0 = no budget)")
+		data     = fs.String("data", "data", "dataset directory (monolithic or sharded users table)")
+		asJSON   = fs.Bool("json", false, "emit the overview as canonical JSON instead of text")
+		maxRSSMB = fs.Int64("maxrss-mb", 0, "fail when peak RSS exceeds this budget in MiB (0 = no budget)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	us, err := dataset.StreamUsersDir(*data)
 	if err != nil {
-		cli.Exit("bbstats", err, 1)
+		return cli.ExitCode(stderr, "bbstats", err, 1)
 	}
 	overview, err := experiments.OverviewFromSource(us)
 	if cerr := us.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		cli.Exit("bbstats", err, 1)
+		return cli.ExitCode(stderr, "bbstats", err, 1)
 	}
 
 	if *asJSON {
 		raw, err := golden.Marshal(overview)
 		if err != nil {
-			cli.Exit("bbstats", err, 1)
+			return cli.ExitCode(stderr, "bbstats", err, 1)
 		}
-		os.Stdout.Write(raw)
-		fmt.Println()
+		stdout.Write(raw)
+		fmt.Fprintln(stdout)
 	} else {
-		fmt.Print(overview.Render())
+		fmt.Fprint(stdout, overview.Render())
 	}
 
-	fmt.Fprintf(os.Stderr, "bbstats: %d users streamed from %s, peak RSS %s\n", overview.Users, *data, cli.PeakRSS())
+	fmt.Fprintf(stderr, "bbstats: %d users streamed from %s, peak RSS %s\n", overview.Users, *data, cli.PeakRSS())
 	if *maxRSSMB > 0 {
 		peak := cli.PeakRSSBytes()
 		if peak == 0 {
-			cli.Exit("bbstats", fmt.Errorf("-maxrss-mb set but peak RSS is unreadable on this platform"), 1)
+			return cli.ExitCode(stderr, "bbstats", fmt.Errorf("-maxrss-mb set but peak RSS is unreadable on this platform"), 1)
 		}
 		if budget := *maxRSSMB << 20; peak > budget {
-			cli.Exit("bbstats", fmt.Errorf("peak RSS %s exceeds the %d MiB budget", cli.PeakRSS(), *maxRSSMB), 1)
+			return cli.ExitCode(stderr, "bbstats", fmt.Errorf("peak RSS %s exceeds the %d MiB budget", cli.PeakRSS(), *maxRSSMB), 1)
 		}
 	}
+	return 0
 }

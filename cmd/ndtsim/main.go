@@ -9,8 +9,10 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -20,18 +22,28 @@ import (
 	"github.com/nwca/broadband/internal/unit"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is the whole command; it returns the exit status rather than
+// exiting, so deferred cleanup runs on every path.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("ndtsim", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		down     = flag.String("down", "10Mbps", "downstream capacity")
-		up       = flag.String("up", "1Mbps", "upstream capacity")
-		rtt      = flag.Duration("rtt", 40*time.Millisecond, "base round-trip time")
-		lossPct  = flag.Float64("loss", 0.1, "stationary packet-loss percentage")
-		burst    = flag.Bool("burst", false, "use a bursty (Gilbert–Elliott) loss channel")
-		duration = flag.Float64("duration", 10, "seconds per throughput test (virtual time)")
-		seed     = flag.Uint64("seed", 1, "random seed for the loss processes")
-		loaded   = flag.Bool("loaded", false, "also measure latency under load (bufferbloat)")
+		down     = fs.String("down", "10Mbps", "downstream capacity")
+		up       = fs.String("up", "1Mbps", "upstream capacity")
+		rtt      = fs.Duration("rtt", 40*time.Millisecond, "base round-trip time")
+		lossPct  = fs.Float64("loss", 0.1, "stationary packet-loss percentage")
+		burst    = fs.Bool("burst", false, "use a bursty (Gilbert–Elliott) loss channel")
+		duration = fs.Float64("duration", 10, "seconds per throughput test (virtual time)")
+		seed     = fs.Uint64("seed", 1, "random seed for the loss processes")
+		loaded   = fs.Bool("loaded", false, "also measure latency under load (bufferbloat)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); errors.Is(err, flag.ErrHelp) {
+		return 0
+	} else if err != nil {
+		return 2
+	}
 
 	// Ctrl-C / SIGTERM stops between measurement phases (each phase runs in
 	// virtual time and finishes in well under a second of wall clock).
@@ -40,11 +52,11 @@ func main() {
 
 	downRate, err := unit.ParseBitrate(*down)
 	if err != nil {
-		fatal(err)
+		return cli.ExitCode(stderr, "ndtsim", err, 1)
 	}
 	upRate, err := unit.ParseBitrate(*up)
 	if err != nil {
-		fatal(err)
+		return cli.ExitCode(stderr, "ndtsim", err, 1)
 	}
 	loss := unit.LossFromPercent(*lossPct)
 	model := netsim.LossModel{Rate: loss}
@@ -64,40 +76,36 @@ func main() {
 		Up:   netsim.LinkConfig{Rate: upRate, Delay: oneWay, Loss: model, Name: "up"},
 	}
 
-	fmt.Printf("line: %v down / %v up, base RTT %v, loss %v (burst=%v)\n",
+	fmt.Fprintf(stdout, "line: %v down / %v up, base RTT %v, loss %v (burst=%v)\n",
 		downRate, upRate, *rtt, loss, *burst)
 	if err := ctx.Err(); err != nil {
-		cli.Exit("ndtsim", err, 1)
+		return cli.ExitCode(stderr, "ndtsim", err, 1)
 	}
 	res, err := netsim.RunNDT(line, netsim.NDTConfig{Duration: *duration}, randx.New(*seed))
 	if err != nil {
-		fatal(err)
+		return cli.ExitCode(stderr, "ndtsim", err, 1)
 	}
-	fmt.Printf("download:     %v\n", res.DownloadRate)
-	fmt.Printf("upload:       %v\n", res.UploadRate)
-	fmt.Printf("rtt:          %.1f ms\n", res.RTT*1000)
-	fmt.Printf("channel loss: %v\n", res.ChannelLoss)
-	fmt.Printf("total loss:   %v (includes self-induced queue drops)\n", res.TotalLoss)
+	fmt.Fprintf(stdout, "download:     %v\n", res.DownloadRate)
+	fmt.Fprintf(stdout, "upload:       %v\n", res.UploadRate)
+	fmt.Fprintf(stdout, "rtt:          %.1f ms\n", res.RTT*1000)
+	fmt.Fprintf(stdout, "channel loss: %v\n", res.ChannelLoss)
+	fmt.Fprintf(stdout, "total loss:   %v (includes self-induced queue drops)\n", res.TotalLoss)
 	st := res.DownStats
-	fmt.Printf("down link:    %d sent, %d delivered, %d queue drops, %d channel drops\n",
+	fmt.Fprintf(stdout, "down link:    %d sent, %d delivered, %d queue drops, %d channel drops\n",
 		st.Sent, st.Delivered, st.DroppedQueue, st.DroppedLoss)
 	mathis := netsim.MathisThroughput(1460*unit.Byte, res.RTT, res.ChannelLoss)
-	fmt.Printf("mathis bound: %v\n", mathis)
+	fmt.Fprintf(stdout, "mathis bound: %v\n", mathis)
 
 	if *loaded {
 		if err := ctx.Err(); err != nil {
-			cli.Exit("ndtsim", err, 1)
+			return cli.ExitCode(stderr, "ndtsim", err, 1)
 		}
 		lr, err := netsim.MeasureLoadedRTT(line, *duration, randx.New(*seed).Split("loaded"))
 		if err != nil {
-			fatal(err)
+			return cli.ExitCode(stderr, "ndtsim", err, 1)
 		}
-		fmt.Printf("loaded rtt:   %.1f ms (×%.1f over idle %.1f ms, %d probes)\n",
+		fmt.Fprintf(stdout, "loaded rtt:   %.1f ms (×%.1f over idle %.1f ms, %d probes)\n",
 			lr.LoadedRTT*1000, lr.Inflation, lr.IdleRTT*1000, lr.Probes)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintf(os.Stderr, "ndtsim: %v\n", err)
-	os.Exit(1)
+	return 0
 }

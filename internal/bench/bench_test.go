@@ -66,7 +66,7 @@ func TestCompare(t *testing.T) {
 		// New benchmark, no baseline: not compared.
 		{Name: "run_all", NsPerOp: 1e8},
 	}
-	deltas, missing, err := Compare(cur, base, 0.20)
+	deltas, missing, err := CompareGated(cur, base, 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +86,7 @@ func TestCompare(t *testing.T) {
 
 	// Beyond tolerance: flagged.
 	cur.Benchmarks[0].NsPerOp = 200190.4 * 1.35
-	deltas, _, err = Compare(cur, base, 0.20)
+	deltas, _, err = CompareGated(cur, base, 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +99,7 @@ func TestCompare(t *testing.T) {
 
 	// An improvement never regresses, whatever the tolerance.
 	cur.Benchmarks[0].NsPerOp = 200190.4 * 0.5
-	deltas, _, err = Compare(cur, base, 0)
+	deltas, _, err = CompareGated(cur, base, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestCompare(t *testing.T) {
 		t.Errorf("2x speedup flagged as regression: %+v", deltas[0])
 	}
 
-	if _, _, err := Compare(cur, base, -0.1); err == nil {
+	if _, _, err := CompareGated(cur, base, -0.1, nil); err == nil {
 		t.Error("negative tolerance accepted")
 	}
 }

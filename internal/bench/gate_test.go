@@ -1,22 +1,40 @@
 package bench
 
 import (
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 )
 
+// TestArtifactSlug pins the per-artifact trajectory keys: the artifact_*
+// spec names (golden.Slug of each registry ID), in order, must equal the
+// ones recorded in BENCH_10.json, or every artifact's history would be
+// orphaned.
 func TestArtifactSlug(t *testing.T) {
-	cases := map[string]string{
-		"Fig. 1":   "fig01",
-		"Fig. 12":  "fig12",
-		"Table 2":  "table02",
-		"Table 12": "table12",
-		"Ext. A":   "ext_a",
+	f, err := os.Open("../../BENCH_10.json")
+	if err != nil {
+		t.Fatal(err)
 	}
-	for id, want := range cases {
-		if got := artifactSlug(id); got != want {
-			t.Errorf("artifactSlug(%q) = %q, want %q", id, got, want)
+	defer f.Close()
+	traj, err := ReadTrajectory(f)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, r := range traj.Benchmarks {
+		if strings.HasPrefix(r.Name, "artifact_") {
+			want = append(want, r.Name)
 		}
+	}
+	for _, s := range Specs() {
+		if strings.HasPrefix(s.Name, "artifact_") {
+			got = append(got, s.Name)
+		}
+	}
+	if len(want) == 0 || !reflect.DeepEqual(got, want) {
+		t.Errorf("artifact spec names = %v\nBENCH_10.json keys = %v", got, want)
 	}
 }
 
@@ -103,14 +121,14 @@ func TestCompareGatedAllocs(t *testing.T) {
 		t.Fatalf("Regressions = %+v; 10%% alloc growth is within tolerance", reg)
 	}
 
-	// Plain Compare never alloc-gates.
+	// A nil gate never alloc-gates.
 	cur.Benchmarks[0].AllocsPerOp = 500
-	deltas, _, err = Compare(cur, base, 0.20)
+	deltas, _, err = CompareGated(cur, base, 0.20, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if reg := Regressions(deltas); len(reg) != 0 {
-		t.Fatalf("Compare gated allocs without a gate: %+v", reg)
+		t.Fatalf("CompareGated gated allocs without a gate: %+v", reg)
 	}
 }
 

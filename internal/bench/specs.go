@@ -7,14 +7,13 @@ import (
 	"log"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
-	"strings"
 	"sync"
 	"testing"
 
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/core"
 	"github.com/nwca/broadband/internal/dataset"
+	"github.com/nwca/broadband/internal/golden"
 	"github.com/nwca/broadband/internal/netsim"
 	"github.com/nwca/broadband/internal/randx"
 	"github.com/nwca/broadband/internal/serve"
@@ -65,7 +64,7 @@ func Measure(s Spec) (Result, error) {
 func Specs() []Spec {
 	specs := []Spec{
 		{Name: "world_build_150u", Smoke: true, GateAllocs: true, Run: benchWorldBuild},
-		{Name: "matcher_1000", Smoke: true, Run: benchMatcher1000},
+		{Name: "matcher_1000", Smoke: true, Run: benchMatcher(1000)},
 		{Name: "run_all", Smoke: true, GateAllocs: true, Run: benchRunAll},
 		{Name: "stream_encode_2000", Smoke: true, Run: benchStreamEncode},
 		{Name: "stream_decode_2000", Smoke: true, Run: benchStreamDecode},
@@ -76,27 +75,15 @@ func Specs() []Spec {
 	}
 	// Per-artifact sub-benchmarks: one spec per registry entry, so a
 	// regression in run_all can be localized to the figure or table that
-	// caused it. Full-set only — the aggregate run_all spec covers CI.
+	// caused it. Full-set only — the aggregate run_all spec covers CI. The
+	// key is the artifact's golden filename stem ("fig06", "table02").
 	for _, e := range broadband.Experiments() {
 		specs = append(specs, Spec{
-			Name: "artifact_" + artifactSlug(e.ID),
+			Name: "artifact_" + golden.Slug(e.ID),
 			Run:  benchArtifact(e.ID),
 		})
 	}
 	return specs
-}
-
-// artifactSlug converts a registry ID ("Fig. 6", "Table 12") into a
-// stable trajectory key ("fig06", "table12"). Numbers are zero-padded so
-// the keys sort in registry order.
-func artifactSlug(id string) string {
-	f := strings.Fields(strings.ToLower(strings.ReplaceAll(id, ".", "")))
-	if len(f) == 2 {
-		if n, err := strconv.Atoi(f[1]); err == nil {
-			return fmt.Sprintf("%s%02d", f[0], n)
-		}
-	}
-	return strings.Join(f, "_")
 }
 
 // AllocGate returns the set of spec names whose allocs/op is gated,
@@ -222,31 +209,33 @@ func benchWorldBuild(b *testing.B) {
 	}
 }
 
-// benchMatcher1000 measures the windowed nearest-neighbor matcher on
-// synthetic covariates (treated = 1000, control = 2000).
-func benchMatcher1000(b *testing.B) {
-	const n = 1000
-	rng := randx.New(uint64(n))
-	p := dataset.NewPanel(3 * n)
-	mk := func(count int, idBase int64) dataset.View {
-		v := dataset.View{P: p}
-		for i := 0; i < count; i++ {
-			v.Idx = append(v.Idx, int32(p.Len()))
-			p.Append(&dataset.User{
-				ID:   idBase + int64(i),
-				RTT:  0.01 + 0.2*rng.Float64(),
-				Loss: unit.LossRate(0.002 * rng.Float64()),
-			})
+// benchMatcher measures the windowed nearest-neighbor matcher on
+// synthetic covariates at a given population size (treated = n, control =
+// 2n).
+func benchMatcher(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		rng := randx.New(uint64(n))
+		p := dataset.NewPanel(3 * n)
+		mk := func(count int, idBase int64) dataset.View {
+			v := dataset.View{P: p}
+			for i := 0; i < count; i++ {
+				v.Idx = append(v.Idx, int32(p.Len()))
+				p.Append(&dataset.User{
+					ID:   idBase + int64(i),
+					RTT:  0.01 + 0.2*rng.Float64(),
+					Loss: unit.LossRate(0.002 * rng.Float64()),
+				})
+			}
+			return v
 		}
-		return v
-	}
-	treated := mk(n, 1)
-	control := mk(2*n, int64(10*n))
-	m := core.Matcher{Confounders: []core.Confounder{core.ConfounderRTT(), core.ConfounderLoss()}}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Match(treated, control, randx.New(uint64(i)))
+		treated := mk(n, 1)
+		control := mk(2*n, int64(10*n))
+		m := core.Matcher{Confounders: []core.Confounder{core.ConfounderRTT(), core.ConfounderLoss()}}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			m.Match(treated, control, randx.New(uint64(i)))
+		}
 	}
 }
 

@@ -119,20 +119,15 @@ type Delta struct {
 	AllocRegressed bool
 }
 
-// Compare matches the current trajectory against a baseline at the given
-// relative tolerance (0.20 = 20% slower fails). It returns a delta per
-// benchmark present in both, sorted by name, plus the names of baseline
-// benchmarks missing from the current run (renamed or dropped specs —
-// reported so a silent rename cannot hide a regression). Benchmarks new
-// in the current run have no baseline and are not compared.
-func Compare(cur, base *Trajectory, tolerance float64) (deltas []Delta, missing []string, err error) {
-	return CompareGated(cur, base, tolerance, nil)
-}
-
-// CompareGated is Compare with an allocation gate: for each benchmark
-// whose name is in allocGate, allocs/op is held to the same relative
-// tolerance as ns/op. Alloc counts on ungated specs are reported in the
-// deltas but never fail the comparison.
+// CompareGated matches the current trajectory against a baseline at the
+// given relative tolerance (0.20 = 20% slower fails). It returns a delta
+// per benchmark present in both, sorted by name, plus the names of
+// baseline benchmarks missing from the current run (renamed or dropped
+// specs — reported so a silent rename cannot hide a regression).
+// Benchmarks new in the current run have no baseline and are not compared.
+// For each benchmark whose name is in allocGate, allocs/op is held to the
+// same relative tolerance as ns/op; alloc counts on ungated specs are
+// reported in the deltas but never fail the comparison.
 func CompareGated(cur, base *Trajectory, tolerance float64, allocGate map[string]bool) (deltas []Delta, missing []string, err error) {
 	if tolerance < 0 {
 		return nil, nil, fmt.Errorf("bench: tolerance must be non-negative, got %v", tolerance)
@@ -169,7 +164,7 @@ func CompareGated(cur, base *Trajectory, tolerance float64, allocGate map[string
 	return deltas, missing, nil
 }
 
-// MissingUnknown filters Compare's missing list down to the names no spec
+// MissingUnknown filters CompareGated's missing list down to the names no spec
 // in the universe defines: baseline entries that no run could ever
 // reproduce again (a renamed or deleted spec), as opposed to entries
 // merely outside this run's selected set (a smoke run against a full-set

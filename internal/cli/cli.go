@@ -11,6 +11,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"os/signal"
 	"syscall"
@@ -26,19 +27,15 @@ func Context() (context.Context, context.CancelFunc) {
 	return signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 }
 
-// Exit prints the error as "prog: err" and exits: with ExitInterrupted when
-// the chain carries a context cancellation, else with code.
-func Exit(prog string, err error, code int) {
-	os.Exit(ExitCode(prog, err, code))
-}
-
-// ExitCode prints the error like Exit but returns the exit status instead
-// of exiting, for commands whose deferred cleanup must run first.
-func ExitCode(prog string, err error, code int) int {
+// ExitCode prints the error as "prog: err" to w and returns the exit
+// status: ExitInterrupted when the chain carries a context cancellation,
+// else code. Commands return it from run, so deferred cleanup runs on
+// every exit path before main calls os.Exit.
+func ExitCode(w io.Writer, prog string, err error, code int) int {
 	if errors.Is(err, context.Canceled) {
-		fmt.Fprintf(os.Stderr, "%s: interrupted\n", prog)
+		fmt.Fprintf(w, "%s: interrupted\n", prog)
 		return ExitInterrupted
 	}
-	fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	fmt.Fprintf(w, "%s: %v\n", prog, err)
 	return code
 }

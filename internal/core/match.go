@@ -77,12 +77,6 @@ type Matcher struct {
 	Caliper float64
 }
 
-// withinCaliper reports whether two covariate values are comparable.
-func withinCaliper(a, b, caliper, floor float64) bool {
-	hi := math.Max(math.Abs(a), math.Abs(b))
-	return math.Abs(a-b) <= caliper*hi+floor
-}
-
 // MatchStats reports the work the matcher did — the diagnostic behind the
 // sort-plus-binary-search caliper window (the O(T·C) scan this replaces
 // examined every control for every treated user).

@@ -8,6 +8,13 @@ import (
 	"github.com/nwca/broadband/internal/randx"
 )
 
+// withinCaliper reports whether two covariate values are comparable: the
+// ratio caliper rule the windowed matcher must reproduce.
+func withinCaliper(a, b, caliper, floor float64) bool {
+	hi := math.Max(math.Abs(a), math.Abs(b))
+	return math.Abs(a-b) <= caliper*hi+floor
+}
+
 // distance is the matching distance between panel rows a and b: the sum
 // of normalized confounder discrepancies (each in [0,1] at the caliper
 // boundary).

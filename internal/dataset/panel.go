@@ -1,9 +1,6 @@
 package dataset
 
 import (
-	"fmt"
-	"io"
-
 	"github.com/nwca/broadband/internal/market"
 	"github.com/nwca/broadband/internal/stats"
 	"github.com/nwca/broadband/internal/traffic"
@@ -58,8 +55,8 @@ func (d *Dict) Len() int { return len(d.vals) }
 //
 // Every analysis — the aggregations, the matcher and the experiments —
 // reads the panel through index vectors (View) and columns (Column). Rows
-// materialize back via UserAt/Users/Source only at the serialization
-// boundary: CSV I/O and UserSource streaming. The round-trip User → Panel
+// materialize back via UserAt/Users only at the serialization boundary
+// (CSV I/O). The round-trip User → Panel
 // → User is lossless. Rates, prices and loss fractions are stored as raw
 // float64 (bps, USD, fractions) so stats aggregations consume columns
 // directly; the unit newtypes are reapplied on materialization.
@@ -259,25 +256,6 @@ func (p *Panel) PeakUtilization(i int) float64 {
 	return frac
 }
 
-// panelSource streams panel rows through the UserSource contract.
-type panelSource struct {
-	p   *Panel
-	idx []int32
-	i   int
-}
-
-func (s *panelSource) Read(u *User) error {
-	if s.i >= len(s.idx) {
-		return io.EOF
-	}
-	s.p.UserAt(int(s.idx[s.i]), u)
-	s.i++
-	return nil
-}
-
-// Source adapts the panel to a UserSource: one row materialized per Read.
-func (p *Panel) Source() UserSource { return p.All().Source() }
-
 // ColPred is a columnar row predicate. It is a two-stage closure: binding
 // to a panel happens once per selection (resolving dictionary codes, so
 // string predicates become integer compares in the row loop), and the
@@ -415,47 +393,4 @@ func (v View) Gather(col []float64) []float64 {
 		out[k] = col[i]
 	}
 	return out
-}
-
-// Source streams the selected rows through the UserSource contract, one
-// materialized row per Read.
-func (v View) Source() UserSource { return &panelSource{p: v.P, idx: v.Idx} }
-
-// Validate checks the panel's internal consistency: every column the same
-// length and every dictionary code in range.
-func (p *Panel) Validate() error {
-	n := p.Len()
-	lens := map[string]int{
-		"Country": len(p.Country), "Vantage": len(p.Vantage), "Year": len(p.Year),
-		"ISP": len(p.ISP), "Network": len(p.Network),
-		"PlanDown": len(p.PlanDown), "PlanUp": len(p.PlanUp), "PlanPrice": len(p.PlanPrice),
-		"PlanTech": len(p.PlanTech), "PlanCap": len(p.PlanCap),
-		"Capacity": len(p.Capacity), "UpCapacity": len(p.UpCapacity),
-		"RTT": len(p.RTT), "WebRTT": len(p.WebRTT), "Loss": len(p.Loss),
-		"UsageMean": len(p.UsageMean), "UsagePeak": len(p.UsagePeak),
-		"UsageMeanNoBT": len(p.UsageMeanNoBT), "UsagePeakNoBT": len(p.UsagePeakNoBT),
-		"UsesBT": len(p.UsesBT), "Archetype": len(p.Archetype),
-		"AccessPrice": len(p.AccessPrice), "UpgradeCost": len(p.UpgradeCost),
-	}
-	for name, l := range lens {
-		if l != n {
-			return fmt.Errorf("dataset: panel column %s has %d rows, want %d", name, l, n)
-		}
-	}
-	for i, c := range p.Country {
-		if int(c) >= p.Countries.Len() {
-			return fmt.Errorf("dataset: panel row %d country code %d out of range", i, c)
-		}
-	}
-	for i, c := range p.ISP {
-		if int(c) >= p.ISPs.Len() {
-			return fmt.Errorf("dataset: panel row %d isp code %d out of range", i, c)
-		}
-	}
-	for i, c := range p.Network {
-		if int(c) >= p.Networks.Len() {
-			return fmt.Errorf("dataset: panel row %d network code %d out of range", i, c)
-		}
-	}
-	return nil
 }

@@ -1,7 +1,7 @@
 package dataset
 
 import (
-	"io"
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -41,7 +41,7 @@ func panelUsers(n int) []User {
 func TestPanelRoundTrip(t *testing.T) {
 	users := panelUsers(97)
 	p := BuildPanel(users)
-	if err := p.Validate(); err != nil {
+	if err := validatePanel(p); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
 	if p.Len() != len(users) {
@@ -169,7 +169,7 @@ func TestViewChainingEqualsCombinedWhere(t *testing.T) {
 	}
 }
 
-func TestViewGatherAndSource(t *testing.T) {
+func TestViewGather(t *testing.T) {
 	users := panelUsers(60)
 	p := BuildPanel(users)
 	v := p.Where(ColVantage(VantageDasu))
@@ -182,37 +182,17 @@ func TestViewGatherAndSource(t *testing.T) {
 			t.Fatalf("Gather[%d] = %v, want %v", k, caps[k], float64(users[i].Capacity))
 		}
 	}
-	// Source streams the same rows in the same order.
-	src := v.Source()
-	var u User
-	k := 0
-	for {
-		err := src.Read(&u)
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(u, users[v.Idx[k]]) {
-			t.Fatalf("Source row %d mismatch", k)
-		}
-		k++
-	}
-	if k != v.Len() {
-		t.Fatalf("Source yielded %d rows, want %d", k, v.Len())
-	}
 }
 
 func TestPanelValidateCatchesMismatch(t *testing.T) {
 	p := BuildPanel(panelUsers(10))
 	p.RTT = p.RTT[:5]
-	if err := p.Validate(); err == nil {
+	if err := validatePanel(p); err == nil {
 		t.Fatal("Validate accepted a ragged panel")
 	}
 	p2 := BuildPanel(panelUsers(10))
 	p2.Country[3] = 99
-	if err := p2.Validate(); err == nil {
+	if err := validatePanel(p2); err == nil {
 		t.Fatal("Validate accepted an out-of-range dictionary code")
 	}
 }
@@ -301,4 +281,43 @@ func FuzzPanelWhere(f *testing.F) {
 			}
 		}
 	})
+}
+
+// validatePanel checks a panel's internal consistency: every column the
+// same length and every dictionary code in range.
+func validatePanel(p *Panel) error {
+	n := p.Len()
+	lens := map[string]int{
+		"Country": len(p.Country), "Vantage": len(p.Vantage), "Year": len(p.Year),
+		"ISP": len(p.ISP), "Network": len(p.Network),
+		"PlanDown": len(p.PlanDown), "PlanUp": len(p.PlanUp), "PlanPrice": len(p.PlanPrice),
+		"PlanTech": len(p.PlanTech), "PlanCap": len(p.PlanCap),
+		"Capacity": len(p.Capacity), "UpCapacity": len(p.UpCapacity),
+		"RTT": len(p.RTT), "WebRTT": len(p.WebRTT), "Loss": len(p.Loss),
+		"UsageMean": len(p.UsageMean), "UsagePeak": len(p.UsagePeak),
+		"UsageMeanNoBT": len(p.UsageMeanNoBT), "UsagePeakNoBT": len(p.UsagePeakNoBT),
+		"UsesBT": len(p.UsesBT), "Archetype": len(p.Archetype),
+		"AccessPrice": len(p.AccessPrice), "UpgradeCost": len(p.UpgradeCost),
+	}
+	for name, l := range lens {
+		if l != n {
+			return fmt.Errorf("dataset: panel column %s has %d rows, want %d", name, l, n)
+		}
+	}
+	for i, c := range p.Country {
+		if int(c) >= p.Countries.Len() {
+			return fmt.Errorf("dataset: panel row %d country code %d out of range", i, c)
+		}
+	}
+	for i, c := range p.ISP {
+		if int(c) >= p.ISPs.Len() {
+			return fmt.Errorf("dataset: panel row %d isp code %d out of range", i, c)
+		}
+	}
+	for i, c := range p.Network {
+		if int(c) >= p.Networks.Len() {
+			return fmt.Errorf("dataset: panel row %d network code %d out of range", i, c)
+		}
+	}
+	return nil
 }

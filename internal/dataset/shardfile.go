@@ -154,9 +154,6 @@ func StreamUsersDir(dir string) (*UserStream, error) {
 	return s, nil
 }
 
-// Files returns the paths the stream reads, in order.
-func (s *UserStream) Files() []string { return s.files }
-
 // open advances to file s.next.
 func (s *UserStream) open() error {
 	path := s.files[s.next]

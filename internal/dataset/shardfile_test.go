@@ -79,9 +79,6 @@ func TestUserStreamOverShards(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(us.Files()) != 4 {
-			t.Fatalf("gz=%v: stream over %d files, want 4", gz, len(us.Files()))
-		}
 		got := readAll(t, us)
 		if err := us.Close(); err != nil {
 			t.Fatal(err)

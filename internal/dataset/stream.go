@@ -186,9 +186,8 @@ func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, er
 }
 
 // UserSource yields users one record at a time; Read returns io.EOF after
-// the last user. *Reader[User], *UserStream (a shard set) and a panel's
-// Source implement it, so one-pass consumers run unchanged over worlds
-// larger than RAM.
+// the last user. *Reader[User] and *UserStream (a shard set) implement it,
+// so one-pass consumers run unchanged over worlds larger than RAM.
 type UserSource interface {
 	Read(*User) error
 }
@@ -215,10 +214,6 @@ func NewReader[T Row](r io.Reader, file string) (*Reader[T], error) {
 	}
 	return &Reader[T]{t: t, cr: cr, file: file, row: 1}, nil
 }
-
-// Row reports the 1-based line of the record Read last returned (or, after
-// an error, of the record it failed on).
-func (r *Reader[T]) Row() int { return r.row }
 
 // Read parses the next record into v. It returns io.EOF at end of stream,
 // leaving v unspecified.

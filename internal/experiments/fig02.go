@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"strings"
 
 	"github.com/nwca/broadband/internal/dataset"
@@ -61,46 +60,4 @@ func RunFig02(d *dataset.Dataset, _ *randx.Source) (Report, error) {
 		f.Panels = append(f.Panels, Fig02Panel{Name: p.Name, Series: s, R: r})
 	}
 	return f, nil
-}
-
-// DiminishingReturns reports, for a binned usage series, the log-log slope
-// of the low-capacity half versus the high-capacity half. The paper's "law
-// of diminishing returns" is lowSlope > highSlope.
-func DiminishingReturns(s Series) (lowSlope, highSlope float64, ok bool) {
-	if len(s.Points) < 4 {
-		return 0, 0, false
-	}
-	mid := len(s.Points) / 2
-	slope := func(pts []SeriesPoint) (float64, bool) {
-		// Least-squares on (log x, log y).
-		var xs, ys []float64
-		for _, p := range pts {
-			if p.X > 0 && p.Y > 0 {
-				xs = append(xs, math.Log(p.X))
-				ys = append(ys, math.Log(p.Y))
-			}
-		}
-		if len(xs) < 2 {
-			return 0, false
-		}
-		var mx, my float64
-		for i := range xs {
-			mx += xs[i]
-			my += ys[i]
-		}
-		mx /= float64(len(xs))
-		my /= float64(len(ys))
-		var sxx, sxy float64
-		for i := range xs {
-			sxx += (xs[i] - mx) * (xs[i] - mx)
-			sxy += (xs[i] - mx) * (ys[i] - my)
-		}
-		if sxx == 0 {
-			return 0, false
-		}
-		return sxy / sxx, true
-	}
-	lo, ok1 := slope(s.Points[:mid+1])
-	hi, ok2 := slope(s.Points[mid:])
-	return lo, hi, ok1 && ok2
 }

@@ -213,82 +213,6 @@ func OverviewFromSource(src dataset.UserSource) (*StreamOverview, error) {
 	}
 }
 
-// OverviewExact computes the same artifact with the exact in-core
-// machinery (sorted order statistics, two-pass variance) over a panel's
-// end-host rows. It is the golden reference the sketch is compared against
-// under the tolerance manifest.
-func OverviewExact(p *dataset.Panel) (*StreamOverview, error) {
-	v := p.Where(dataset.ColVantage(dataset.VantageDasu))
-	if v.Len() == 0 {
-		return nil, fmt.Errorf("experiments: overview of an empty end-host panel")
-	}
-	out := &StreamOverview{Users: int64(v.Len())}
-	capMbps := v.Gather(p.Capacity)
-	for i := range capMbps {
-		capMbps[i] /= 1e6
-	}
-	for _, m := range []struct {
-		dst *DistSketch
-		xs  []float64
-	}{
-		{&out.Capacity, capMbps},
-		{&out.RTT, v.Gather(p.RTT)},
-		{&out.Loss, v.Gather(p.Loss)},
-	} {
-		d, err := exactDist(m.xs)
-		if err != nil {
-			return nil, err
-		}
-		*m.dst = d
-	}
-	n := float64(v.Len())
-	for _, i := range v.Idx {
-		if p.Capacity[i] < 1e6 {
-			out.FracBelow1Mbps++
-		}
-		if p.Capacity[i] > 30e6 {
-			out.FracAbove30Mbps++
-		}
-		if p.RTT[i] > 0.5 {
-			out.FracRTTOver500++
-		}
-		if p.Loss[i] > 0.01 {
-			out.FracLossOver1++
-		}
-	}
-	out.FracBelow1Mbps /= n
-	out.FracAbove30Mbps /= n
-	out.FracRTTOver500 /= n
-	out.FracLossOver1 /= n
-	return out, nil
-}
-
-func exactDist(xs []float64) (DistSketch, error) {
-	var d DistSketch
-	d.N = int64(len(xs))
-	var err error
-	if d.Mean, err = stats.Mean(xs); err != nil {
-		return d, err
-	}
-	if len(xs) > 1 {
-		if d.StdDev, err = stats.StdDev(xs); err != nil {
-			return d, err
-		}
-	}
-	if d.Min, d.Max, err = stats.MinMax(xs); err != nil {
-		return d, err
-	}
-	for _, q := range []struct {
-		p   float64
-		dst *float64
-	}{{0.05, &d.P05}, {0.25, &d.P25}, {0.5, &d.Median}, {0.75, &d.P75}, {0.95, &d.P95}} {
-		if *q.dst, err = stats.Quantile(xs, q.p); err != nil {
-			return d, err
-		}
-	}
-	return d, nil
-}
-
 // Render formats the overview for terminal output (bbstats).
 func (s *StreamOverview) Render() string {
 	var b strings.Builder

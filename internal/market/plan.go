@@ -81,40 +81,6 @@ func (c *Catalog) SortByPrice() {
 	})
 }
 
-// FastestAffordable returns the highest-capacity plan priced at or below
-// budget, preferring the cheaper of equal-capacity plans. ok is false when
-// nothing is affordable.
-func (c *Catalog) FastestAffordable(budget unit.USD) (Plan, bool) {
-	var best Plan
-	found := false
-	for _, p := range c.Plans {
-		if p.PriceUSD > budget || p.Dedicated {
-			continue
-		}
-		if !found || p.Down > best.Down || (p.Down == best.Down && p.PriceUSD < best.PriceUSD) {
-			best = p
-			found = true
-		}
-	}
-	return best, found
-}
-
-// Cheapest returns the lowest-priced plan (shared plans only).
-func (c *Catalog) Cheapest() (Plan, bool) {
-	var best Plan
-	found := false
-	for _, p := range c.Plans {
-		if p.Dedicated {
-			continue
-		}
-		if !found || p.PriceUSD < best.PriceUSD {
-			best = p
-			found = true
-		}
-	}
-	return best, found
-}
-
 // NearestTier returns the shared plan whose download capacity is closest to
 // the target in log space — the paper's Table 4 matches each country's
 // median measured capacity to "the nearest speed tier in our set of

@@ -1,28 +1,6 @@
 package market
 
-import (
-	"fmt"
-
-	"github.com/nwca/broadband/internal/unit"
-)
-
-// ToUSDPPP converts a local-currency amount to USD at purchasing power
-// parity, given the country's local-units-per-USD-PPP factor (the
-// IMF-style conversion the survey and the paper use throughout).
-func ToUSDPPP(local float64, pppFactor float64) (unit.USD, error) {
-	if pppFactor <= 0 {
-		return 0, fmt.Errorf("market: PPP factor must be positive, got %v", pppFactor)
-	}
-	return unit.USD(local / pppFactor), nil
-}
-
-// ToLocal converts a USD PPP amount back to local currency.
-func ToLocal(usd unit.USD, pppFactor float64) (float64, error) {
-	if pppFactor <= 0 {
-		return 0, fmt.Errorf("market: PPP factor must be positive, got %v", pppFactor)
-	}
-	return usd.Dollars() * pppFactor, nil
-}
+import "github.com/nwca/broadband/internal/unit"
 
 // IncomeShare returns a monthly price as a fraction of one month of GDP per
 // capita — the paper's Table 4 affordability column ("Cost of Internet

@@ -47,15 +47,6 @@ type FluidResult struct {
 	Completed int
 }
 
-// Rates converts the interval byte counters to average interval rates.
-func (r FluidResult) Rates(interval float64) []float64 {
-	out := make([]float64, len(r.Counters))
-	for i, c := range r.Counters {
-		out[i] = float64(c.RateOver(interval))
-	}
-	return out
-}
-
 // Run simulates the flows until the given horizon (seconds). Flows still in
 // progress at the horizon simply stop accumulating. The algorithm is
 // event-driven: between consecutive events (arrival, completion, or counter

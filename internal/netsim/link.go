@@ -22,22 +22,6 @@ type LossModel struct {
 	BadLoss                unit.LossRate
 }
 
-// StationaryLoss returns the long-run loss probability implied by the model
-// (the value an NDT-style measurement should converge to).
-func (m LossModel) StationaryLoss() unit.LossRate {
-	p := float64(m.Rate)
-	if m.Burst && m.PGoodToBad > 0 && m.PBadToGood > 0 {
-		fracBad := m.PGoodToBad / (m.PGoodToBad + m.PBadToGood)
-		// Loss happens if the i.i.d. draw hits, or we are in the bad state
-		// and the burst draw hits.
-		p = p + (1-p)*fracBad*float64(m.BadLoss)
-	}
-	if p > 1 {
-		p = 1
-	}
-	return unit.LossRate(p)
-}
-
 // LinkConfig describes one direction of an access link.
 type LinkConfig struct {
 	Rate       unit.Bitrate  // transmission capacity
@@ -126,9 +110,6 @@ func NewLink(sim *Simulator, cfg LinkConfig, rng *randx.Source) (*Link, error) {
 // and the loss channel arrive here after serialization + propagation.
 func (l *Link) SetReceiver(fn func(*Packet)) { l.recv = fn }
 
-// Config returns the link's configuration (after defaulting).
-func (l *Link) Config() LinkConfig { return l.cfg }
-
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
@@ -183,14 +164,4 @@ func (l *Link) dropByChannel() bool {
 		}
 	}
 	return l.rng.Bool(float64(m.Rate))
-}
-
-// QueueDelay reports the current queuing delay a newly admitted packet would
-// experience before serialization begins.
-func (l *Link) QueueDelay() float64 {
-	d := l.busyUntil - l.sim.Now()
-	if d < 0 {
-		return 0
-	}
-	return d
 }

@@ -187,18 +187,3 @@ func measureThroughput(dataCfg, ackCfg LinkConfig, cfg NDTConfig, rng *randx.Sou
 		dataStats: data.Stats(),
 	}, nil
 }
-
-// MeasureWebLatency simulates the paper's 2014 web-latency addition: the
-// median RTT of small HTTP-like request/response exchanges against a popular
-// site, which differs from the NDT probe RTT only through the (configured)
-// extra path delay to the site. extraDelay models the additional one-way
-// distance beyond the nearest measurement server.
-func MeasureWebLatency(line AccessLine, extraDelay float64, samples int) (float64, error) {
-	if samples <= 0 {
-		samples = 5
-	}
-	l := line
-	l.Up.Delay += extraDelay
-	l.Down.Delay += extraDelay
-	return measureRTT(l, samples)
-}

@@ -101,21 +101,6 @@ func TestRunNDTValidation(t *testing.T) {
 	}
 }
 
-func TestMeasureWebLatency(t *testing.T) {
-	line := typicalLine(unit.MbpsOf(10), unit.MbpsOf(1), 0.02, 0)
-	ndtRTT, err := MeasureWebLatency(line, 0, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	webRTT, err := MeasureWebLatency(line, 0.05, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if diff := webRTT - ndtRTT; math.Abs(diff-0.1) > 0.001 {
-		t.Errorf("extra one-way delay of 50 ms should add ≈100 ms RTT, added %v", diff)
-	}
-}
-
 func TestNDTCapacityLadder(t *testing.T) {
 	// Measured download capacity must be monotone in configured capacity —
 	// the property every capacity-binned analysis in the study depends on.

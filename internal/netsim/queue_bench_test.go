@@ -64,28 +64,3 @@ func BenchmarkEventQueueHeapHold(b *testing.B) {
 		q.pushEvent(event{at: now + incs[i%len(incs)], id: id})
 	}
 }
-
-// BenchmarkSimulatorChurn measures the full Simulator API (At + Run) on a
-// self-extending schedule shaped like the packet simulator's: each event
-// schedules its successor a sub-millisecond step ahead.
-func BenchmarkSimulatorChurn(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		var s Simulator
-		remaining := 10000
-		var step func()
-		step = func() {
-			if remaining > 0 {
-				remaining--
-				s.After(0.0012, step)
-			}
-		}
-		for j := 0; j < 64; j++ {
-			s.After(float64(j)*0.0001, step)
-		}
-		s.Run()
-		if s.Now() == 0 {
-			b.Fatal("simulator did not advance")
-		}
-	}
-}

@@ -134,25 +134,6 @@ func (s *Source) LogNormalMedian(median, sigma float64) float64 {
 	return s.LogNormal(math.Log(median), sigma)
 }
 
-// Exponential returns a draw from the exponential distribution with the
-// given mean (not rate). A mean of zero or less returns zero.
-func (s *Source) Exponential(mean float64) float64 {
-	if mean <= 0 {
-		return 0
-	}
-	return s.rng.ExpFloat64() * mean
-}
-
-// Pareto returns a draw from a Pareto distribution with scale xm > 0 and
-// shape alpha > 0: heavy-tailed session sizes and flow volumes.
-func (s *Source) Pareto(xm, alpha float64) float64 {
-	if xm <= 0 || alpha <= 0 {
-		return 0
-	}
-	u := 1 - s.rng.Float64() // (0, 1]
-	return xm / math.Pow(u, 1/alpha)
-}
-
 // BoundedPareto returns a Pareto(xm, alpha) draw truncated to [xm, hi] by
 // inversion (exact, no rejection loop).
 func (s *Source) BoundedPareto(xm, hi, alpha float64) float64 {
@@ -163,50 +144,6 @@ func (s *Source) BoundedPareto(xm, hi, alpha float64) float64 {
 	la, ha := math.Pow(xm, alpha), math.Pow(hi, alpha)
 	x := math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
 	return math.Min(hi, math.Max(xm, x))
-}
-
-// Gamma returns a draw from the gamma distribution with the given shape k>0
-// and scale theta>0, using Marsaglia–Tsang for k >= 1 and boosting for k < 1.
-func (s *Source) Gamma(k, theta float64) float64 {
-	if k <= 0 || theta <= 0 {
-		return 0
-	}
-	if k < 1 {
-		// Boost: gamma(k) = gamma(k+1) * U^(1/k).
-		u := 1 - s.rng.Float64()
-		return s.Gamma(k+1, theta) * math.Pow(u, 1/k)
-	}
-	d := k - 1.0/3.0
-	c := 1 / math.Sqrt(9*d)
-	for {
-		x := s.rng.NormFloat64()
-		v := 1 + c*x
-		if v <= 0 {
-			continue
-		}
-		v = v * v * v
-		u := s.rng.Float64()
-		if u < 1-0.0331*x*x*x*x {
-			return d * v * theta
-		}
-		if math.Log(u) < 0.5*x*x+d*(1-v+math.Log(v)) {
-			return d * v * theta
-		}
-	}
-}
-
-// Beta returns a draw from the beta distribution with parameters a, b > 0,
-// via the ratio of gamma variates.
-func (s *Source) Beta(a, b float64) float64 {
-	if a <= 0 || b <= 0 {
-		return 0
-	}
-	x := s.Gamma(a, 1)
-	y := s.Gamma(b, 1)
-	if x+y == 0 {
-		return 0
-	}
-	return x / (x + y)
 }
 
 // Poisson returns a draw from the Poisson distribution with the given mean,
@@ -239,21 +176,10 @@ func (s *Source) Poisson(mean float64) int {
 // empty — the signature of a malformed catalog or mixture table.
 var ErrEmptyWeights = errors.New("randx: categorical draw from empty weights")
 
-// Categorical returns an index drawn with probability proportional to the
-// given non-negative weights. It panics if weights is empty; callers whose
-// weights come from configuration or external data should use
-// CategoricalErr so a malformed input surfaces as an error instead of
-// crashing a long generation run.
-func (s *Source) Categorical(weights []float64) int {
-	i, err := s.CategoricalErr(weights)
-	if err != nil {
-		panic(err)
-	}
-	return i
-}
-
-// CategoricalErr is Categorical with an error contract: it returns
-// ErrEmptyWeights (and -1) when weights is empty. If all weights are zero
+// CategoricalErr returns an index drawn with probability proportional to
+// the given non-negative weights. It returns ErrEmptyWeights (and -1) when
+// weights is empty, so a malformed catalog or mixture table surfaces as an
+// error instead of crashing a long generation run. If all weights are zero
 // it returns a uniform index.
 func (s *Source) CategoricalErr(weights []float64) (int, error) {
 	if len(weights) == 0 {

@@ -95,30 +95,6 @@ func binomUpperTail(k, n int, p float64) float64 {
 	return RegIncBeta(float64(k), float64(n-k+1), p)
 }
 
-// BinomialPMF returns P(X = k) for X ~ Binomial(n, p), evaluated in log
-// space so it is usable at large n.
-func BinomialPMF(k, n int, p float64) float64 {
-	if k < 0 || k > n || n < 0 {
-		return 0
-	}
-	if p <= 0 {
-		if k == 0 {
-			return 1
-		}
-		return 0
-	}
-	if p >= 1 {
-		if k == n {
-			return 1
-		}
-		return 0
-	}
-	ln, _ := math.Lgamma(float64(n + 1))
-	lk, _ := math.Lgamma(float64(k + 1))
-	lnk, _ := math.Lgamma(float64(n - k + 1))
-	return math.Exp(ln - lk - lnk + float64(k)*math.Log(p) + float64(n-k)*math.Log1p(-p))
-}
-
 // Significance encodes the paper's twofold decision rule (Sec. 2.3): a
 // result must be statistically significant (p < 0.05) AND practically
 // important (the hypothesis holds in at least 52% of pairs, guarding against

@@ -103,23 +103,6 @@ func TestBinomialTailComplementProperty(t *testing.T) {
 	}
 }
 
-func TestBinomialPMF(t *testing.T) {
-	almost(t, "pmf(5,10,.5)", BinomialPMF(5, 10, 0.5), 252.0/1024, 1e-12)
-	almost(t, "pmf(0,4,.5)", BinomialPMF(0, 4, 0.5), 1.0/16, 1e-12)
-	if BinomialPMF(-1, 10, 0.5) != 0 || BinomialPMF(11, 10, 0.5) != 0 {
-		t.Error("out-of-support pmf should be 0")
-	}
-	if BinomialPMF(0, 10, 0) != 1 || BinomialPMF(10, 10, 1) != 1 {
-		t.Error("degenerate p should concentrate mass")
-	}
-	// PMF sums to 1.
-	sum := 0.0
-	for k := 0; k <= 30; k++ {
-		sum += BinomialPMF(k, 30, 0.3)
-	}
-	almost(t, "pmf sum", sum, 1, 1e-9)
-}
-
 func TestSignificanceRule(t *testing.T) {
 	// Statistically significant but practically unimportant: huge n, 51%.
 	r, err := BinomialTest(51000, 100000, 0.5, TailGreater)

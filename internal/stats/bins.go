@@ -63,21 +63,6 @@ func formatMbps(r unit.Bitrate) string {
 	return fmt.Sprintf("%.1f Mbps", v)
 }
 
-// GroupByClass partitions values by the capacity class of their keys,
-// returning a map from class to the indices of members. Callers use the
-// indices to slice their own parallel arrays.
-func GroupByClass(rates []unit.Bitrate) map[CapacityClass][]int {
-	groups := make(map[CapacityClass][]int)
-	for i, r := range rates {
-		if r <= 0 {
-			continue
-		}
-		c := ClassOf(r)
-		groups[c] = append(groups[c], i)
-	}
-	return groups
-}
-
 // Tier is a named capacity band used by the cross-country comparisons
 // (Sec. 5): <1, 1–8, 8–16, 16–32 and >32 Mbps.
 type Tier int
@@ -129,41 +114,4 @@ func (t Tier) String() string {
 	default:
 		return fmt.Sprintf("Tier(%d)", int(t))
 	}
-}
-
-// LogBins builds n logarithmically spaced bin edges spanning [lo, hi],
-// used to aggregate scatter data for the usage-vs-capacity figures.
-func LogBins(lo, hi float64, n int) []float64 {
-	if n < 1 || lo <= 0 || hi <= lo {
-		return nil
-	}
-	edges := make([]float64, n+1)
-	llo, lhi := math.Log(lo), math.Log(hi)
-	for i := 0; i <= n; i++ {
-		edges[i] = math.Exp(llo + (lhi-llo)*float64(i)/float64(n))
-	}
-	edges[0], edges[n] = lo, hi // pin the ends against rounding
-	return edges
-}
-
-// BinIndex returns the index of the bin (edges[i], edges[i+1]] containing v,
-// or -1 when v is outside the covered range. Values equal to the lowest edge
-// land in bin 0.
-func BinIndex(edges []float64, v float64) int {
-	if len(edges) < 2 || v < edges[0] || v > edges[len(edges)-1] {
-		return -1
-	}
-	if v == edges[0] {
-		return 0
-	}
-	lo, hi := 0, len(edges)-1
-	for hi-lo > 1 {
-		mid := (lo + hi) / 2
-		if v > edges[mid] {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
 }

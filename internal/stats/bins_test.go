@@ -68,26 +68,6 @@ func TestClassOfInvalid(t *testing.T) {
 	}
 }
 
-func TestGroupByClass(t *testing.T) {
-	rates := []unit.Bitrate{
-		unit.KbpsOf(150), unit.KbpsOf(190), unit.MbpsOf(5), 0, unit.MbpsOf(5.5),
-	}
-	g := GroupByClass(rates)
-	if len(g[1]) != 2 {
-		t.Errorf("class 1 members = %v", g[1])
-	}
-	if len(g[6]) != 2 {
-		t.Errorf("class 6 members = %v", g[6])
-	}
-	total := 0
-	for _, members := range g {
-		total += len(members)
-	}
-	if total != 4 {
-		t.Errorf("grouped %d members, want 4 (zero rate skipped)", total)
-	}
-}
-
 func TestTierOf(t *testing.T) {
 	cases := []struct {
 		rate unit.Bitrate
@@ -117,53 +97,5 @@ func TestTierStrings(t *testing.T) {
 	}
 	if Tier(99).String() != "Tier(99)" {
 		t.Error("unknown tier string")
-	}
-}
-
-func TestLogBins(t *testing.T) {
-	edges := LogBins(0.1, 100, 3)
-	if len(edges) != 4 {
-		t.Fatalf("edges = %v", edges)
-	}
-	almost(t, "edge0", edges[0], 0.1, 1e-12)
-	almost(t, "edge3", edges[3], 100, 1e-12)
-	almost(t, "edge1", edges[1], 1, 1e-9)
-	almost(t, "edge2", edges[2], 10, 1e-9)
-	if LogBins(0, 10, 3) != nil || LogBins(10, 5, 3) != nil || LogBins(1, 10, 0) != nil {
-		t.Error("invalid LogBins arguments should return nil")
-	}
-}
-
-func TestBinIndex(t *testing.T) {
-	edges := []float64{1, 10, 100, 1000}
-	cases := []struct {
-		v    float64
-		want int
-	}{
-		{1, 0}, {5, 0}, {10, 0}, {10.5, 1}, {100, 1}, {999, 2}, {1000, 2},
-		{0.5, -1}, {1001, -1},
-	}
-	for _, c := range cases {
-		if got := BinIndex(edges, c.v); got != c.want {
-			t.Errorf("BinIndex(%v) = %d, want %d", c.v, got, c.want)
-		}
-	}
-	if BinIndex([]float64{1}, 1) != -1 {
-		t.Error("degenerate edges should return -1")
-	}
-}
-
-func TestBinIndexExhaustsRangeProperty(t *testing.T) {
-	edges := LogBins(0.1, 1000, 20)
-	f := func(v float64) bool {
-		v = 0.1 + math.Mod(math.Abs(v), 999.9)
-		i := BinIndex(edges, v)
-		if i < 0 || i >= 20 {
-			return false
-		}
-		return (v > edges[i] || v == edges[0]) && v <= edges[i+1]
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }

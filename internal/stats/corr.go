@@ -57,18 +57,6 @@ func LogPearson(xs, ys []float64) (float64, error) {
 	return Pearson(lx, ly)
 }
 
-// Spearman returns the Spearman rank correlation coefficient, robust to
-// monotone transformations; used as a cross-check on the price–capacity
-// relationships in markets with outlier plans.
-func Spearman(xs, ys []float64) (float64, error) {
-	if len(xs) != len(ys) {
-		return 0, ErrMismatched
-	}
-	rx := ranks(xs)
-	ry := ranks(ys)
-	return Pearson(rx, ry)
-}
-
 // ranks assigns average ranks (1-based) to the sample, averaging ties.
 func ranks(xs []float64) []float64 {
 	n := len(xs)

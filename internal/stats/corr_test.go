@@ -108,32 +108,6 @@ func TestLogPearson(t *testing.T) {
 	}
 }
 
-func TestSpearman(t *testing.T) {
-	// Monotone but nonlinear: Spearman = 1.
-	xs := []float64{1, 2, 3, 4, 5}
-	ys := []float64{1, 8, 27, 64, 125}
-	r, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "Spearman monotone", r, 1, 1e-12)
-	// Reversed: -1.
-	rev := []float64{125, 64, 27, 8, 1}
-	r, _ = Spearman(xs, rev)
-	almost(t, "Spearman reversed", r, -1, 1e-12)
-}
-
-func TestSpearmanTies(t *testing.T) {
-	// With ties, average ranks are used; check a hand-computed case.
-	xs := []float64{1, 2, 2, 3}
-	ys := []float64{10, 20, 20, 30}
-	r, err := Spearman(xs, ys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "Spearman ties", r, 1, 1e-12)
-}
-
 func TestRanks(t *testing.T) {
 	got := ranks([]float64{10, 20, 20, 5})
 	want := []float64{2, 3.5, 3.5, 1}

@@ -45,41 +45,6 @@ func StdDev(xs []float64) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// MinMax returns the smallest and largest values in the sample.
-func MinMax(xs []float64) (lo, hi float64, err error) {
-	if len(xs) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
-// GeoMean returns the geometric mean of a strictly positive sample. A
-// sample containing a zero or negative value returns ErrNonPositive (the
-// log-domain mean is undefined there — distinct from ErrShortSample, which
-// signals too few observations).
-func GeoMean(xs []float64) (float64, error) {
-	if len(xs) == 0 {
-		return 0, ErrEmpty
-	}
-	s := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			return 0, ErrNonPositive
-		}
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs))), nil
-}
-
 // Interval is a two-sided confidence interval around a point estimate.
 type Interval struct {
 	Point float64 // the estimate (e.g. sample mean)
@@ -87,13 +52,6 @@ type Interval struct {
 	Hi    float64 // upper confidence bound
 	Level float64 // confidence level, e.g. 0.95
 }
-
-// HalfWidth returns half the interval width, the ± margin used when drawing
-// error bars (every figure in the paper shows 95% CIs of the mean).
-func (iv Interval) HalfWidth() float64 { return (iv.Hi - iv.Lo) / 2 }
-
-// Contains reports whether v lies inside the interval (inclusive).
-func (iv Interval) Contains(v float64) bool { return v >= iv.Lo && v <= iv.Hi }
 
 // MeanCI returns the Student-t confidence interval for the population mean
 // at the given level (e.g. 0.95). A single observation yields a degenerate

@@ -38,15 +38,6 @@ func TestEmptyAndShortErrors(t *testing.T) {
 	if _, _, err := MinMax(nil); err != ErrEmpty {
 		t.Errorf("MinMax(nil) err = %v, want ErrEmpty", err)
 	}
-	if _, err := GeoMean(nil); err != ErrEmpty {
-		t.Errorf("GeoMean(nil) err = %v, want ErrEmpty", err)
-	}
-	if _, err := GeoMean([]float64{1, -2}); err != ErrNonPositive {
-		t.Errorf("GeoMean(negative) err = %v, want ErrNonPositive", err)
-	}
-	if _, err := GeoMean([]float64{0, 2}); err != ErrNonPositive {
-		t.Errorf("GeoMean(zero) err = %v, want ErrNonPositive", err)
-	}
 }
 
 func TestMinMax(t *testing.T) {
@@ -57,14 +48,6 @@ func TestMinMax(t *testing.T) {
 	if lo != -1 || hi != 7 {
 		t.Errorf("MinMax = (%v, %v), want (-1, 7)", lo, hi)
 	}
-}
-
-func TestGeoMean(t *testing.T) {
-	g, err := GeoMean([]float64{1, 10, 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	almost(t, "GeoMean", g, 10, 1e-9)
 }
 
 func TestMeanCI(t *testing.T) {
@@ -79,10 +62,7 @@ func TestMeanCI(t *testing.T) {
 		t.Fatal(err)
 	}
 	almost(t, "CI point", iv.Point, 0, 1e-12)
-	almost(t, "CI halfwidth", iv.HalfWidth(), 2.30600413520417/3, 1e-6)
-	if !iv.Contains(0) || iv.Contains(5) {
-		t.Error("Contains misbehaves")
-	}
+	almost(t, "CI halfwidth", (iv.Hi-iv.Lo)/2, 2.30600413520417/3, 1e-6)
 	// Degenerate single-sample interval.
 	iv, err = MeanCI([]float64{4.2}, 0.95)
 	if err != nil {
@@ -113,7 +93,7 @@ func TestMeanCICoversTruthProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		if !iv.Contains(3) {
+		if iv.Lo > 3 || iv.Hi < 3 {
 			misses++
 		}
 		return true

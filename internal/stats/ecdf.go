@@ -16,7 +16,7 @@ type ECDF struct {
 
 // NewECDF builds an ECDF from a sample (which it copies and sorts). A
 // sample containing NaN returns ErrNaN: sort.Float64s leaves NaNs in
-// unspecified positions, so Eval/Quantile/Curve over NaN-contaminated data
+// unspecified positions, so quantiles over NaN-contaminated data
 // would be nondeterministic garbage — the same contract Quantile and the
 // rest of the order-statistic family enforce.
 func NewECDF(xs []float64) (*ECDF, error) {
@@ -34,49 +34,8 @@ func NewECDF(xs []float64) (*ECDF, error) {
 	return &ECDF{sorted: s}, nil
 }
 
-// N returns the number of observations.
-func (e *ECDF) N() int { return len(e.sorted) }
-
-// Eval returns F(x) = fraction of observations ≤ x.
-func (e *ECDF) Eval(x float64) float64 {
-	// sort.SearchFloat64s returns the first index with sorted[i] >= x; we
-	// need the count of values <= x, so search for the insertion point
-	// after any run of values equal to x.
-	i := sort.Search(len(e.sorted), func(i int) bool { return e.sorted[i] > x })
-	return float64(i) / float64(len(e.sorted))
-}
-
 // Quantile returns the p-quantile of the underlying sample (type 7).
 func (e *ECDF) Quantile(p float64) float64 { return quantileSorted(e.sorted, p) }
-
-// Min and Max report the sample range.
-func (e *ECDF) Min() float64 { return e.sorted[0] }
-
-// Max reports the largest observation.
-func (e *ECDF) Max() float64 { return e.sorted[len(e.sorted)-1] }
-
-// Point is one (x, F(x)) coordinate of an ECDF curve.
-type Point struct {
-	X float64
-	F float64
-}
-
-// Curve returns up to n evenly spaced (in probability) points on the ECDF,
-// the series a plotting tool would consume.
-func (e *ECDF) Curve(n int) []Point {
-	if n < 2 {
-		n = 2
-	}
-	if n > len(e.sorted)+1 {
-		n = len(e.sorted) + 1
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		pts = append(pts, Point{X: e.Quantile(p), F: p})
-	}
-	return pts
-}
 
 // RenderQuantiles formats the ECDF as a fixed set of quantiles, the compact
 // representation used in the experiment reports. format is applied to each

@@ -90,14 +90,8 @@ func TestOrderStatisticsRejectNaN(t *testing.T) {
 		if _, err := NewECDF(xs); err != ErrNaN {
 			t.Errorf("NewECDF(%v) err = %v, want ErrNaN", xs, err)
 		}
-		if _, err := Percentile(xs, 95); err != ErrNaN {
-			t.Errorf("Percentile(%v) err = %v, want ErrNaN", xs, err)
-		}
 		if _, err := Median(xs); err != ErrNaN {
 			t.Errorf("Median(%v) err = %v, want ErrNaN", xs, err)
-		}
-		if _, err := IQR(xs); err != ErrNaN {
-			t.Errorf("IQR(%v) err = %v, want ErrNaN", xs, err)
 		}
 		if _, err := Summarize(xs); err != ErrNaN {
 			t.Errorf("Summarize(%v) err = %v, want ErrNaN", xs, err)
@@ -144,11 +138,6 @@ func TestQuantileSortedFastPath(t *testing.T) {
 	}
 	if sa != sb {
 		t.Errorf("Summarize: sorted %+v != shuffled %+v", sa, sb)
-	}
-	ia, _ := IQR(sorted)
-	ib, _ := IQR(shuffled)
-	if ia != ib {
-		t.Errorf("IQR: sorted %v != shuffled %v", ia, ib)
 	}
 	for i, want := range []float64{1, 2, 3, 5, 8, 13, 21, 34} {
 		if sorted[i] != want {
@@ -218,7 +207,7 @@ func TestNonFinitePropagation(t *testing.T) {
 
 // TestPairedEdgeTable sweeps the two-sample machinery over its degenerate
 // inputs: constant series kill Pearson and the regression (zero variance),
-// all-tied pairs starve the Wilcoxon test, and the rank tests degrade
+// all-tied pairs starve the Wilcoxon test, and the KS test degrades
 // gracefully instead of erroring.
 func TestPairedEdgeTable(t *testing.T) {
 	t.Parallel()
@@ -233,16 +222,9 @@ func TestPairedEdgeTable(t *testing.T) {
 	if _, err := LinearRegression([]float64{1, 1, 1}, []float64{1, 2, 3}); err == nil {
 		t.Error("LinearRegression on constant x should error")
 	}
-	if r, err := Spearman([]float64{1, 2}, []float64{3, 4}); err != nil || r != 1 {
-		t.Errorf("Spearman of two concordant pairs = %v, %v; want 1, nil", r, err)
-	}
 	k, err := KSTest([]float64{1}, []float64{2})
 	if err != nil || k.D != 1 {
 		t.Errorf("KS of disjoint singletons = %v, %v; want D=1, nil", k.D, err)
-	}
-	u, err := MannWhitneyU([]float64{2, 2}, []float64{2, 2}, TailTwoSided)
-	if err != nil || u.P != 1 {
-		t.Errorf("MannWhitney on identical all-equal samples: P=%v, %v; want 1, nil", u.P, err)
 	}
 	if _, err := WilcoxonSignedRank([]float64{1, 2}, []float64{1, 2}, TailGreater); err == nil {
 		t.Error("Wilcoxon with every pair tied should error (no informative pairs)")

@@ -47,16 +47,7 @@ func ExampleClassOf() {
 // ECDFs drive every "CDF of users" figure.
 func ExampleECDF() {
 	e, _ := stats.NewECDF([]float64{1, 2, 2, 4, 8})
-	fmt.Printf("F(2) = %.1f, median = %.0f\n", e.Eval(2), e.Quantile(0.5))
+	fmt.Printf("median = %.0f, p90 = %.1f\n", e.Quantile(0.5), e.Quantile(0.9))
 	// Output:
-	// F(2) = 0.6, median = 2
-}
-
-// MinDetectableFraction quantifies the paper's large-sample caution: at
-// n = 100,000 pairs even a 50.4% deviation reaches significance.
-func ExampleMinDetectableFraction() {
-	f, _ := stats.MinDetectableFraction(100000, 0.05, 0.8)
-	fmt.Printf("detectable fraction at n=100k: %.3f\n", f)
-	// Output:
-	// detectable fraction at n=100k: 0.504
+	// median = 2, p90 = 6.4
 }

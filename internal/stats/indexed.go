@@ -53,24 +53,6 @@ func StdDevIdx(xs []float64, idx []int32) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// MinMaxIdx returns the smallest and largest of xs at idx.
-func MinMaxIdx(xs []float64, idx []int32) (lo, hi float64, err error) {
-	if len(idx) == 0 {
-		return 0, 0, ErrEmpty
-	}
-	lo, hi = xs[idx[0]], xs[idx[0]]
-	for _, i := range idx[1:] {
-		x := xs[i]
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi, nil
-}
-
 // MeanCIIdx returns the Student-t confidence interval for the population
 // mean of xs at idx at the given level.
 func MeanCIIdx(xs []float64, idx []int32, level float64) (Interval, error) {

@@ -50,12 +50,6 @@ func TestIndexedAggregatesBitIdentical(t *testing.T) {
 		t.Fatalf("StdDevIdx = %v (%v), StdDev = %v (%v)", gotS, err1, wantS, err2)
 	}
 
-	gotLo, gotHi, err1 := MinMaxIdx(xs, idx)
-	wantLo, wantHi, err2 := MinMax(g)
-	if err1 != nil || err2 != nil || gotLo != wantLo || gotHi != wantHi {
-		t.Fatalf("MinMaxIdx = (%v, %v), MinMax = (%v, %v)", gotLo, gotHi, wantLo, wantHi)
-	}
-
 	for _, level := range []float64{0.90, 0.95, 0.99} {
 		gotCI, err1 := MeanCIIdx(xs, idx, level)
 		wantCI, err2 := MeanCI(g, level)
@@ -70,9 +64,6 @@ func TestIndexedAggregatesEdgeCases(t *testing.T) {
 
 	if _, err := MeanIdx(xs, nil); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("MeanIdx(empty) err = %v, want ErrEmpty", err)
-	}
-	if _, _, err := MinMaxIdx(xs, nil); !errors.Is(err, ErrEmpty) {
-		t.Fatalf("MinMaxIdx(empty) err = %v, want ErrEmpty", err)
 	}
 	if _, err := VarianceIdx(xs, nil); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("VarianceIdx(empty) err = %v, want ErrEmpty", err)

@@ -16,17 +16,6 @@ func Sign(x float64) int {
 	}
 }
 
-// SameSign reports whether every value in the sample has the given sign
-// (see Sign). An empty sample is vacuously true.
-func SameSign(xs []float64, sign int) bool {
-	for _, x := range xs {
-		if Sign(x) != sign {
-			return false
-		}
-	}
-	return true
-}
-
 // NonDecreasing reports whether the sequence never drops by more than tol
 // between consecutive elements: xs[i+1] >= xs[i] - tol for every i. tol is
 // an absolute slack (0 demands exact monotonicity); a NaN anywhere in the

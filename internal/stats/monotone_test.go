@@ -24,28 +24,6 @@ func TestSign(t *testing.T) {
 	}
 }
 
-func TestSameSign(t *testing.T) {
-	t.Parallel()
-	cases := []struct {
-		name string
-		xs   []float64
-		sign int
-		want bool
-	}{
-		{"all positive", []float64{1, 2, 0.5}, 1, true},
-		{"one zero breaks positive", []float64{1, 0, 2}, 1, false},
-		{"all negative", []float64{-1, -3}, -1, true},
-		{"mixed fails", []float64{-1, 2}, -1, false},
-		{"zeros and NaN count as sign 0", []float64{0, nan}, 0, true},
-		{"empty vacuous", nil, 1, true},
-	}
-	for _, c := range cases {
-		if got := SameSign(c.xs, c.sign); got != c.want {
-			t.Errorf("%s: SameSign(%v, %+d) = %v, want %v", c.name, c.xs, c.sign, got, c.want)
-		}
-	}
-}
-
 func TestMonotone(t *testing.T) {
 	t.Parallel()
 	cases := []struct {

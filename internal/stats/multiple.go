@@ -49,49 +49,3 @@ func BenjaminiHochberg(pvals []float64, q float64) ([]bool, error) {
 	}
 	return out, nil
 }
-
-// MinDetectableFraction returns the smallest success fraction a one-tailed
-// binomial test against p0 = 0.5 can detect at significance alpha with the
-// given power, for n matched pairs (normal approximation). This is the
-// quantity behind the paper's observation that huge samples make trivial
-// deviations significant: at n = 10⁵ the detectable fraction sits near
-// 50.5%, far below the paper's 52% practical-importance bar.
-func MinDetectableFraction(n int, alpha, power float64) (float64, error) {
-	if n <= 0 {
-		return 0, ErrEmpty
-	}
-	if alpha <= 0 || alpha >= 1 {
-		alpha = Alpha
-	}
-	if power <= 0 || power >= 1 {
-		power = 0.8
-	}
-	zAlpha := NormalQuantile(1 - alpha)
-	zBeta := NormalQuantile(power)
-	// Under H0 the standard error is 0.5/√n; using it for the alternative
-	// too keeps the closed form (error < 1% for fractions below 0.6).
-	se := 0.5 / math.Sqrt(float64(n))
-	f := 0.5 + (zAlpha+zBeta)*se
-	if f > 1 {
-		f = 1
-	}
-	return f, nil
-}
-
-// RequiredPairs inverts MinDetectableFraction: how many matched pairs are
-// needed to detect the given success fraction at alpha and power.
-func RequiredPairs(fraction, alpha, power float64) (int, error) {
-	if fraction <= 0.5 || fraction > 1 {
-		return 0, ErrShortSample
-	}
-	if alpha <= 0 || alpha >= 1 {
-		alpha = Alpha
-	}
-	if power <= 0 || power >= 1 {
-		power = 0.8
-	}
-	zAlpha := NormalQuantile(1 - alpha)
-	zBeta := NormalQuantile(power)
-	n := math.Pow(0.5*(zAlpha+zBeta)/(fraction-0.5), 2)
-	return int(math.Ceil(n)), nil
-}

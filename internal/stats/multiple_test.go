@@ -87,58 +87,3 @@ func TestBenjaminiHochbergMonotoneProperty(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestMinDetectableFraction(t *testing.T) {
-	// n = 100k: detectable fraction just above 50% — the paper's point.
-	f, err := MinDetectableFraction(100000, 0.05, 0.8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if f > 0.51 || f <= 0.5 {
-		t.Errorf("MDE at n=100k = %v, want ≈0.504", f)
-	}
-	// n = 100: much coarser.
-	f100, _ := MinDetectableFraction(100, 0.05, 0.8)
-	if f100 < 0.6 || f100 > 0.65 {
-		t.Errorf("MDE at n=100 = %v, want ≈0.62", f100)
-	}
-	// Monotone in n.
-	f1000, _ := MinDetectableFraction(1000, 0.05, 0.8)
-	if !(f100 > f1000 && f1000 > f) {
-		t.Errorf("MDE must fall with n: %v, %v, %v", f100, f1000, f)
-	}
-	if _, err := MinDetectableFraction(0, 0.05, 0.8); err == nil {
-		t.Error("n=0 should error")
-	}
-	// Tiny n clamps at 1.
-	f2, _ := MinDetectableFraction(1, 0.05, 0.99)
-	if f2 > 1 {
-		t.Errorf("MDE must clamp at 1, got %v", f2)
-	}
-}
-
-func TestRequiredPairsRoundTrip(t *testing.T) {
-	// RequiredPairs and MinDetectableFraction must invert each other.
-	for _, frac := range []float64{0.52, 0.55, 0.6, 0.7} {
-		n, err := RequiredPairs(frac, 0.05, 0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := MinDetectableFraction(n, 0.05, 0.8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got > frac+0.005 {
-			t.Errorf("RequiredPairs(%v) = %d but MDE(n) = %v", frac, n, got)
-		}
-	}
-	// The paper's 52% practical bar needs ≈3.9k pairs at 80% power —
-	// context for why its significant sub-55% rows all carry n ≳ 10³.
-	n, _ := RequiredPairs(0.52, 0.05, 0.8)
-	if n < 3000 || n > 4500 {
-		t.Errorf("pairs for 52%% = %d, want ≈3860", n)
-	}
-	if _, err := RequiredPairs(0.5, 0.05, 0.8); err == nil {
-		t.Error("fraction at chance should error")
-	}
-}

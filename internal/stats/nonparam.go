@@ -8,7 +8,6 @@ import (
 // Nonparametric tests used as robustness cross-checks on the paper's
 // binomial designs: the Kolmogorov–Smirnov two-sample test quantifies the
 // distributional separations the CDF figures show (India vs. the rest),
-// Mann–Whitney U compares unpaired groups without normality assumptions,
 // and the Wilcoxon signed-rank test strengthens the within-subject upgrade
 // analysis by using effect magnitudes where the paper's sign-style binomial
 // test uses directions only.
@@ -76,64 +75,6 @@ func ksProb(lambda float64) float64 {
 	return p
 }
 
-// UTestResult reports a Mann–Whitney U test.
-type UTestResult struct {
-	U float64 // statistic of sample a
-	Z float64 // normal-approximation z-score (tie-corrected)
-	P float64 // p-value for the selected tail
-}
-
-// MannWhitneyU tests whether values of a tend to exceed values of b, via
-// the rank-sum statistic with the tie-corrected normal approximation
-// (appropriate at the sample sizes of this study).
-func MannWhitneyU(a, b []float64, tail Tail) (UTestResult, error) {
-	if len(a) == 0 || len(b) == 0 {
-		return UTestResult{}, ErrEmpty
-	}
-	n1, n2 := float64(len(a)), float64(len(b))
-	combined := make([]float64, 0, len(a)+len(b))
-	combined = append(combined, a...)
-	combined = append(combined, b...)
-	r := ranks(combined)
-	var ra float64
-	for i := range a {
-		ra += r[i]
-	}
-	u := ra - n1*(n1+1)/2
-	mu := n1 * n2 / 2
-	// Tie correction to the variance.
-	tieSum := 0.0
-	sorted := append([]float64(nil), combined...)
-	sort.Float64s(sorted)
-	for i := 0; i < len(sorted); {
-		j := i
-		for j+1 < len(sorted) && sorted[j+1] == sorted[i] {
-			j++
-		}
-		t := float64(j - i + 1)
-		if t > 1 {
-			tieSum += t*t*t - t
-		}
-		i = j + 1
-	}
-	n := n1 + n2
-	sigma2 := n1 * n2 / 12 * ((n + 1) - tieSum/(n*(n-1)))
-	if sigma2 <= 0 {
-		return UTestResult{U: u, Z: 0, P: 1}, nil
-	}
-	z := (u - mu) / math.Sqrt(sigma2)
-	res := UTestResult{U: u, Z: z}
-	switch tail {
-	case TailGreater:
-		res.P = 1 - NormalCDF(z)
-	case TailLess:
-		res.P = NormalCDF(z)
-	default:
-		res.P = 2 * (1 - NormalCDF(math.Abs(z)))
-	}
-	return res, nil
-}
-
 // WilcoxonResult reports a Wilcoxon signed-rank test over paired samples.
 type WilcoxonResult struct {
 	WPlus float64 // rank sum of positive differences
@@ -183,36 +124,4 @@ func WilcoxonSignedRank(before, after []float64, tail Tail) (WilcoxonResult, err
 		res.P = 2 * (1 - NormalCDF(math.Abs(z)))
 	}
 	return res, nil
-}
-
-// BootstrapCI estimates a confidence interval for an arbitrary statistic by
-// the percentile bootstrap. The resampling stream is supplied by next (a
-// function returning uniform [0,1) draws) so callers control determinism.
-func BootstrapCI(xs []float64, stat func([]float64) float64, level float64, rounds int, next func() float64) (Interval, error) {
-	if len(xs) == 0 {
-		return Interval{}, ErrEmpty
-	}
-	if level <= 0 || level >= 1 {
-		level = 0.95
-	}
-	if rounds <= 0 {
-		rounds = 1000
-	}
-	if next == nil {
-		return Interval{}, ErrShortSample
-	}
-	point := stat(xs)
-	estimates := make([]float64, rounds)
-	resample := make([]float64, len(xs))
-	for r := 0; r < rounds; r++ {
-		for i := range resample {
-			resample[i] = xs[int(next()*float64(len(xs)))]
-		}
-		estimates[r] = stat(resample)
-	}
-	sort.Float64s(estimates)
-	alpha := (1 - level) / 2
-	lo := quantileSorted(estimates, alpha)
-	hi := quantileSorted(estimates, 1-alpha)
-	return Interval{Point: point, Lo: lo, Hi: hi, Level: level}, nil
 }

@@ -1,7 +1,6 @@
 package stats
 
 import (
-	"math"
 	"testing"
 	"testing/quick"
 )
@@ -81,60 +80,6 @@ func TestKSDBoundsProperty(t *testing.T) {
 	}
 }
 
-func TestMannWhitneyNull(t *testing.T) {
-	a := normalSample(5, 250, 3, 1)
-	b := normalSample(6, 250, 3, 1)
-	res, err := MannWhitneyU(a, b, TailTwoSided)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P < 0.05 {
-		t.Errorf("null U test rejected: z=%v p=%v", res.Z, res.P)
-	}
-}
-
-func TestMannWhitneyShift(t *testing.T) {
-	a := normalSample(7, 200, 3.6, 1)
-	b := normalSample(8, 200, 3.0, 1)
-	res, err := MannWhitneyU(a, b, TailGreater)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.P > 1e-4 {
-		t.Errorf("0.6σ shift not detected: z=%v p=%v", res.Z, res.P)
-	}
-	// Reversed tail must be near 1.
-	rev, _ := MannWhitneyU(a, b, TailLess)
-	if rev.P < 0.99 {
-		t.Errorf("wrong-tail p = %v, want ≈1", rev.P)
-	}
-}
-
-func TestMannWhitneyKnownValue(t *testing.T) {
-	// Hand-computable: a = {1,2,3}, b = {4,5,6}: U_a = 0.
-	res, err := MannWhitneyU([]float64{1, 2, 3}, []float64{4, 5, 6}, TailLess)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.U != 0 {
-		t.Errorf("U = %v, want 0", res.U)
-	}
-	if res.P > 0.05 {
-		t.Errorf("p = %v for fully separated samples", res.P)
-	}
-	// Ties: all equal → U = n1*n2/2, z = 0 (tie-degenerate variance).
-	tied, err := MannWhitneyU([]float64{1, 1}, []float64{1, 1}, TailTwoSided)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tied.P != 1 {
-		t.Errorf("fully tied p = %v, want 1", tied.P)
-	}
-	if _, err := MannWhitneyU(nil, []float64{1}, TailGreater); err != ErrEmpty {
-		t.Error("empty input should error")
-	}
-}
-
 func TestWilcoxonSignedRankDetectsShift(t *testing.T) {
 	rng := newTestRand(9)
 	n := 120
@@ -192,52 +137,5 @@ func TestWilcoxonEdgeCases(t *testing.T) {
 	}
 	if res.P > 0.001 {
 		t.Errorf("uniformly positive differences p = %v", res.P)
-	}
-}
-
-func TestBootstrapCI(t *testing.T) {
-	xs := normalSample(11, 300, 10, 2)
-	rng := newTestRand(12)
-	meanStat := func(v []float64) float64 {
-		m, _ := Mean(v)
-		return m
-	}
-	iv, err := BootstrapCI(xs, meanStat, 0.95, 800, rng.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(10) {
-		t.Errorf("bootstrap CI [%v, %v] misses the true mean 10", iv.Lo, iv.Hi)
-	}
-	// Must agree with the analytic CI within a factor.
-	analytic, _ := MeanCI(xs, 0.95)
-	if iv.HalfWidth() < 0.5*analytic.HalfWidth() || iv.HalfWidth() > 2*analytic.HalfWidth() {
-		t.Errorf("bootstrap halfwidth %v vs analytic %v", iv.HalfWidth(), analytic.HalfWidth())
-	}
-	if _, err := BootstrapCI(nil, meanStat, 0.95, 100, rng.Float64); err != ErrEmpty {
-		t.Error("empty input should error")
-	}
-	if _, err := BootstrapCI(xs, meanStat, 0.95, 100, nil); err == nil {
-		t.Error("nil randomness source should error")
-	}
-}
-
-func TestBootstrapMedianCI(t *testing.T) {
-	// Bootstrap works for statistics with no closed-form CI, e.g. median.
-	xs := normalSample(13, 400, 7, 3)
-	rng := newTestRand(14)
-	medStat := func(v []float64) float64 {
-		m, _ := Median(v)
-		return m
-	}
-	iv, err := BootstrapCI(xs, medStat, 0.9, 500, rng.Float64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !iv.Contains(7) {
-		t.Errorf("median CI [%v, %v] misses 7", iv.Lo, iv.Hi)
-	}
-	if math.Abs(iv.Point-7) > 0.6 {
-		t.Errorf("median point %v far from 7", iv.Point)
 	}
 }

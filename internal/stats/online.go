@@ -1,29 +1,20 @@
 package stats
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
 // Online (single-pass) statistics: the streaming counterparts of the exact
-// estimators in desc.go / quantile.go / ecdf.go, used when the sample is a
-// UserSource-style stream too large to materialize. Three layers:
+// estimators in desc.go / quantile.go, used when the sample is a
+// UserSource-style stream too large to materialize. Two layers:
 //
-//   - Moments: Welford/Chan running mean and variance with exact min/max,
-//     mergeable across shards;
-//   - P2: the Jain–Chlamtac P² estimator of a single quantile in O(1)
-//     memory;
+//   - Moments: Welford running mean and variance with exact min/max;
 //   - OnlineECDF: a fixed-bin (linear or log-spaced) single-pass ECDF
-//     supporting Eval, Quantile and Curve with a declared worst-case
-//     resolution, mergeable across shards.
+//     supporting Quantile with a declared worst-case resolution.
 //
-// All three reject NaN at Add, mirroring the exact layer's ErrNaN
-// contract (PR 6), so a corrupt stream cannot silently poison a sketch.
+// Both reject NaN at Add, mirroring the exact layer's ErrNaN contract
+// (PR 6), so a corrupt stream cannot silently poison a sketch.
 
 // Moments accumulates count, mean, variance (Welford's algorithm) and the
 // exact min/max of a stream in O(1) memory. The zero value is ready to use.
-// Merge combines two accumulators (Chan et al.'s pairwise update), so
-// per-shard moments can be folded into panel-wide ones.
 type Moments struct {
 	n    int64
 	mean float64
@@ -53,39 +44,6 @@ func (m *Moments) Add(x float64) error {
 		m.max = x
 	}
 	return nil
-}
-
-// AddAll folds a slice in, stopping at the first NaN.
-func (m *Moments) AddAll(xs []float64) error {
-	for _, x := range xs {
-		if err := m.Add(x); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Merge folds another accumulator into m, as if every observation of o had
-// been Added to m directly (up to floating-point association).
-func (m *Moments) Merge(o *Moments) {
-	if o.n == 0 {
-		return
-	}
-	if m.n == 0 {
-		*m = *o
-		return
-	}
-	n := m.n + o.n
-	d := o.mean - m.mean
-	m.m2 += o.m2 + d*d*float64(m.n)*float64(o.n)/float64(n)
-	m.mean += d * float64(o.n) / float64(n)
-	if o.min < m.min {
-		m.min = o.min
-	}
-	if o.max > m.max {
-		m.max = o.max
-	}
-	m.n = n
 }
 
 // N returns the number of observations folded in.
@@ -136,123 +94,10 @@ func (m *Moments) Max() (float64, error) {
 	return m.max, nil
 }
 
-// P2 estimates a single p-quantile of a stream in O(1) memory with the
-// Jain–Chlamtac P² algorithm: five markers whose heights approximate
-// (min, p/2, p, (1+p)/2, max) quantiles, adjusted toward their desired
-// positions with a piecewise-parabolic update after every observation.
-// The first five observations are held exactly, so small samples return
-// the exact type-7 quantile.
-type P2 struct {
-	p    float64
-	n    int
-	q    [5]float64 // marker heights
-	pos  [5]float64 // marker positions (1-based observation counts)
-	want [5]float64 // desired positions
-	inc  [5]float64 // desired-position increments per observation
-}
-
-// NewP2 returns a P² estimator of the p-quantile, p in (0, 1).
-func NewP2(p float64) (*P2, error) {
-	if math.IsNaN(p) || p <= 0 || p >= 1 {
-		return nil, ErrInvalidQuantile
-	}
-	e := &P2{p: p}
-	e.inc = [5]float64{0, p / 2, p, (1 + p) / 2, 1}
-	return e, nil
-}
-
-// P returns the target quantile probability.
-func (e *P2) P() float64 { return e.p }
-
-// N returns the number of observations folded in.
-func (e *P2) N() int { return e.n }
-
-// Add folds one observation in; NaN returns ErrNaN and is not folded.
-func (e *P2) Add(x float64) error {
-	if math.IsNaN(x) {
-		return ErrNaN
-	}
-	if e.n < 5 {
-		e.q[e.n] = x
-		e.n++
-		if e.n == 5 {
-			sort.Float64s(e.q[:])
-			for i := 0; i < 5; i++ {
-				e.pos[i] = float64(i + 1)
-				e.want[i] = 1 + 4*e.inc[i]
-			}
-		}
-		return nil
-	}
-
-	// Locate the cell and clamp the extreme markers.
-	var k int
-	switch {
-	case x < e.q[0]:
-		e.q[0] = x
-		k = 0
-	case x >= e.q[4]:
-		e.q[4] = x
-		k = 3
-	default:
-		for k = 0; k < 3; k++ {
-			if x < e.q[k+1] {
-				break
-			}
-		}
-	}
-	for i := k + 1; i < 5; i++ {
-		e.pos[i]++
-	}
-	for i := 0; i < 5; i++ {
-		e.want[i] += e.inc[i]
-	}
-
-	// Nudge the three interior markers toward their desired positions.
-	for i := 1; i <= 3; i++ {
-		d := e.want[i] - e.pos[i]
-		if (d >= 1 && e.pos[i+1]-e.pos[i] > 1) || (d <= -1 && e.pos[i-1]-e.pos[i] < -1) {
-			s := 1.0
-			if d < 0 {
-				s = -1.0
-			}
-			// Piecewise-parabolic (P²) candidate height.
-			qp := e.q[i] + s/(e.pos[i+1]-e.pos[i-1])*
-				((e.pos[i]-e.pos[i-1]+s)*(e.q[i+1]-e.q[i])/(e.pos[i+1]-e.pos[i])+
-					(e.pos[i+1]-e.pos[i]-s)*(e.q[i]-e.q[i-1])/(e.pos[i]-e.pos[i-1]))
-			if e.q[i-1] < qp && qp < e.q[i+1] {
-				e.q[i] = qp
-			} else {
-				// Parabola left the bracket: fall back to linear.
-				j := i + int(s)
-				e.q[i] += s * (e.q[j] - e.q[i]) / (e.pos[j] - e.pos[i])
-			}
-			e.pos[i] += s
-		}
-	}
-	e.n++
-	return nil
-}
-
-// Quantile returns the current estimate: exact (type 7) below five
-// observations, the middle P² marker after.
-func (e *P2) Quantile() (float64, error) {
-	if e.n == 0 {
-		return 0, ErrEmpty
-	}
-	if e.n < 5 {
-		s := make([]float64, e.n)
-		copy(s, e.q[:e.n])
-		sort.Float64s(s)
-		return quantileSorted(s, e.p), nil
-	}
-	return e.q[2], nil
-}
-
 // OnlineECDF is a single-pass binned approximation of an ECDF: a fixed
 // number of bins spanning [Lo, Hi] (linear, or log-spaced for scale-free
 // positive metrics like bitrates) counts observations as they stream by;
-// Eval and Quantile interpolate within bins. Observations outside the
+// Quantile interpolates within bins. Observations outside the
 // configured span clamp into the first/last bin, and the exact min/max are
 // tracked so the distribution's support is reported truthfully.
 //
@@ -279,12 +124,6 @@ func NewOnlineECDF(lo, hi float64, bins int, logSpaced bool) (*OnlineECDF, error
 	}
 	return &OnlineECDF{lo: lo, hi: hi, log: logSpaced, counts: make([]int64, bins)}, nil
 }
-
-// Bins returns the bin count.
-func (e *OnlineECDF) Bins() int { return len(e.counts) }
-
-// N returns the number of observations folded in.
-func (e *OnlineECDF) N() int64 { return e.n }
 
 // pos maps a value onto the continuous bin coordinate in [0, Bins].
 func (e *OnlineECDF) pos(x float64) float64 {
@@ -335,76 +174,6 @@ func (e *OnlineECDF) Add(x float64) error {
 	return nil
 }
 
-// Merge folds another ECDF with the identical span/bin configuration into
-// e; it returns ErrMismatched when the configurations differ.
-func (e *OnlineECDF) Merge(o *OnlineECDF) error {
-	if e.lo != o.lo || e.hi != o.hi || e.log != o.log || len(e.counts) != len(o.counts) {
-		return ErrMismatched
-	}
-	if o.n == 0 {
-		return nil
-	}
-	for i, c := range o.counts {
-		e.counts[i] += c
-	}
-	if e.n == 0 {
-		e.min, e.max = o.min, o.max
-	} else {
-		if o.min < e.min {
-			e.min = o.min
-		}
-		if o.max > e.max {
-			e.max = o.max
-		}
-	}
-	e.n += o.n
-	return nil
-}
-
-// Min returns the exact smallest observation seen.
-func (e *OnlineECDF) Min() (float64, error) {
-	if e.n == 0 {
-		return 0, ErrEmpty
-	}
-	return e.min, nil
-}
-
-// Max returns the exact largest observation seen.
-func (e *OnlineECDF) Max() (float64, error) {
-	if e.n == 0 {
-		return 0, ErrEmpty
-	}
-	return e.max, nil
-}
-
-// Eval returns the approximate F(x): complete bins below x count fully,
-// the containing bin contributes its within-bin fraction.
-func (e *OnlineECDF) Eval(x float64) float64 {
-	if e.n == 0 || x < e.min {
-		return 0
-	}
-	if x >= e.max {
-		return 1
-	}
-	c := e.pos(x)
-	if c <= 0 {
-		return 0
-	}
-	full := int(c)
-	if full >= len(e.counts) {
-		full = len(e.counts)
-	}
-	var cum int64
-	for i := 0; i < full; i++ {
-		cum += e.counts[i]
-	}
-	frac := 0.0
-	if full < len(e.counts) {
-		frac = (c - float64(full)) * float64(e.counts[full])
-	}
-	return (float64(cum) + frac) / float64(e.n)
-}
-
 // Quantile returns the approximate p-quantile: the bin containing the
 // p·n-th observation, interpolated linearly (in the bin-coordinate domain,
 // so geometrically in log mode) and clamped to the exact observed range.
@@ -443,25 +212,4 @@ func (e *OnlineECDF) Quantile(p float64) (float64, error) {
 		cum += c
 	}
 	return e.max, nil
-}
-
-// Curve returns n evenly spaced (in probability) points on the binned
-// ECDF — the single-pass counterpart of ECDF.Curve.
-func (e *OnlineECDF) Curve(n int) ([]Point, error) {
-	if e.n == 0 {
-		return nil, ErrEmpty
-	}
-	if n < 2 {
-		n = 2
-	}
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		p := float64(i) / float64(n-1)
-		x, err := e.Quantile(p)
-		if err != nil {
-			return nil, err
-		}
-		pts = append(pts, Point{X: x, F: p})
-	}
-	return pts, nil
 }

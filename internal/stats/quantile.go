@@ -75,24 +75,8 @@ func quantileSorted(sorted []float64, p float64) float64 {
 	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
 }
 
-// Percentile returns the q-th percentile (q in [0, 100]) of the sample; the
-// paper's peak-demand metric is Percentile(xs, 95).
-func Percentile(xs []float64, q float64) (float64, error) {
-	return Quantile(xs, q/100)
-}
-
 // Median returns the sample median.
 func Median(xs []float64) (float64, error) { return Quantile(xs, 0.5) }
-
-// IQR returns the interquartile range (Q3 − Q1) of the sample. A sample
-// containing NaN returns ErrNaN.
-func IQR(xs []float64) (float64, error) {
-	sorted, err := prepareSorted(xs)
-	if err != nil {
-		return 0, err
-	}
-	return quantileSorted(sorted, 0.75) - quantileSorted(sorted, 0.25), nil
-}
 
 // Summary is a five-number-plus summary of a sample, convenient for the
 // dataset characterization tables.

@@ -21,19 +21,11 @@ var ErrEmpty = errors.New("stats: empty sample")
 // they were given (e.g. variance of a single point).
 var ErrShortSample = errors.New("stats: sample too small")
 
-// ErrNaN is returned by the order-statistic family (Quantile, Percentile,
-// Median, IQR, Summarize) when the sample contains a NaN: sorting places
+// ErrNaN is returned by the order-statistic family (Quantile, Median,
+// Summarize, NewECDF) when the sample contains a NaN: sorting places
 // NaNs in unspecified positions, so quantiles of NaN-contaminated data
 // would be nondeterministic garbage rather than a well-defined statistic.
 var ErrNaN = errors.New("stats: sample contains NaN")
-
-// ErrNonPositive is returned by estimators that are only defined on
-// strictly positive samples (e.g. the geometric mean).
-var ErrNonPositive = errors.New("stats: sample contains non-positive value")
-
-// ErrInvalidQuantile is returned when a streaming quantile estimator is
-// configured with a probability outside (0, 1).
-var ErrInvalidQuantile = errors.New("stats: quantile probability outside (0, 1)")
 
 // ErrInvalidBins is returned when a binned sketch is configured with an
 // empty bin count or a degenerate (or, in log mode, non-positive) span.

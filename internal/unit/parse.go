@@ -2,7 +2,6 @@ package unit
 
 import (
 	"fmt"
-	"math"
 	"strconv"
 	"strings"
 )
@@ -41,42 +40,4 @@ func ParseBitrate(s string) (Bitrate, error) {
 		return 0, fmt.Errorf("unit: bitrate %q out of range", s)
 	}
 	return r, nil
-}
-
-// ParseByteSize parses a human-readable data volume such as "250GB",
-// "1.5 TB" or "1048576" (bare numbers are bytes). SI scales are used, as in
-// ISP traffic caps.
-func ParseByteSize(s string) (ByteSize, error) {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return 0, fmt.Errorf("unit: empty byte size")
-	}
-	scale := Byte
-	lower := strings.ToLower(t)
-	for _, u := range []struct {
-		suffix string
-		scale  ByteSize
-	}{
-		{"tb", TB}, {"gb", GB}, {"mb", MB}, {"kb", KB}, {"b", Byte},
-	} {
-		if strings.HasSuffix(lower, u.suffix) {
-			scale = u.scale
-			t = strings.TrimSpace(t[:len(t)-len(u.suffix)])
-			break
-		}
-	}
-	v, err := strconv.ParseFloat(t, 64)
-	if err != nil {
-		return 0, fmt.Errorf("unit: bad byte size %q: %w", s, err)
-	}
-	if v < 0 || math.IsNaN(v) {
-		return 0, fmt.Errorf("unit: negative byte size %q", s)
-	}
-	// Converting a float beyond int64 range is implementation-defined; the
-	// bound check keeps ByteSize(v*scale) well-defined for any input text.
-	b := v * float64(scale)
-	if b >= math.MaxInt64 {
-		return 0, fmt.Errorf("unit: byte size %q out of range", s)
-	}
-	return ByteSize(b), nil
 }

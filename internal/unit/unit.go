@@ -32,9 +32,6 @@ func KbpsOf(v float64) Bitrate { return Bitrate(v) * Kbps }
 // MbpsOf constructs a Bitrate from a value expressed in megabits per second.
 func MbpsOf(v float64) Bitrate { return Bitrate(v) * Mbps }
 
-// Kbps reports the rate in kilobits per second.
-func (r Bitrate) Kbps() float64 { return float64(r) / float64(Kbps) }
-
 // Mbps reports the rate in megabits per second.
 func (r Bitrate) Mbps() float64 { return float64(r) / float64(Mbps) }
 
@@ -73,12 +70,6 @@ const (
 	GB            = 1e9 * Byte
 	TB            = 1e12 * Byte
 )
-
-// Bytes reports the size as a raw byte count.
-func (s ByteSize) Bytes() int64 { return int64(s) }
-
-// MB reports the size in (SI) megabytes.
-func (s ByteSize) MB() float64 { return float64(s) / float64(MB) }
 
 // GB reports the size in (SI) gigabytes.
 func (s ByteSize) GB() float64 { return float64(s) / float64(GB) }
