@@ -6,6 +6,7 @@ import (
 
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/randx"
+	"github.com/nwca/broadband/internal/unit"
 )
 
 // withinCaliper reports whether two covariate values are comparable: the
@@ -195,4 +196,211 @@ func TestMatchFallback(t *testing.T) {
 			t.Errorf("WindowFallbacks = %d, want %d", stats.WindowFallbacks, treated.Len())
 		}
 	}
+}
+
+// sameMatch reports whether the matcher's pairs equal the reference's.
+func sameMatch(m Matcher, treated, control dataset.View, seed uint64) (got, want []Pair, ok bool) {
+	var rngA, rngB *randx.Source
+	if seed != 0 {
+		rngA, rngB = randx.New(seed), randx.New(seed)
+	}
+	want = referenceMatch(m, treated, control, rngA)
+	got, _ = m.MatchWithStats(treated, control, rngB)
+	if len(got) != len(want) {
+		return got, want, false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return got, want, false
+		}
+	}
+	return got, want, true
+}
+
+// TestMatchWindowNaN pins the NaN rule: a control whose first confounder
+// is NaN can never pass the caliper, and it must not disturb the sorted
+// window either. Sorting it in breaks the comparator's strict weak order,
+// so the window search then misses eligible controls.
+func TestMatchWindowNaN(t *testing.T) {
+	matchers := []Matcher{
+		{Confounders: []Confounder{ConfounderAccessPrice(), ConfounderRTT()}},
+		{Confounders: []Confounder{ConfounderAccessPrice()}, Caliper: 0.1},
+	}
+	bad := 0
+	for seed := uint64(1); seed <= 200; seed++ {
+		rng := randx.New(seed)
+		pop := func(name string, n int, idBase int64) []*dataset.User {
+			users := randomPopulation(rng.Split(name), n, idBase)
+			nan := rng.Split(name + "/nan")
+			for _, u := range users {
+				if nan.Bool(0.05) {
+					u.AccessPrice = unit.USD(math.NaN())
+				}
+			}
+			return users
+		}
+		treated, control := views(pop("treated", 40+rng.IntN(40), 1), pop("control", 80+rng.IntN(80), 10_000))
+		for mi, m := range matchers {
+			for _, shuffle := range []uint64{0, seed * 31} {
+				got, want, ok := sameMatch(m, treated, control, shuffle)
+				if !ok {
+					bad++
+					if bad <= 3 {
+						t.Errorf("seed %d matcher %d shuffle %d: pairs differ from the reference (%d vs %d pairs)",
+							seed, mi, shuffle, len(got), len(want))
+					}
+				}
+			}
+		}
+	}
+	if bad > 0 {
+		t.Errorf("%d of 800 fixtures disagree with the reference", bad)
+	}
+}
+
+// Values and floors the fuzz decoder can pick by index: signed zeros,
+// subnormals, the smallest normal, caliper-boundary ratios, huge values,
+// ±Inf and NaN.
+var (
+	fuzzSpecials = []float64{
+		0, math.Copysign(0, -1), 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+		1, -1, 0.8, 1.25, 0.75, 4.0 / 3, 0.5, -0.5, 1e300, -1e300, math.MaxFloat64,
+		math.Inf(1), math.Inf(-1), math.NaN(),
+	}
+	fuzzFloors = []float64{0, 0.002, 0.0005, 0.02, 1, 4, 5e-324, 1e-300, 1e308}
+)
+
+// fuzzValue encodes v so that decodeFuzzFixture reads it back exactly.
+func fuzzValue(v float64) []byte {
+	b := make([]byte, 9)
+	b[0] = 255
+	bits := math.Float64bits(v)
+	for i := 0; i < 8; i++ {
+		b[1+i] = byte(bits >> (8 * i))
+	}
+	return b
+}
+
+// fuzzFixture is a seed input: n treated and m controls, then each user's
+// confounder values in order.
+func fuzzFixture(n, m int, vals ...float64) []byte {
+	raw := []byte{byte(n - 1), byte(m - 1)}
+	for _, v := range vals {
+		raw = append(raw, fuzzValue(v)...)
+	}
+	return raw
+}
+
+// decodeFuzzFixture builds a matcher and one panel from fuzz input: 1–4
+// confounders over four panel columns, a caliper in (0,1), floors from
+// fuzzFloors, then 1–16 treated and 1–32 control rows. A value is a small
+// rational (many exact ties and negatives), a fuzzSpecials entry, or any
+// float64 bit pattern; input running out reads as zeros.
+func decodeFuzzFixture(raw []byte, nconf uint8, caliper float64, floors uint32) (Matcher, dataset.View, dataset.View) {
+	next := func() byte {
+		if len(raw) == 0 {
+			return 0
+		}
+		b := raw[0]
+		raw = raw[1:]
+		return b
+	}
+	value := func() float64 {
+		switch tag := next(); {
+		case tag < 160:
+			return float64(int(next())-128) / float64(1+tag%8)
+		case tag < 255:
+			return fuzzSpecials[int(next())%len(fuzzSpecials)]
+		default:
+			var bits uint64
+			for i := 0; i < 8; i++ {
+				bits |= uint64(next()) << (8 * i)
+			}
+			return math.Float64frombits(bits)
+		}
+	}
+	cols := []func(p *dataset.Panel) []float64{
+		func(p *dataset.Panel) []float64 { return p.RTT },
+		func(p *dataset.Panel) []float64 { return p.Loss },
+		func(p *dataset.Panel) []float64 { return p.AccessPrice },
+		func(p *dataset.Panel) []float64 { return p.UpgradeCost },
+	}
+	if !(caliper > 0 && caliper < 1) {
+		caliper = math.Abs(caliper - math.Trunc(caliper))
+		if !(caliper > 0) {
+			caliper = DefaultCaliper
+		}
+	}
+	m := Matcher{Caliper: caliper}
+	for j := 0; j < 1+int(nconf)%4; j++ {
+		floor := fuzzFloors[int(floors>>(8*j)&0xff)%len(fuzzFloors)]
+		m.Confounders = append(m.Confounders, Confounder{Name: "c", Value: cols[j], Floor: floor})
+	}
+	nt, nctl := 1+int(next())%16, 1+int(next())%32
+	p := dataset.NewPanel(nt + nctl)
+	for i := 0; i < nt+nctl; i++ {
+		p.Append(&dataset.User{ID: int64(i)})
+		for _, c := range m.Confounders {
+			c.Value(p)[i] = value()
+		}
+	}
+	treated, control := dataset.View{P: p}, dataset.View{P: p}
+	for i := 0; i < nt+nctl; i++ {
+		if i < nt {
+			treated.Idx = append(treated.Idx, int32(i))
+		} else {
+			control.Idx = append(control.Idx, int32(i))
+		}
+	}
+	return m, treated, control
+}
+
+// FuzzMatchWindow holds the windowed, best-first matcher to the O(T·C)
+// reference on adversarial values, shuffled and unshuffled. The seeds aim
+// at what the shrinking bound can get wrong: negative values, zeros with
+// no floor, exact ties at the best distance, subnormal terms that round to
+// a zero distance, ±Inf and NaN.
+func FuzzMatchWindow(f *testing.F) {
+	negInf, nan := math.Inf(-1), math.NaN()
+	seeds := []struct {
+		raw     []byte
+		nconf   uint8
+		caliper float64
+		floors  uint32
+	}{
+		// Negative values, as in a market with a negative fitted upgrade cost.
+		{fuzzFixture(2, 4, -2, -0.5, -2.4, -1.7, 2, -0.6), 0, 0.25, 0},
+		// Zeros with floor 0: only an exact zero matches a zero.
+		{fuzzFixture(2, 3, 0, 0, 5e-324, 0, -0.0), 0, 0.25, 0},
+		// Symmetric controls tie exactly; the lower index, found last, must win.
+		{fuzzFixture(1, 3, 0, -0.5, 0.5, 0.5), 0, 1e-9, 4},
+		// A subnormal term rounds to 0 and ties a zero distance (B = 0).
+		{fuzzFixture(1, 2, 0, 5e-324, 0), 0, 0.5, 5},
+		{fuzzFixture(1, 3, 1e-310, 1e-310, 5e-324, 1e-310), 0, 0.75, 6},
+		// A huge floor rounds a normal-sized term to 0 (B = 0 again).
+		{fuzzFixture(1, 2, 0.5, 0.5+0x1p-53, 0.5), 0, 0.25, 8},
+		// Two confounders: equal first terms, ties decided by the second.
+		{fuzzFixture(1, 3, 1, 1, 1.1, 1.1, 0.9, 0.9, 1.1, 1.1), 1, 0.25, 0},
+		// A band that overflows to +Inf makes a far control's term 0.
+		{fuzzFixture(1, 2, -80, -79, math.MaxFloat64), 0, 0.5, 8},
+		// ±Inf and NaN in every position.
+		{fuzzFixture(2, 4, math.Inf(1), 1, 1, nan, negInf, 1, nan, 1, 1, math.Inf(1), 1, negInf), 1, 0.25, 0},
+		// A caliper just under 1 leaves the bound unbounded.
+		{fuzzFixture(1, 3, 1, 1e300, -1e300, 2), 0, 0.9999999999999999, 0},
+		// A caliper near 0: the floor does all the work.
+		{fuzzFixture(2, 4, 0.001, 0.01, 0.0012, 0.0009, 0.011, 0.009), 3, 1e-300, 0x01030202},
+	}
+	for _, s := range seeds {
+		f.Add(s.raw, s.nconf, s.caliper, s.floors, uint64(7))
+	}
+	f.Fuzz(func(t *testing.T, raw []byte, nconf uint8, caliper float64, floors uint32, seed uint64) {
+		m, treated, control := decodeFuzzFixture(raw, nconf, caliper, floors)
+		for _, shuffle := range []uint64{0, seed | 1} {
+			got, want, ok := sameMatch(m, treated, control, shuffle)
+			if !ok {
+				t.Fatalf("caliper %v, %d confounders, shuffle %d: pairs %v, reference %v",
+					m.Caliper, len(m.Confounders), shuffle, got, want)
+			}
+		}
+	})
 }
