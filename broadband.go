@@ -38,7 +38,6 @@ import (
 	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/market"
 	"github.com/nwca/broadband/internal/par"
-	"github.com/nwca/broadband/internal/randx"
 	"github.com/nwca/broadband/internal/synth"
 	"github.com/nwca/broadband/internal/unit"
 )
@@ -282,14 +281,11 @@ func FindExperiment(id string) (ReportEntry, bool) { return experiments.Find(id)
 // Run executes the reproduction of one paper artifact ("Table 1" … "Fig. 12")
 // against a dataset. seed controls the matching order randomization.
 func Run(id string, d *Dataset, seed uint64) (Report, error) {
-	e, ok := experiments.Find(id)
-	if !ok {
-		e, ok = experiments.FindExtension(id)
-	}
+	e, ok := experiments.Lookup(id)
 	if !ok {
 		return nil, fmt.Errorf("broadband: unknown experiment %q", id)
 	}
-	return e.Run(d, randx.New(seed).Split(id))
+	return experiments.RunAt(e, d, seed)
 }
 
 // RunAll executes every reproduction, returning the reports in registry
@@ -335,7 +331,7 @@ func runEntries(ctx context.Context, entries []ReportEntry, d *Dataset, seed uin
 	// so every entry runs (ForNCtx would otherwise stop dispatch at the
 	// first one). Only cancellation cuts the fan-out short.
 	ctxErr := par.ForNCtx(ctx, par.Workers(workers), len(entries), func(i int) error {
-		reports[i], errs[i] = entries[i].Run(d, randx.New(seed).Split(entries[i].ID))
+		reports[i], errs[i] = experiments.RunAt(entries[i], d, seed)
 		return nil
 	})
 	out := make([]Report, 0, len(entries))

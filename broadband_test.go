@@ -75,8 +75,7 @@ func TestPublicCausalAPI(t *testing.T) {
 		Matcher: broadband.Matcher{Confounders: []broadband.Confounder{
 			broadband.ByRTT(), broadband.ByLoss(), broadband.ByAccessPrice(),
 		}},
-		Outcome:  func(p *broadband.Panel) []float64 { return p.UsagePeakNoBT },
-		MinPairs: 10,
+		Outcome: func(p *broadband.Panel) []float64 { return p.UsagePeakNoBT },
 	}
 	res, err := exp.Run(nil)
 	if err != nil {

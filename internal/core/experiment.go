@@ -20,8 +20,6 @@ type Experiment struct {
 	Control   dataset.View
 	Matcher   Matcher
 	Outcome   dataset.Column
-	// MinPairs guards against vacuous results (default 10).
-	MinPairs int
 }
 
 // Result reports one natural experiment.
@@ -53,6 +51,11 @@ func (r Result) String() string {
 // ErrTooFewPairs is returned when matching leaves too small a sample.
 var ErrTooFewPairs = fmt.Errorf("core: too few matched pairs")
 
+// minPairs is the smallest sample a natural experiment or QED reports a
+// verdict on; below it Run returns ErrTooFewPairs rather than a vacuous
+// result.
+const minPairs = 10
+
 // Run matches the populations and evaluates the hypothesis.
 func (e Experiment) Run(rng *randx.Source) (Result, error) {
 	if e.Outcome == nil {
@@ -61,10 +64,6 @@ func (e Experiment) Run(rng *randx.Source) (Result, error) {
 	p, err := commonPanel(e.Treatment, e.Control)
 	if err != nil {
 		return Result{}, fmt.Errorf("core: experiment %q: %w", e.Name, err)
-	}
-	minPairs := e.MinPairs
-	if minPairs <= 0 {
-		minPairs = 10
 	}
 	pairs := e.Matcher.Match(e.Treatment, e.Control, rng)
 	if len(pairs) < minPairs {

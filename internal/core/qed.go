@@ -41,17 +41,19 @@ type QED struct {
 	Treatment dataset.View
 	Control   dataset.View
 	// Confounders are discretized into multiplicative bins of width
-	// BinRatio (default 1.5; a pair in the same bin differs by at most
-	// that factor — comparable to the 25% caliper at ratio 1.25²).
+	// binRatio.
 	Confounders []Confounder
-	BinRatio    float64
 	Outcome     dataset.Column
-	MinPairs    int
 }
+
+// binRatio is the width of a QED confounder bin: a pair in the same bin
+// differs by at most this factor, comparable to the 25% caliper at ratio
+// 1.25².
+const binRatio = 1.5
 
 // cellKey discretizes the confounder vector of one panel row; cols holds
 // the confounders' columns, in Confounders order.
-func (q QED) cellKey(cols [][]float64, row int32, binRatio float64) string {
+func (q QED) cellKey(cols [][]float64, row int32) string {
 	var b strings.Builder
 	for i, c := range q.Confounders {
 		if i > 0 {
@@ -79,15 +81,6 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 	if err != nil {
 		return QEDResult{}, fmt.Errorf("core: QED %q: %w", q.Name, err)
 	}
-	binRatio := q.BinRatio
-	if binRatio <= 1 {
-		binRatio = 1.5
-	}
-	minPairs := q.MinPairs
-	if minPairs <= 0 {
-		minPairs = 10
-	}
-
 	type cell struct {
 		treated []int32
 		control []int32
@@ -102,14 +95,14 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 		outcome = q.Outcome(p)
 	}
 	for _, i := range q.Treatment.Idx {
-		k := q.cellKey(cols, i, binRatio)
+		k := q.cellKey(cols, i)
 		if cells[k] == nil {
 			cells[k] = &cell{}
 		}
 		cells[k].treated = append(cells[k].treated, i)
 	}
 	for _, i := range q.Control.Idx {
-		k := q.cellKey(cols, i, binRatio)
+		k := q.cellKey(cols, i)
 		if cells[k] == nil {
 			cells[k] = &cell{}
 		}

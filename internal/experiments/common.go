@@ -96,19 +96,23 @@ func classSeries(label string, v dataset.View, col []float64, minN int) Series {
 	return s
 }
 
-// byClass splits a view into per-capacity-class sub-views, preserving view
-// order within each class.
-func byClass(v dataset.View) map[stats.CapacityClass]dataset.View {
-	groups := make(map[stats.CapacityClass][]int32)
+// groupBy splits a view into per-key sub-views, preserving view order
+// within each group.
+func groupBy[K comparable](v dataset.View, key func(row int32) K) map[K]dataset.View {
+	groups := make(map[K]dataset.View)
 	for _, i := range v.Idx {
-		c := stats.ClassOf(unit.Bitrate(v.P.Capacity[i]))
-		groups[c] = append(groups[c], i)
+		k := key(i)
+		g := groups[k]
+		g.P = v.P
+		g.Idx = append(g.Idx, i)
+		groups[k] = g
 	}
-	out := make(map[stats.CapacityClass]dataset.View, len(groups))
-	for c, idx := range groups {
-		out[c] = dataset.View{P: v.P, Idx: idx}
-	}
-	return out
+	return groups
+}
+
+// byClass splits a view into per-capacity-class sub-views.
+func byClass(v dataset.View) map[stats.CapacityClass]dataset.View {
+	return groupBy(v, func(i int32) stats.CapacityClass { return stats.ClassOf(unit.Bitrate(v.P.Capacity[i])) })
 }
 
 // usagePanels is the four-way metric × BT-handling sweep Figs. 2 and 6

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -53,25 +52,18 @@ func (e *ExtC) Render() string {
 	b.WriteString(header(e.ID(), e.Title()))
 	fmt.Fprintf(&b, "  %-22s %-22s %16s %22s %7s\n", "Control", "Treatment", "NN matching", "QED stratification", "agree")
 	for _, r := range e.Rows {
-		nn := "(too few)"
-		if !r.NNSkipped {
-			star := ""
-			if !r.NN.Sig.Significant() {
-				star = "*"
-			}
-			nn = fmt.Sprintf("%.1f%%%s n=%d", 100*r.NN.Fraction(), star, r.NN.Pairs)
-		}
-		qed := "(too few)"
-		if !r.QEDSkipped {
-			star := ""
-			if !r.QED.Sig.Significant() {
-				star = "*"
-			}
-			qed = fmt.Sprintf("%.1f%%%s n=%d", 100*r.QED.Fraction(), star, r.QED.Pairs)
-		}
-		fmt.Fprintf(&b, "  %-22s %-22s %16s %22s %7v\n", r.Control, r.Treatment, nn, qed, r.Agree())
+		fmt.Fprintf(&b, "  %-22s %-22s %16s %22s %7v\n", r.Control, r.Treatment,
+			designCell(r.NN, r.NNSkipped), designCell(r.QED.Result, r.QEDSkipped), r.Agree())
 	}
 	return b.String()
+}
+
+// designCell renders one design's verdict on a rung.
+func designCell(r core.Result, skipped bool) string {
+	if skipped {
+		return "(too few)"
+	}
+	return fmt.Sprintf("%.1f%%%s n=%d", 100*r.Fraction(), star(r), r.Pairs)
 }
 
 // RunExtC evaluates the design comparison over a set of capacity rungs.
@@ -92,16 +84,10 @@ func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Control:   classes[k],
 			Matcher:   core.Matcher{Confounders: confs},
 			Outcome:   dataset.PeakUsageNoBT,
-			MinPairs:  MinGroup,
 		}
-		nn, err := exp.Run(rng.SplitN("nn", int(k)))
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.NNSkipped = true
-		case err != nil:
+		var err error
+		if row.NN, row.NNSkipped, err = skipTooFew(exp.Run(rng.SplitN("nn", int(k)))); err != nil {
 			return nil, err
-		default:
-			row.NN = nn
 		}
 		qed := core.QED{
 			Name:        fmt.Sprintf("qed %v", k),
@@ -109,16 +95,9 @@ func RunExtC(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Control:     classes[k],
 			Confounders: confs,
 			Outcome:     dataset.PeakUsageNoBT,
-			MinPairs:    MinGroup,
 		}
-		qres, err := qed.Run(rng.SplitN("qed", int(k)))
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.QEDSkipped = true
-		case err != nil:
+		if row.QED, row.QEDSkipped, err = skipTooFew(qed.Run(rng.SplitN("qed", int(k)))); err != nil {
 			return nil, err
-		default:
-			row.QED = qres
 		}
 		if !row.NNSkipped || !row.QEDSkipped {
 			populated++

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -24,16 +23,6 @@ func Extensions() []Entry {
 		{ID: "Ext. B", Title: "Demand by user category (Sec. 10 future work)", Run: RunExtB},
 		{ID: "Ext. C", Title: "Design cross-validation: natural experiment vs. QED", Run: RunExtC},
 	}
-}
-
-// FindExtension returns the extension entry with the given ID.
-func FindExtension(id string) (Entry, bool) {
-	for _, e := range Extensions() {
-		if e.ID == id {
-			return e, true
-		}
-	}
-	return Entry{}, false
 }
 
 // ExtA is the usage-cap natural experiment: among otherwise-similar users
@@ -138,13 +127,8 @@ func RunExtA(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Control:   control,
 			Matcher:   m,
 			Outcome:   dataset.MeanUsageNoBT,
-			MinPairs:  MinGroup,
 		}
-		res, err := exp.Run(rng.Split(label))
-		if errors.Is(err, core.ErrTooFewPairs) {
-			return core.Result{}, true, nil
-		}
-		return res, false, err
+		return skipTooFew(exp.Run(rng.Split(label)))
 	}
 	var err error
 	if e.Result, e.Skipped, err = run(capped, "capped"); err != nil {
@@ -247,17 +231,11 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 			core.ConfounderAccessPrice(),
 		}},
-		Outcome:  dataset.MeanUsageNoBT,
-		MinPairs: MinGroup,
+		Outcome: dataset.MeanUsageNoBT,
 	}
-	res, err := exp.Run(rng.Split("streamer-browser"))
-	switch {
-	case errors.Is(err, core.ErrTooFewPairs):
-		e.Skipped = true
-	case err != nil:
+	var err error
+	if e.StreamerVsBrowser, e.Skipped, err = skipTooFew(exp.Run(rng.Split("streamer-browser"))); err != nil {
 		return nil, err
-	default:
-		e.StreamerVsBrowser = res
 	}
 
 	// Gamer latency sensitivity: high-RTT gamers should sit below the

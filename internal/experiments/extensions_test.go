@@ -24,11 +24,11 @@ func TestExtensionsRegistry(t *testing.T) {
 			t.Errorf("%s render/id mismatch", e.ID)
 		}
 	}
-	if _, ok := FindExtension("Ext. A"); !ok {
-		t.Error("FindExtension failed")
+	if _, ok := Lookup("Ext. A"); !ok {
+		t.Error("Lookup missed an extension")
 	}
-	if _, ok := FindExtension("Ext. Z"); ok {
-		t.Error("FindExtension resolved a bogus id")
+	if _, ok := Lookup("Ext. Z"); ok {
+		t.Error("Lookup resolved a bogus id")
 	}
 }
 

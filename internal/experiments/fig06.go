@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -110,17 +109,11 @@ func RunFig06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Control:   oldByClass[c],
 			Matcher:   quadMatcher(),
 			Outcome:   dataset.PeakUsageNoBT,
-			MinPairs:  MinGroup,
 		}
-		res, err := exp.Run(rng.SplitN("year", int(c)))
 		e := Fig06Exp{Class: c}
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			e.Skipped = true
-		case err != nil:
+		var err error
+		if e.Result, e.Skipped, err = skipTooFew(exp.Run(rng.SplitN("year", int(c)))); err != nil {
 			return nil, err
-		default:
-			e.Result = res
 		}
 		f.YearExperiments = append(f.YearExperiments, e)
 	}

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -121,16 +120,9 @@ func RunFig11(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		Control:   p.Where(dataset.ColCountry("IN"), dataset.ColVantage(dataset.VantageDasu)),
 		Matcher:   core.Matcher{Confounders: []core.Confounder{core.ConfounderCapacity()}},
 		Outcome:   dataset.PeakUsageNoBT,
-		MinPairs:  MinGroup,
 	}
-	res, err := exp.Run(rng.Split("india-us"))
-	switch {
-	case errors.Is(err, core.ErrTooFewPairs):
-		f.IndiaVsUSSkipped = true
-	case err != nil:
+	if f.IndiaVsUS, f.IndiaVsUSSkipped, err = skipTooFew(exp.Run(rng.Split("india-us"))); err != nil {
 		return nil, err
-	default:
-		f.IndiaVsUS = res
 	}
 	return f, nil
 }

@@ -1,5 +1,10 @@
 package experiments
 
+import (
+	"github.com/nwca/broadband/internal/dataset"
+	"github.com/nwca/broadband/internal/randx"
+)
+
 // Registry enumerates every reproduced table and figure in the paper's
 // presentation order. The repro driver and the benchmark harness iterate it.
 func Registry() []Entry {
@@ -35,4 +40,25 @@ func Find(id string) (Entry, bool) {
 		}
 	}
 	return Entry{}, false
+}
+
+// Lookup returns the registry entry with the given ID, or else the
+// extension entry.
+func Lookup(id string) (Entry, bool) {
+	if e, ok := Find(id); ok {
+		return e, true
+	}
+	for _, e := range Extensions() {
+		if e.ID == id {
+			return e, true
+		}
+	}
+	return Entry{}, false
+}
+
+// RunAt runs e against d at seed. Every entry draws from the seed's stream
+// split by its own ID, so an artifact's result depends only on the dataset,
+// the seed and its ID, never on which other artifacts run or in what order.
+func RunAt(e Entry, d *dataset.Dataset, seed uint64) (Report, error) {
+	return e.Run(d, randx.New(seed).Split(e.ID))
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -31,12 +30,7 @@ type Table02 struct {
 }
 
 // Table02Row is one control/treatment class comparison.
-type Table02Row struct {
-	Control   stats.CapacityClass
-	Treatment stats.CapacityClass
-	Result    core.Result
-	Skipped   bool // too few matched pairs in this world
-}
+type Table02Row = Comparison[stats.CapacityClass]
 
 // ID implements Report.
 func (t *Table02) ID() string { return "Table 2" }
@@ -52,20 +46,11 @@ func (t *Table02) Render() string {
 	b.WriteString(header(t.ID(), t.Title()))
 	render := func(name string, rows []Table02Row, fdr []bool) {
 		fmt.Fprintf(&b, "  %s data\n", name)
-		fmt.Fprintf(&b, "    %-22s %-22s %10s %12s %7s %5s\n", "Control", "Treatment", "% H holds", "p-value", "pairs", "FDR")
+		fmt.Fprintf(&b, "    %-22s %-22s %s %5s\n", "Control", "Treatment", resultColumns, "FDR")
 		fi := 0
 		for _, r := range rows {
-			if r.Skipped {
-				fmt.Fprintf(&b, "    %-22s %-22s %10s %12s %7s %5s\n",
-					r.Control, r.Treatment, "-", "(too few)", "-", "-")
-				continue
-			}
-			star := ""
-			if !r.Result.Sig.Significant() {
-				star = "*"
-			}
 			fdrMark := "-"
-			if fi < len(fdr) {
+			if !r.Skipped && fi < len(fdr) {
 				if fdr[fi] {
 					fdrMark = "yes"
 				} else {
@@ -73,8 +58,7 @@ func (t *Table02) Render() string {
 				}
 				fi++
 			}
-			fmt.Fprintf(&b, "    %-22s %-22s %9.1f%%%s %12s %7d %5s\n",
-				r.Control, r.Treatment, 100*r.Result.Fraction(), star, formatP(r.Result.PValue()), r.Result.Pairs, fdrMark)
+			fmt.Fprintf(&b, "    %-22s %-22s %s %5s\n", r.Control, r.Treatment, resultCells(r.Result, r.Skipped), fdrMark)
 		}
 	}
 	render("Dasu", t.Dasu, t.DasuFDR)
@@ -144,36 +128,13 @@ func qualityOnlyMatcher() core.Matcher {
 // starting at class `first`.
 func capacityLadder(v dataset.View, first stats.CapacityClass, steps int, m core.Matcher, rng *randx.Source) ([]Table02Row, error) {
 	classes := byClass(v)
-	var rows []Table02Row
-	for k := first; k < first+stats.CapacityClass(steps); k++ {
-		row := Table02Row{Control: k, Treatment: k + 1}
-		exp := core.Experiment{
-			Name:      fmt.Sprintf("%v vs %v", k, k+1),
-			Treatment: classes[k+1],
-			Control:   classes[k],
-			Matcher:   m,
-			Outcome:   dataset.PeakUsageNoBT,
-			MinPairs:  MinGroup,
-		}
-		res, err := exp.Run(rng.SplitN("ladder", int(k)))
-		switch {
-		case errors.Is(err, core.ErrTooFewPairs):
-			row.Skipped = true
-		case err != nil:
-			return nil, err
-		default:
-			row.Result = res
-		}
-		rows = append(rows, row)
+	rows := make([]Table02Row, steps)
+	for i := range rows {
+		k := first + stats.CapacityClass(i)
+		rows[i] = Table02Row{Control: k, Treatment: k + 1}
 	}
-	populated := 0
-	for _, r := range rows {
-		if !r.Skipped {
-			populated++
-		}
-	}
-	if populated == 0 {
-		return nil, fmt.Errorf("no populated ladder rungs")
-	}
-	return rows, nil
+	return matchRungs(rows, func(k stats.CapacityClass) dataset.View { return classes[k] }, m, dataset.PeakUsageNoBT,
+		func(_ int, r Table02Row) (string, *randx.Source) {
+			return fmt.Sprintf("%v vs %v", r.Control, r.Treatment), rng.SplitN("ladder", int(r.Control))
+		})
 }

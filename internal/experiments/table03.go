@@ -40,15 +40,9 @@ func (t *Table03) Title() string {
 func (t *Table03) Render() string {
 	var b strings.Builder
 	b.WriteString(header(t.ID(), t.Title()))
-	fmt.Fprintf(&b, "  %-14s %-14s %10s %12s %7s\n", "Control", "Treatment", "% H holds", "p-value", "pairs")
+	fmt.Fprintf(&b, "  %-14s %-14s %s\n", "Control", "Treatment", resultColumns)
 	for _, r := range t.Rows {
-		star := ""
-		if !r.Result.Sig.Significant() {
-			star = "*"
-		}
-		fmt.Fprintf(&b, "  %-14s %-14s %9.1f%%%s %12s %7d\n",
-			r.Control, r.Treatment, 100*r.Result.Fraction(), star,
-			formatP(r.Result.PValue()), r.Result.Pairs)
+		fmt.Fprintf(&b, "  %-14s %-14s %s\n", r.Control, r.Treatment, resultCells(r.Result, false))
 	}
 	return b.String()
 }
@@ -56,15 +50,9 @@ func (t *Table03) Render() string {
 // RunTable03 evaluates the access-price experiment.
 func RunTable03(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
-	p := v.P
-	groups := map[market.AccessPriceGroup]dataset.View{}
-	for _, i := range v.Idx {
-		g := market.GroupOfAccessPrice(unit.USD(p.AccessPrice[i]))
-		gv := groups[g]
-		gv.P = p
-		gv.Idx = append(gv.Idx, i)
-		groups[g] = gv
-	}
+	groups := groupBy(v, func(i int32) market.AccessPriceGroup {
+		return market.GroupOfAccessPrice(unit.USD(v.P.AccessPrice[i]))
+	})
 	// Matching on capacity and connection quality isolates the price arrow.
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
@@ -82,7 +70,6 @@ func RunTable03(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 			Control:   groups[cmp.control],
 			Matcher:   m,
 			Outcome:   dataset.PeakUsageNoBT,
-			MinPairs:  MinGroup,
 		}
 		res, err := exp.Run(rng.Split(cmp.treatment.String()))
 		if err != nil {

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 
@@ -25,12 +24,7 @@ type Table06 struct {
 }
 
 // Table06Row is one band comparison.
-type Table06Row struct {
-	Control   market.UpgradeCostGroup
-	Treatment market.UpgradeCostGroup
-	Result    core.Result
-	Skipped   bool
-}
+type Table06Row = Comparison[market.UpgradeCostGroup]
 
 // ID implements Report.
 func (t *Table06) ID() string { return "Table 6" }
@@ -46,19 +40,9 @@ func (t *Table06) Render() string {
 	b.WriteString(header(t.ID(), t.Title()))
 	render := func(name string, rows []Table06Row) {
 		fmt.Fprintf(&b, "  (%s)\n", name)
-		fmt.Fprintf(&b, "    %-16s %-16s %10s %12s %7s\n", "Control", "Treatment", "% H holds", "p-value", "pairs")
+		fmt.Fprintf(&b, "    %-16s %-16s %s\n", "Control", "Treatment", resultColumns)
 		for _, r := range rows {
-			if r.Skipped {
-				fmt.Fprintf(&b, "    %-16s %-16s %10s %12s %7s\n", r.Control, r.Treatment, "-", "(too few)", "-")
-				continue
-			}
-			star := ""
-			if !r.Result.Sig.Significant() {
-				star = "*"
-			}
-			fmt.Fprintf(&b, "    %-16s %-16s %9.1f%%%s %12s %7d\n",
-				r.Control, r.Treatment, 100*r.Result.Fraction(), star,
-				formatP(r.Result.PValue()), r.Result.Pairs)
+			fmt.Fprintf(&b, "    %-16s %-16s %s\n", r.Control, r.Treatment, resultCells(r.Result, r.Skipped))
 		}
 	}
 	render("a: average demand w/ BitTorrent", t.WithBT)
@@ -69,54 +53,25 @@ func (t *Table06) Render() string {
 // RunTable06 evaluates the upgrade-cost experiment.
 func RunTable06(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	v := dasuView(d, 0)
-	p := v.P
-	groups := map[market.UpgradeCostGroup]dataset.View{}
-	for _, i := range v.Idx {
-		g := market.GroupOfUpgradeCost(unit.PerMbps(p.UpgradeCost[i]))
-		gv := groups[g]
-		gv.P = p
-		gv.Idx = append(gv.Idx, i)
-		groups[g] = gv
-	}
+	groups := groupBy(v, func(i int32) market.UpgradeCostGroup {
+		return market.GroupOfUpgradeCost(unit.PerMbps(v.P.UpgradeCost[i]))
+	})
 	// Matching on capacity, quality and access price isolates the
 	// upgrade-cost arrow from the access-price one.
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 		core.ConfounderAccessPrice(),
 	}}
-	comparisons := []struct {
-		control, treatment market.UpgradeCostGroup
-	}{
-		{market.UpgradeCheap, market.UpgradeMid},
-		{market.UpgradeMid, market.UpgradeExpensive},
-	}
 	run := func(metric dataset.Column, label string) ([]Table06Row, error) {
-		var rows []Table06Row
-		populated := 0
-		for i, cmp := range comparisons {
-			exp := core.Experiment{
-				Name:      fmt.Sprintf("%s: %v vs %v", label, cmp.control, cmp.treatment),
-				Treatment: groups[cmp.treatment],
-				Control:   groups[cmp.control],
-				Matcher:   m,
-				Outcome:   metric,
-				MinPairs:  MinGroup,
-			}
-			res, err := exp.Run(rng.SplitN(label, i))
-			row := Table06Row{Control: cmp.control, Treatment: cmp.treatment}
-			switch {
-			case errors.Is(err, core.ErrTooFewPairs):
-				row.Skipped = true
-			case err != nil:
-				return nil, err
-			default:
-				row.Result = res
-				populated++
-			}
-			rows = append(rows, row)
-		}
-		if populated == 0 {
-			return nil, fmt.Errorf("table06 %s: no populated comparisons", label)
+		rows, err := matchRungs([]Table06Row{
+			{Control: market.UpgradeCheap, Treatment: market.UpgradeMid},
+			{Control: market.UpgradeMid, Treatment: market.UpgradeExpensive},
+		}, func(g market.UpgradeCostGroup) dataset.View { return groups[g] }, m, metric,
+			func(i int, r Table06Row) (string, *randx.Source) {
+				return fmt.Sprintf("%s: %v vs %v", label, r.Control, r.Treatment), rng.SplitN(label, i)
+			})
+		if err != nil {
+			return nil, fmt.Errorf("table06 %s: %w", label, err)
 		}
 		return rows, nil
 	}

@@ -137,7 +137,7 @@ func (p *Pack) Validate() error {
 	}
 	seen := make(map[string]bool)
 	for _, e := range p.Expect {
-		if _, ok := findArtifact(e.Artifact); !ok {
+		if _, ok := experiments.Lookup(e.Artifact); !ok {
 			return fmt.Errorf("pack %s: unknown artifact %q", p.Name, e.Artifact)
 		}
 		if len(e.Checks) == 0 {
@@ -158,14 +158,6 @@ func (p *Pack) Validate() error {
 		}
 	}
 	return nil
-}
-
-// findArtifact resolves an ID against the registry, then the extensions.
-func findArtifact(id string) (experiments.Entry, bool) {
-	if e, ok := experiments.Find(id); ok {
-		return e, true
-	}
-	return experiments.FindExtension(id)
 }
 
 // artifacts returns the artifact IDs the pack reads, deduplicated in

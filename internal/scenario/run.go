@@ -4,9 +4,9 @@ import (
 	"context"
 	"fmt"
 
+	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/golden"
 	"github.com/nwca/broadband/internal/par"
-	"github.com/nwca/broadband/internal/randx"
 	"github.com/nwca/broadband/internal/synth"
 )
 
@@ -122,11 +122,11 @@ func Run(ctx context.Context, packs []*Pack, opt Options) (*Report, error) {
 		}
 		j.vals = make(map[string]*golden.Value, len(j.ids))
 		for _, id := range j.ids {
-			e, ok := findArtifact(id)
+			e, ok := experiments.Lookup(id)
 			if !ok {
 				return fmt.Errorf("scenario: unknown artifact %q", id)
 			}
-			rep, err := e.Run(&w.Data, randx.New(j.cfg.Seed).Split(id))
+			rep, err := experiments.RunAt(e, &w.Data, j.cfg.Seed)
 			if err != nil {
 				return fmt.Errorf("scenario: %s (seed %d): %w", id, j.cfg.Seed, err)
 			}

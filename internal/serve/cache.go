@@ -1,6 +1,10 @@
 package serve
 
-import "sync"
+import (
+	"fmt"
+	"runtime/debug"
+	"sync"
+)
 
 // resultCache memoizes one rendered artifact per (dataset content hash,
 // artifact ID, seed). Because the key is the content hash — not the
@@ -16,6 +20,9 @@ type resultCache struct {
 	// Counters, guarded by mu: computations run, entries evicted to stay
 	// within maxCacheBytes, and bytes held by completed entries.
 	computes, evictions, bytes int64
+
+	// logf receives the stack of a computation that panicked.
+	logf func(format string, args ...any)
 }
 
 type resultKey struct {
@@ -52,15 +59,16 @@ type resultEntry struct {
 // (≈800 entries of ≈7 KB) fits with room to spare.
 const maxCacheBytes = 64 << 20
 
-func newResultCache() *resultCache {
-	return &resultCache{m: make(map[resultKey]*resultEntry)}
+func newResultCache(logf func(format string, args ...any)) *resultCache {
+	return &resultCache{m: make(map[resultKey]*resultEntry), logf: logf}
 }
 
 // get returns the cached result for k, computing it at most once per
 // entry however many requests race. compute takes no request context, so
 // a leader that gives up cannot fail its joiners, and a computation that
 // was started always finishes into the cache. Failed computations are
-// not cached: the entry is removed so the next request retries.
+// not cached: the entry is removed so the next request retries. A
+// computation that panics counts as failed.
 func (c *resultCache) get(k resultKey, compute func() (artifactResult, error)) (artifactResult, error) {
 	c.mu.Lock()
 	e, ok := c.m[k]
@@ -71,7 +79,7 @@ func (c *resultCache) get(k resultKey, compute func() (artifactResult, error)) (
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		e.res, e.err = compute()
+		e.res, e.err = c.run(k, compute)
 		c.mu.Lock()
 		defer c.mu.Unlock()
 		c.computes++
@@ -89,6 +97,19 @@ func (c *resultCache) get(k resultKey, compute func() (artifactResult, error)) (
 		}
 	})
 	return e.res, e.err
+}
+
+// run calls compute and returns a panic as an error, logging its stack the
+// way the server's recover middleware does. /reports computes artifacts on
+// worker goroutines, where no middleware could catch the panic.
+func (c *resultCache) run(k resultKey, compute func() (artifactResult, error)) (res artifactResult, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			c.logf("panic computing %s at seed %d: %v\n%s", k.artifact, k.seed, p, debug.Stack())
+			res, err = artifactResult{}, fmt.Errorf("panic: %v", p)
+		}
+	}()
+	return compute()
 }
 
 // evictLocked drops completed entries other than keep until the resident

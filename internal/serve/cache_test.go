@@ -2,6 +2,7 @@ package serve
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -29,7 +30,7 @@ func (c *resultCache) resident(t *testing.T) int64 {
 }
 
 func TestResultCacheBoundedByBytes(t *testing.T) {
-	c := newResultCache()
+	c := newResultCache(t.Logf)
 	// Every entry shares one backing array: the cache charges lengths, so
 	// 200 MiB of entries cost the test 1 MiB.
 	big := make([]byte, 1<<20)
@@ -70,7 +71,7 @@ func TestResultCacheBoundedByBytes(t *testing.T) {
 // ≈7 KB each — is far inside the budget, so nothing is ever evicted, and
 // racing requests compute each entry once.
 func TestResultCacheKeepsWorkingSet(t *testing.T) {
-	c := newResultCache()
+	c := newResultCache(t.Logf)
 	blob := make([]byte, 7<<10)
 	const keys = 800
 	var wg sync.WaitGroup
@@ -91,5 +92,37 @@ func TestResultCacheKeepsWorkingSet(t *testing.T) {
 	computes, evictions, bytes := c.counters()
 	if computes != keys || evictions != 0 || bytes != keys*int64(len(blob)) || len(c.m) != keys {
 		t.Fatalf("computes=%d evictions=%d bytes=%d entries=%d; want %d, 0, %d, %d", computes, evictions, bytes, len(c.m), keys, keys*len(blob), keys)
+	}
+}
+
+// A compute that panics must not poison its entry: the panic comes back as
+// an error, nothing is charged, and the next get recomputes and serves the
+// new result instead of an empty one.
+func TestResultCachePanicNotCached(t *testing.T) {
+	c := newResultCache(t.Logf)
+	k := resultKey{hash: "h", artifact: "Fig. 1", seed: 1}
+	func() {
+		defer func() {
+			if p := recover(); p != nil {
+				t.Errorf("get let the panic escape: %v", p)
+			}
+		}()
+		if _, err := c.get(k, func() (artifactResult, error) { panic("boom") }); err == nil || !strings.Contains(err.Error(), "boom") {
+			t.Errorf("panicking compute: err = %v, want the panic as an error", err)
+		}
+	}()
+	if _, _, bytes := c.counters(); bytes != 0 || len(c.m) != 0 {
+		t.Errorf("after a panic the cache holds %d entries, %d bytes; want none", len(c.m), bytes)
+	}
+	calls := 0
+	res, err := c.get(k, func() (artifactResult, error) {
+		calls++
+		return artifactResult{data: []byte("ok")}, nil
+	})
+	if err != nil || string(res.data) != "ok" || calls != 1 {
+		t.Fatalf("retry after panic: data=%q err=%v compute calls=%d; want \"ok\", nil, 1", res.data, err, calls)
+	}
+	if _, _, bytes := c.counters(); bytes != res.size() {
+		t.Fatalf("retry charged %d bytes, want %d", bytes, res.size())
 	}
 }

@@ -81,7 +81,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:   cfg,
 		store: cfg.Store,
-		cache: newResultCache(),
+		cache: newResultCache(logger.Printf),
 		sem:   make(chan struct{}, cfg.MaxInFlight),
 		logf:  logger.Printf,
 	}
