@@ -132,7 +132,7 @@ func run(args []string, stderr io.Writer) int {
 			if err != nil {
 				return fail("%v", err)
 			}
-			if err := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *reportTo, append(data, '\n'), 0o644); err != nil {
+			if err := fsx.RetryWrite(context.Background(), *reportTo, append(data, '\n'), 0o644); err != nil {
 				return fail("%v", err)
 			}
 		}

@@ -171,7 +171,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprint(stderr, r.Render())
 	if *report != "" {
-		if err := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *report, r.JSON(), 0o644); err != nil {
+		if err := fsx.RetryWrite(context.Background(), *report, r.JSON(), 0o644); err != nil {
 			return cli.ExitCode(stderr, "bbrepro", err, 2)
 		}
 	}

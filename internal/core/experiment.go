@@ -76,7 +76,7 @@ func (e Experiment) Run(rng *randx.Source) (Result, error) {
 			holds++
 		}
 	}
-	bin, err := stats.BinomialTest(holds, len(pairs), 0.5, stats.TailGreater)
+	bin, err := stats.BinomialTest(holds, len(pairs))
 	if err != nil {
 		return Result{}, err
 	}
@@ -115,7 +115,7 @@ func RunPaired(name string, switches []dataset.Switch, metric PairedMetric) (Res
 			holds++
 		}
 	}
-	bin, err := stats.BinomialTest(holds, len(switches), 0.5, stats.TailGreater)
+	bin, err := stats.BinomialTest(holds, len(switches))
 	if err != nil {
 		return Result{}, err
 	}

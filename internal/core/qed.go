@@ -139,7 +139,7 @@ func (q QED) Run(rng *randx.Source) (QEDResult, error) {
 	if pairs < minPairs {
 		return QEDResult{}, fmt.Errorf("%w: QED %q paired %d, need %d", ErrTooFewPairs, q.Name, pairs, minPairs)
 	}
-	bin, err := stats.BinomialTest(holds, pairs, 0.5, stats.TailGreater)
+	bin, err := stats.BinomialTest(holds, pairs)
 	if err != nil {
 		return QEDResult{}, err
 	}

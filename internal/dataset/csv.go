@@ -273,7 +273,7 @@ func SaveTableCtx[T Row](ctx context.Context, dir string, opts SaveOptions, rows
 		name += ".gz"
 	}
 	if err := writeTableCtx(ctx, filepath.Join(dir, name), opts.Gzip, func(w io.Writer) error {
-		return writeSharded(w, t, rows, opts.Workers)
+		return writeSharded(ctx, w, t, rows, opts.Workers)
 	}); err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", name, err)
 	}

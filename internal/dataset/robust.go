@@ -169,9 +169,6 @@ type QuarantineOptions struct {
 	// *BudgetError. Zero or negative selects DefaultMaxBadFrac; a value
 	// >= 1 disables the fractional budget.
 	MaxBadFrac float64
-	// MaxBadRows is an absolute per-file cap checked incrementally
-	// (0 = no absolute cap).
-	MaxBadRows int
 }
 
 // DefaultMaxBadFrac is the error budget applied when none is configured:
@@ -221,8 +218,8 @@ func NewQuarantine(file string, opts QuarantineOptions, rep *QuarantineReport) *
 }
 
 // budgetFloor is the minimum number of offered rows before the fractional
-// budget is enforced incrementally; below it only the absolute cap applies,
-// so tiny files are not failed by their first bad row.
+// budget is enforced incrementally, so tiny files are not failed by their
+// first bad row; end of file enforces it whatever the count.
 const budgetFloor = 200
 
 // budgetErr builds the summarizing error for this file.
@@ -237,13 +234,10 @@ func (q *Quarantine) budgetErr() *BudgetError {
 }
 
 // overBudget reports whether the file's quarantined rows exceed the
-// absolute cap or the fractional budget. The fractional budget applies
-// once at least minRead rows were offered, so tiny prefixes of a file
-// being read are not failed by their first bad row.
+// fractional budget. The budget applies once at least minRead rows were
+// offered, so tiny prefixes of a file being read are not failed by their
+// first bad row.
 func (q *Quarantine) overBudget(minRead int) bool {
-	if q.opts.MaxBadRows > 0 && q.bad > q.opts.MaxBadRows {
-		return true
-	}
 	frac := q.opts.maxBadFrac()
 	return frac < 1 && q.read > 0 && q.read >= minRead && float64(q.bad) > frac*float64(q.read)
 }
@@ -268,7 +262,7 @@ func (q *Quarantine) kept() {
 }
 
 // demote retracts a previously kept row (post-pass faults: duplicate keys,
-// orphaned market references) and re-enforces both budgets. The file has
+// orphaned market references) and re-enforces the budget. The file has
 // been read in full by then, so the fractional budget applies as it does
 // at end of file.
 func (q *Quarantine) demote(row int, class RowFault, cause error) error {

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 
@@ -24,8 +25,9 @@ func shardRange(n, shards, i int) (lo, hi int) {
 
 // writeSharded encodes items across workers shards and writes header then
 // shards in order. workers <= 1 (or few items) degrades to a single
-// streaming pass that never buffers more than one row.
-func writeSharded[T Row](w io.Writer, t *table[T], items []T, workers int) error {
+// streaming pass that never buffers more than one row. Once ctx is
+// cancelled no further shard starts encoding.
+func writeSharded[T Row](ctx context.Context, w io.Writer, t *table[T], items []T, workers int) error {
 	n := len(items)
 	workers = par.Workers(workers)
 	if workers > n {
@@ -45,7 +47,7 @@ func writeSharded[T Row](w io.Writer, t *table[T], items []T, workers int) error
 		return nil
 	}
 	bufs := make([]bytes.Buffer, workers)
-	if err := par.ForN(workers, workers, func(i int) error {
+	if err := par.ForNCtx(ctx, workers, workers, func(i int) error {
 		lo, hi := shardRange(n, workers, i)
 		// Seed the row counter so error messages report absolute rows.
 		rw := rowWriter{w: &bufs[i], table: t.name, row: 1 + lo}
@@ -75,5 +77,5 @@ func writeSharded[T Row](w io.Writer, t *table[T], items []T, workers int) error
 // (0 = GOMAXPROCS, 1 = sequential). Output is byte-identical to a Writer
 // fed the same rows, for every worker count.
 func WriteAll[T Row](w io.Writer, rows []T, workers int) error {
-	return writeSharded(w, tableOf[T](), rows, workers)
+	return writeSharded(context.Background(), w, tableOf[T](), rows, workers)
 }

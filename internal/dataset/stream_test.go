@@ -2,11 +2,14 @@ package dataset
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"math"
 	"os"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
@@ -166,6 +169,31 @@ func TestShardedEncodeByteIdentical(t *testing.T) {
 	}
 	if !bytes.Equal(refP.Bytes(), gotP.Bytes()) {
 		t.Error("plans encode differs across worker counts")
+	}
+}
+
+// TestShardedEncodeStopsOnCancel: a save whose context is already
+// cancelled encodes no shard and writes nothing.
+func TestShardedEncodeStopsOnCancel(t *testing.T) {
+	users := manyUsers(101)
+	tbl := *tableOf[User]()
+	var encoded atomic.Int64
+	enc := tbl.encode
+	tbl.encode = func(w *rowWriter, u *User) {
+		encoded.Add(1)
+		enc(w, u)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{2, 8} {
+		var out bytes.Buffer
+		err := writeSharded(ctx, &out, &tbl, users, workers)
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+		}
+		if n := encoded.Load(); n != 0 || out.Len() != 0 {
+			t.Fatalf("workers=%d: %d rows encoded, %d bytes written after cancellation", workers, n, out.Len())
+		}
 	}
 }
 

@@ -86,7 +86,7 @@ func classSeries(label string, v dataset.View, col []float64, minN int) Series {
 		if len(idx) < minN {
 			continue
 		}
-		iv, err := stats.MeanCIIdx(col, idx, 0.95)
+		iv, err := stats.MeanCIIdx(col, idx)
 		if err != nil {
 			continue
 		}

@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"github.com/nwca/broadband/internal/cli"
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/golden"
+	"github.com/nwca/broadband/internal/market"
 	"github.com/nwca/broadband/internal/synth"
 )
 
@@ -68,5 +70,44 @@ func TestUnderpoweredRungsSkipped(t *testing.T) {
 				t.Errorf("render shows %d \"(too few)\" rows, report marks %d skipped:\n%s", n, skipped, rep.Render())
 			}
 		})
+	}
+}
+
+// Table 3 treats an underpowered price stratum like every other matched
+// table: at the canonical world size, seeds 3 and 10 leave the
+// ($0, $25] vs ($60, inf) comparison with fewer than MinGroup pairs. The
+// table must still report, with that row skipped and the other matched.
+func TestTable03SkipsUnderpoweredStratum(t *testing.T) {
+	if testing.Short() {
+		t.Skip("builds two canonical-size worlds")
+	}
+	t.Parallel()
+	for _, seed := range []uint64{3, 10} {
+		cfg := cli.CanonicalWorld
+		cfg.Seed = seed
+		w, err := synth.Build(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, _ := Lookup("Table 3")
+		rep, err := RunAt(e, &w.Data, seed)
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
+		}
+		tab := rep.(*Table03)
+		if len(tab.Rows) != 2 {
+			t.Fatalf("seed %d: %d rows, want 2", seed, len(tab.Rows))
+		}
+		if mid := tab.Rows[0]; mid.Skipped || mid.Result.Pairs < MinGroup {
+			t.Errorf("seed %d: %v vs %v skipped=%v with %d pairs, want matched",
+				seed, mid.Control, mid.Treatment, mid.Skipped, mid.Result.Pairs)
+		}
+		if exp := tab.Rows[1]; exp.Treatment != market.AccessExpensive || !exp.Skipped || exp.Result.Pairs != 0 {
+			t.Errorf("seed %d: %v vs %v skipped=%v with %d pairs, want skipped",
+				seed, exp.Control, exp.Treatment, exp.Skipped, exp.Result.Pairs)
+		}
+		if !strings.Contains(rep.Render(), "(too few)") {
+			t.Errorf("seed %d: render does not show the skipped row:\n%s", seed, rep.Render())
+		}
 	}
 }

@@ -209,11 +209,11 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		if len(idx) < MinGroup {
 			continue
 		}
-		mean, err := stats.MeanCIIdx(p.UsageMeanNoBT, idx, 0.95)
+		mean, err := stats.MeanCIIdx(p.UsageMeanNoBT, idx)
 		if err != nil {
 			return nil, err
 		}
-		peak, err := stats.MeanCIIdx(p.UsagePeakNoBT, idx, 0.95)
+		peak, err := stats.MeanCIIdx(p.UsagePeakNoBT, idx)
 		if err != nil {
 			return nil, err
 		}

@@ -82,7 +82,7 @@ func RunFig05(d *dataset.Dataset, _ *randx.Source) (Report, error) {
 			if len(vals) < 3 {
 				continue
 			}
-			iv, err := stats.MeanCI(vals, 0.95)
+			iv, err := stats.MeanCI(vals)
 			if err != nil {
 				continue
 			}

@@ -65,7 +65,7 @@ func RunFig09(d *dataset.Dataset, _ *randx.Source) (Report, error) {
 			if tv.Len() < MinGroup {
 				continue
 			}
-			iv, err := stats.MeanCIIdx(p.UsagePeakNoBT, tv.Idx, 0.95)
+			iv, err := stats.MeanCIIdx(p.UsagePeakNoBT, tv.Idx)
 			if err != nil {
 				continue
 			}

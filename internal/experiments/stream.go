@@ -26,7 +26,7 @@ type streamSketch struct {
 }
 
 func newStreamSketch(lo, hi float64, bins int) (*streamSketch, error) {
-	e, err := stats.NewOnlineECDF(lo, hi, bins, true)
+	e, err := stats.NewOnlineECDF(lo, hi, bins)
 	if err != nil {
 		return nil, err
 	}

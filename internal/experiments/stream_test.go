@@ -67,10 +67,7 @@ func TestOverviewSketchVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diffs := golden.Compare(want, got, golden.Options{
-		Tolerances: m.Tolerances,
-		Artifact:   "StreamOverview",
-	})
+	diffs := golden.Compare(want, got, "StreamOverview", m.Tolerances)
 	for _, diff := range diffs {
 		t.Errorf("sketch drifts from exact: %s", diff)
 	}

@@ -68,10 +68,10 @@ func RunTable01(d *dataset.Dataset, _ *randx.Source) (Report, error) {
 		beforeAvg[i], afterAvg[i] = float64(s.Before.MeanNoBT), float64(s.After.MeanNoBT)
 		beforePeak[i], afterPeak[i] = float64(s.Before.PeakNoBT), float64(s.After.PeakNoBT)
 	}
-	if t.WilcoxonAvg, err = stats.WilcoxonSignedRank(beforeAvg, afterAvg, stats.TailGreater); err != nil {
+	if t.WilcoxonAvg, err = stats.WilcoxonSignedRank(beforeAvg, afterAvg); err != nil {
 		return nil, err
 	}
-	if t.WilcoxonPeak, err = stats.WilcoxonSignedRank(beforePeak, afterPeak, stats.TailGreater); err != nil {
+	if t.WilcoxonPeak, err = stats.WilcoxonSignedRank(beforePeak, afterPeak); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -104,7 +104,7 @@ func ladderFDR(rows []Table02Row) ([]bool, error) {
 	if len(pvals) == 0 {
 		return nil, nil
 	}
-	return stats.BenjaminiHochberg(pvals, 0.05)
+	return stats.BenjaminiHochberg(pvals)
 }
 
 // quadMatcher matches on the full confounder set used for cross-market

@@ -21,12 +21,9 @@ type Table03 struct {
 	Rows []Table03Row
 }
 
-// Table03Row is one control/treatment group comparison.
-type Table03Row struct {
-	Control   market.AccessPriceGroup
-	Treatment market.AccessPriceGroup
-	Result    core.Result
-}
+// Table03Row is one control/treatment group comparison; Skipped marks a
+// price stratum too thin to match in this world.
+type Table03Row = Comparison[market.AccessPriceGroup]
 
 // ID implements Report.
 func (t *Table03) ID() string { return "Table 3" }
@@ -42,7 +39,7 @@ func (t *Table03) Render() string {
 	b.WriteString(header(t.ID(), t.Title()))
 	fmt.Fprintf(&b, "  %-14s %-14s %s\n", "Control", "Treatment", resultColumns)
 	for _, r := range t.Rows {
-		fmt.Fprintf(&b, "  %-14s %-14s %s\n", r.Control, r.Treatment, resultCells(r.Result, false))
+		fmt.Fprintf(&b, "  %-14s %-14s %s\n", r.Control, r.Treatment, resultCells(r.Result, r.Skipped))
 	}
 	return b.String()
 }
@@ -57,25 +54,15 @@ func RunTable03(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 	}}
-	t := &Table03{}
-	for _, cmp := range []struct {
-		control, treatment market.AccessPriceGroup
-	}{
-		{market.AccessCheap, market.AccessMid},
-		{market.AccessCheap, market.AccessExpensive},
-	} {
-		exp := core.Experiment{
-			Name:      fmt.Sprintf("%v vs %v", cmp.control, cmp.treatment),
-			Treatment: groups[cmp.treatment],
-			Control:   groups[cmp.control],
-			Matcher:   m,
-			Outcome:   dataset.PeakUsageNoBT,
-		}
-		res, err := exp.Run(rng.Split(cmp.treatment.String()))
-		if err != nil {
-			return nil, fmt.Errorf("table03 %v: %w", cmp.treatment, err)
-		}
-		t.Rows = append(t.Rows, Table03Row{Control: cmp.control, Treatment: cmp.treatment, Result: res})
+	rows, err := matchRungs([]Table03Row{
+		{Control: market.AccessCheap, Treatment: market.AccessMid},
+		{Control: market.AccessCheap, Treatment: market.AccessExpensive},
+	}, func(g market.AccessPriceGroup) dataset.View { return groups[g] }, m, dataset.PeakUsageNoBT,
+		func(_ int, r Table03Row) (string, *randx.Source) {
+			return fmt.Sprintf("%v vs %v", r.Control, r.Treatment), rng.Split(r.Treatment.String())
+		})
+	if err != nil {
+		return nil, fmt.Errorf("table03: %w", err)
 	}
-	return t, nil
+	return &Table03{Rows: rows}, nil
 }

@@ -8,80 +8,39 @@ import (
 	"time"
 )
 
-// RetryPolicy bounds a retried operation: how many attempts, how the
-// sleeps between them grow, and which errors are worth retrying at all.
-// The zero value selects the defaults below — a short, capped schedule
-// sized for transient filesystem hiccups (NFS blips, overloaded disks,
-// antivirus locks), not for outages.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (not re-tries). Zero or
-	// negative selects DefaultAttempts.
-	Attempts int
-	// Base is the sleep before the second attempt; each further sleep
-	// doubles. Zero selects DefaultBase.
-	Base time.Duration
-	// Cap bounds every sleep after jitter. Zero selects DefaultCap.
-	Cap time.Duration
-	// Transient reports whether an error is worth another attempt. Nil
-	// retries everything except context cancellation, which always stops
-	// the schedule immediately.
-	Transient func(error) bool
-	// Rand supplies the jitter draw in [0, 1); nil uses math/rand/v2.
-	// Tests inject a fixed function to pin the schedule.
-	Rand func() float64
-}
-
-// Retry defaults.
+// The retry schedule: a short, capped schedule sized for transient
+// filesystem hiccups (NFS blips, overloaded disks, antivirus locks), not
+// for outages. retryAttempts is the total number of tries (not re-tries);
+// retryBase is the sleep before the second attempt, and each further sleep
+// doubles; retryCap bounds every sleep.
 const (
-	DefaultAttempts = 4
-	DefaultBase     = 5 * time.Millisecond
-	DefaultCap      = 250 * time.Millisecond
+	retryAttempts = 4
+	retryBase     = 5 * time.Millisecond
+	retryCap      = 250 * time.Millisecond
 )
 
-func (p RetryPolicy) attempts() int {
-	if p.Attempts <= 0 {
-		return DefaultAttempts
-	}
-	return p.Attempts
+// retrySleep computes the jittered backoff before attempt n (0-based:
+// retrySleep(0) precedes the second attempt): min(cap, base<<n) scaled by
+// a uniform [0.5, 1) draw so a herd of retriers decorrelates.
+func retrySleep(n int) time.Duration {
+	d := min(retryBase<<uint(n), retryCap)
+	return time.Duration((0.5 + 0.5*rand.Float64()) * float64(d))
 }
 
-func (p RetryPolicy) base() time.Duration {
-	if p.Base <= 0 {
-		return DefaultBase
-	}
-	return p.Base
+// Retry runs op up to retryAttempts times, separated by jittered, capped
+// exponential backoff. It returns nil on the first success and the last
+// error otherwise. Context cancellation is honored both between attempts
+// and while sleeping, and an error that is (or wraps) the context's error
+// is never retried — the caller is leaving.
+func Retry(ctx context.Context, op func() error) error {
+	return retry(ctx, op, nil)
 }
 
-func (p RetryPolicy) cap() time.Duration {
-	if p.Cap <= 0 {
-		return DefaultCap
-	}
-	return p.Cap
-}
-
-// sleep computes the jittered backoff before attempt n (0-based: sleep(0)
-// precedes the second attempt): min(cap, base<<n) scaled by a uniform
-// [0.5, 1) draw so a herd of retriers decorrelates.
-func (p RetryPolicy) sleep(n int) time.Duration {
-	d := p.base() << uint(n)
-	if d <= 0 || d > p.cap() { // <<: overflow guard
-		d = p.cap()
-	}
-	draw := rand.Float64
-	if p.Rand != nil {
-		draw = p.Rand
-	}
-	return time.Duration((0.5 + 0.5*draw()) * float64(d))
-}
-
-// Retry runs op under the policy: up to Attempts tries separated by
-// jittered, capped exponential backoff. It returns nil on the first
-// success and the last error otherwise. Context cancellation is honored
-// both between attempts and while sleeping, and an error that is (or
-// wraps) the context's error is never retried — the caller is leaving.
-func Retry(ctx context.Context, p RetryPolicy, op func() error) error {
+// retry is Retry with a classifier: an error for which final reports true
+// ends the schedule at once. A nil final retries every error.
+func retry(ctx context.Context, op func() error, final func(error) bool) error {
 	var err error
-	for n := 0; n < p.attempts(); n++ {
+	for n := 0; n < retryAttempts; n++ {
 		if cerr := ctx.Err(); cerr != nil {
 			if err == nil {
 				err = cerr
@@ -94,13 +53,13 @@ func Retry(ctx context.Context, p RetryPolicy, op func() error) error {
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
 			return err
 		}
-		if p.Transient != nil && !p.Transient(err) {
+		if final != nil && final(err) {
 			return err
 		}
-		if n == p.attempts()-1 {
+		if n == retryAttempts-1 {
 			break
 		}
-		t := time.NewTimer(p.sleep(n))
+		t := time.NewTimer(retrySleep(n))
 		select {
 		case <-ctx.Done():
 			t.Stop()
@@ -111,29 +70,25 @@ func Retry(ctx context.Context, p RetryPolicy, op func() error) error {
 	return err
 }
 
-// RetryWrite is WriteFileAtomic under a retry policy: transient write
+// RetryWrite is WriteFileAtomic under Retry: transient write
 // failures (the staged temp file is always cleaned up between attempts)
 // are retried with capped exponential backoff, so a blip during an
 // artifact or report write does not cost the whole run. The atomicity
 // contract is unchanged — the destination sees either its old content or
 // the full new content, whatever attempt lands it.
-func RetryWrite(ctx context.Context, p RetryPolicy, path string, data []byte, perm os.FileMode) error {
-	return Retry(ctx, p, func() error { return WriteFileAtomic(path, data, perm) })
+func RetryWrite(ctx context.Context, path string, data []byte, perm os.FileMode) error {
+	return Retry(ctx, func() error { return WriteFileAtomic(path, data, perm) })
 }
 
-// RetryRead is os.ReadFile under a retry policy, for readers whose
-// transport can fail transiently (the serve disk store's pointer files).
-// os.ErrNotExist is treated as final unless the policy's Transient hook
-// says otherwise: a missing file is a state, not a blip.
-func RetryRead(ctx context.Context, p RetryPolicy, path string) ([]byte, error) {
-	if p.Transient == nil {
-		p.Transient = func(err error) bool { return !errors.Is(err, os.ErrNotExist) }
-	}
+// RetryRead is os.ReadFile under Retry, for readers whose transport can
+// fail transiently (the serve disk store's pointer files). os.ErrNotExist
+// is final: a missing file is a state, not a blip.
+func RetryRead(ctx context.Context, path string) ([]byte, error) {
 	var data []byte
-	err := Retry(ctx, p, func() error {
+	err := retry(ctx, func() error {
 		var rerr error
 		data, rerr = os.ReadFile(path)
 		return rerr
-	})
+	}, func(err error) bool { return errors.Is(err, os.ErrNotExist) })
 	return data, err
 }

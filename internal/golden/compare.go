@@ -25,18 +25,6 @@ type Tolerance struct {
 	Set bool `json:"set,omitempty"`
 }
 
-// Options configures a comparison.
-type Options struct {
-	// DefaultAbs and DefaultRel apply to every numeric field without a
-	// more specific Tolerance rule. The defaults (zero) demand exact
-	// equality, which deterministic regeneration on one platform
-	// provides; cross-platform drift is what per-field rules are for.
-	DefaultAbs, DefaultRel float64
-	Tolerances             []Tolerance
-	// Artifact scopes Artifact-qualified tolerance rules.
-	Artifact string
-}
-
 // Diff is one divergence between a golden tree and a regenerated one.
 type Diff struct {
 	Path string `json:"path"`
@@ -53,19 +41,23 @@ func (d Diff) String() string {
 }
 
 // Compare diffs a regenerated tree against the golden one, returning every
-// divergence (nil means the trees match under the options). The walk is
+// divergence (nil means the trees match under the tolerances). The walk is
 // structural: missing/extra object fields and array-length changes are
 // diffs, numbers compare under the per-path tolerances, and non-finite
-// markers ("NaN", "+Inf", "-Inf") compare by identity.
-func Compare(want, got *Value, opts Options) []Diff {
-	c := &comparer{opts: opts}
+// markers ("NaN", "+Inf", "-Inf") compare by identity. artifact scopes the
+// Artifact-qualified rules of tols. A numeric field no rule matches must
+// be exactly equal, which deterministic regeneration on one platform
+// provides; cross-platform drift is what per-field rules are for.
+func Compare(want, got *Value, artifact string, tols []Tolerance) []Diff {
+	c := &comparer{artifact: artifact, tols: tols}
 	c.compare("", want, got)
 	return c.diffs
 }
 
 type comparer struct {
-	opts  Options
-	diffs []Diff
+	artifact string
+	tols     []Tolerance
+	diffs    []Diff
 }
 
 func (c *comparer) add(p string, want, got *Value, msg string) {
@@ -75,9 +67,8 @@ func (c *comparer) add(p string, want, got *Value, msg string) {
 // tolAt resolves the tolerance rule for a path. The last matching rule
 // wins, so manifests can layer a broad rule and then a narrower override.
 func (c *comparer) tolAt(p string) (abs, rel float64, set bool) {
-	abs, rel = c.opts.DefaultAbs, c.opts.DefaultRel
-	for _, t := range c.opts.Tolerances {
-		if t.Artifact != "" && t.Artifact != c.opts.Artifact {
+	for _, t := range c.tols {
+		if t.Artifact != "" && t.Artifact != c.artifact {
 			continue
 		}
 		if ok, err := path.Match(t.Path, p); err == nil && ok {
@@ -160,7 +151,7 @@ outer:
 			if used[j] {
 				continue
 			}
-			probe := &comparer{opts: c.opts}
+			probe := &comparer{artifact: c.artifact, tols: c.tols}
 			probe.compare(childPath(p, strconv.Itoa(i)), wv, gv)
 			if len(probe.diffs) == 0 {
 				used[j] = true

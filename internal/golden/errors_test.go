@@ -191,19 +191,19 @@ func TestCompareMissingAndKindChange(t *testing.T) {
 	str, _ := Parse([]byte(`"1"`))
 	flag, _ := Parse([]byte(`true`))
 	unflag, _ := Parse([]byte(`false`))
-	if diffs := Compare(nil, num, Options{}); len(diffs) != 1 || diffs[0].Msg != "missing value" {
+	if diffs := Compare(nil, num, "", nil); len(diffs) != 1 || diffs[0].Msg != "missing value" {
 		t.Errorf("nil want: %v", diffs)
 	}
-	if diffs := Compare(num, nil, Options{}); len(diffs) != 1 {
+	if diffs := Compare(num, nil, "", nil); len(diffs) != 1 {
 		t.Errorf("nil got: %v", diffs)
 	}
-	if diffs := Compare(nil, nil, Options{}); len(diffs) != 0 {
+	if diffs := Compare(nil, nil, "", nil); len(diffs) != 0 {
 		t.Errorf("nil vs nil: %v", diffs)
 	}
-	if diffs := Compare(num, str, Options{}); len(diffs) != 1 || !strings.Contains(diffs[0].Msg, "kind changed") {
+	if diffs := Compare(num, str, "", nil); len(diffs) != 1 || !strings.Contains(diffs[0].Msg, "kind changed") {
 		t.Errorf("kind change: %v", diffs)
 	}
-	if diffs := Compare(flag, unflag, Options{}); len(diffs) != 1 {
+	if diffs := Compare(flag, unflag, "", nil); len(diffs) != 1 {
 		t.Errorf("bool flip: %v", diffs)
 	}
 }
@@ -212,8 +212,8 @@ func TestCompareSetLengthChange(t *testing.T) {
 	t.Parallel()
 	want, _ := Parse([]byte(`{"Rows": [1, 2]}`))
 	got, _ := Parse([]byte(`{"Rows": [1]}`))
-	opts := Options{Tolerances: []Tolerance{{Path: "Rows", Set: true}}}
-	diffs := Compare(want, got, opts)
+	set := []Tolerance{{Path: "Rows", Set: true}}
+	diffs := Compare(want, got, "", set)
 	if len(diffs) != 1 || !strings.Contains(diffs[0].Msg, "length changed") {
 		t.Errorf("set length change: %v", diffs)
 	}
@@ -223,7 +223,7 @@ func TestFormatDriftZeroBaseline(t *testing.T) {
 	t.Parallel()
 	want, _ := Parse([]byte(`{"A": 0}`))
 	got, _ := Parse([]byte(`{"A": 0.5}`))
-	diffs := Compare(want, got, Options{})
+	diffs := Compare(want, got, "", nil)
 	if len(diffs) != 1 {
 		t.Fatalf("want one diff, got %v", diffs)
 	}

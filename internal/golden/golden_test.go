@@ -70,7 +70,7 @@ func TestMarshalCanonicalAndRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if diffs := Compare(v, orig, Options{}); len(diffs) != 0 {
+	if diffs := Compare(v, orig, "", nil); len(diffs) != 0 {
 		t.Errorf("round-tripped tree differs: %v", diffs)
 	}
 }
@@ -107,12 +107,12 @@ func TestNonFiniteFloats(t *testing.T) {
 	// NaN must compare equal to NaN: regenerate and diff.
 	w, _ := ToValue(nf{math.NaN(), math.Inf(1), math.Inf(-1)})
 	g, _ := ToValue(nf{math.NaN(), math.Inf(1), math.Inf(-1)})
-	if diffs := Compare(w, g, Options{}); len(diffs) != 0 {
+	if diffs := Compare(w, g, "", nil); len(diffs) != 0 {
 		t.Errorf("NaN/Inf not self-equal: %v", diffs)
 	}
 	// But NaN vs a number is a diff.
 	g2, _ := ToValue(nf{1, math.Inf(1), math.Inf(-1)})
-	if diffs := Compare(w, g2, Options{}); len(diffs) != 1 {
+	if diffs := Compare(w, g2, "", nil); len(diffs) != 1 {
 		t.Errorf("NaN vs 1 should be one diff, got %v", diffs)
 	}
 }
@@ -128,23 +128,23 @@ func TestCompareTolerances(t *testing.T) {
 	got, _ := ToValue(obj{Exact: 1, Loose: 100.4, Rows: []float64{1, 2, 3.0001}})
 
 	// No tolerance: two diffs.
-	if diffs := Compare(want, got, Options{}); len(diffs) != 2 {
+	if diffs := Compare(want, got, "", nil); len(diffs) != 2 {
 		t.Fatalf("want 2 diffs, got %v", diffs)
 	}
 	// Absolute rule on Loose, relative rule on the rows.
-	opts := Options{Tolerances: []Tolerance{
+	tols := []Tolerance{
 		{Path: "Loose", Abs: 0.5},
 		{Path: "Rows/*", Rel: 1e-3},
-	}}
-	if diffs := Compare(want, got, opts); len(diffs) != 0 {
+	}
+	if diffs := Compare(want, got, "", tols); len(diffs) != 0 {
 		t.Errorf("tolerances should absorb drift, got %v", diffs)
 	}
 	// Artifact-scoped rule only applies to its artifact.
-	scoped := Options{Artifact: "Fig. 9", Tolerances: []Tolerance{
+	scoped := []Tolerance{
 		{Artifact: "Fig. 1", Path: "Loose", Abs: 0.5},
 		{Path: "Rows/*", Rel: 1e-3},
-	}}
-	if diffs := Compare(want, got, scoped); len(diffs) != 1 {
+	}
+	if diffs := Compare(want, got, "Fig. 9", scoped); len(diffs) != 1 {
 		t.Errorf("rule for another artifact must not apply, got %v", diffs)
 	}
 }
@@ -153,7 +153,7 @@ func TestCompareStructural(t *testing.T) {
 	t.Parallel()
 	want, _ := Parse([]byte(`{"A": 1, "B": [1, 2], "C": "x"}`))
 	got, _ := Parse([]byte(`{"A": "1", "B": [1], "D": true}`))
-	diffs := Compare(want, got, Options{})
+	diffs := Compare(want, got, "", nil)
 	msgs := map[string]bool{}
 	for _, d := range diffs {
 		msgs[d.Path] = true
@@ -174,16 +174,16 @@ func TestCompareSetOrder(t *testing.T) {
 	type obj struct{ Rows []row }
 	want, _ := ToValue(obj{Rows: []row{{"a", 1}, {"b", 2}}})
 	got, _ := ToValue(obj{Rows: []row{{"b", 2}, {"a", 1}}})
-	if diffs := Compare(want, got, Options{}); len(diffs) == 0 {
+	if diffs := Compare(want, got, "", nil); len(diffs) == 0 {
 		t.Fatal("ordered comparison should flag the swap")
 	}
-	opts := Options{Tolerances: []Tolerance{{Path: "Rows", Set: true}}}
-	if diffs := Compare(want, got, opts); len(diffs) != 0 {
+	set := []Tolerance{{Path: "Rows", Set: true}}
+	if diffs := Compare(want, got, "", set); len(diffs) != 0 {
 		t.Errorf("set comparison should accept the swap, got %v", diffs)
 	}
 	// An element that matches nothing is still a diff under set order.
 	got2, _ := ToValue(obj{Rows: []row{{"b", 2}, {"c", 1}}})
-	if diffs := Compare(want, got2, opts); len(diffs) != 1 {
+	if diffs := Compare(want, got2, "", set); len(diffs) != 1 {
 		t.Errorf("unmatched element should be one diff, got %v", diffs)
 	}
 }

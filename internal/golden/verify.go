@@ -142,11 +142,11 @@ func Verify(arts []Artifact, dir string, m *Manifest) (*Report, error) {
 				ar.Err = fmt.Sprintf("golden file: %v", perr)
 				break
 			}
-			opts := Options{Artifact: art.ID}
+			var tols []Tolerance
 			if m != nil {
-				opts.Tolerances = m.Tolerances
+				tols = m.Tolerances
 			}
-			ar.Diffs = Compare(want, got, opts)
+			ar.Diffs = Compare(want, got, art.ID, tols)
 		}
 		if m != nil && ar.Err == "" {
 			ar.Violations = EvalChecks(got, m.Checks(art.ID), false)

@@ -36,7 +36,7 @@ func TestTCPFairnessTwoFlows(t *testing.T) {
 	senders := make([]*TCPSender, 2)
 	receivers := make([]*TCPReceiver, 2)
 	for i, f := range flows {
-		s, err := NewTCPSender(&sim, bottleneck, f, 0, TCPConfig{})
+		s, err := NewTCPSender(&sim, bottleneck, f, 0)
 		if err != nil {
 			t.Fatal(err)
 		}

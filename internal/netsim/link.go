@@ -24,13 +24,16 @@ type LossModel struct {
 
 // LinkConfig describes one direction of an access link.
 type LinkConfig struct {
-	Rate       unit.Bitrate  // transmission capacity
-	Delay      float64       // one-way propagation delay, seconds
-	Queue      unit.ByteSize // drop-tail buffer size; 0 selects a default BDP-based buffer
-	Loss       LossModel
-	Name       string        // for diagnostics
-	HeaderSize unit.ByteSize // per-packet overhead counted against capacity (default 40 B)
+	Rate  unit.Bitrate  // transmission capacity
+	Delay float64       // one-way propagation delay, seconds
+	Queue unit.ByteSize // drop-tail buffer size; 0 selects a default BDP-based buffer
+	Loss  LossModel
+	Name  string // for diagnostics
 }
+
+// headerSize is the per-packet overhead (IP + TCP headers) counted against
+// a link's capacity.
+const headerSize = 40 * unit.Byte
 
 // LinkStats counts what happened on a link.
 type LinkStats struct {
@@ -100,9 +103,6 @@ func NewLink(sim *Simulator, cfg LinkConfig, rng *randx.Source) (*Link, error) {
 	if cfg.Queue <= 0 {
 		cfg.Queue = DefaultQueue(cfg.Rate)
 	}
-	if cfg.HeaderSize <= 0 {
-		cfg.HeaderSize = 40 * unit.Byte
-	}
 	return &Link{sim: sim, cfg: cfg, rng: rng}, nil
 }
 
@@ -122,7 +122,7 @@ func (l *Link) Send(p *Packet) {
 		l.stats.DroppedQueue++
 		return
 	}
-	wire := p.Size + l.cfg.HeaderSize
+	wire := p.Size + headerSize
 	serialize := float64(wire) * 8 / l.cfg.Rate.BitsPerSecond()
 	start := l.sim.Now()
 	if l.busyUntil > start {

@@ -47,7 +47,7 @@ func MeasureLoadedRTT(line AccessLine, duration float64, rng *randx.Source) (Loa
 	}
 
 	flow := Flow{Src: Endpoint{Host: "server", Port: 5001}, Dst: Endpoint{Host: "client", Port: 40001}}
-	sender, err := NewTCPSender(sim, down, flow, 0, TCPConfig{})
+	sender, err := NewTCPSender(sim, down, flow, 0)
 	if err != nil {
 		return LoadedRTTResult{}, err
 	}

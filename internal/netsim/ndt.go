@@ -31,8 +31,7 @@ func (a AccessLine) Validate() error {
 type NDTConfig struct {
 	Duration float64 // length of each throughput test in virtual seconds (default 10)
 	Probes   int     // RTT probe count (default 10)
-	TCP      TCPConfig
-	SkipUp   bool // skip the upload test (halves simulation cost when unused)
+	SkipUp   bool    // skip the upload test (halves simulation cost when unused)
 }
 
 func (c NDTConfig) withDefaults() NDTConfig {
@@ -172,7 +171,7 @@ func measureThroughput(dataCfg, ackCfg LinkConfig, cfg NDTConfig, rng *randx.Sou
 		Src: Endpoint{Host: "server", Port: 5001},
 		Dst: Endpoint{Host: "client", Port: 40001},
 	}
-	sender, err := NewTCPSender(sim, data, flow, 0, cfg.TCP)
+	sender, err := NewTCPSender(sim, data, flow, 0)
 	if err != nil {
 		return throughputOutcome{}, err
 	}

@@ -35,8 +35,8 @@ func TestTCPRTTUnfairness(t *testing.T) {
 
 	fastFlow := Flow{Src: Endpoint{Host: "near", Port: 1}, Dst: Endpoint{Host: "c", Port: 10}}
 	slowFlow := Flow{Src: Endpoint{Host: "far", Port: 2}, Dst: Endpoint{Host: "c", Port: 11}}
-	fastSnd, _ := NewTCPSender(&sim, bottleneck, fastFlow, 0, TCPConfig{})
-	slowSnd, _ := NewTCPSender(&sim, bottleneck, slowFlow, 0, TCPConfig{})
+	fastSnd, _ := NewTCPSender(&sim, bottleneck, fastFlow, 0)
+	slowSnd, _ := NewTCPSender(&sim, bottleneck, slowFlow, 0)
 	fastRcv := NewTCPReceiver(&sim, fastAck, fastFlow)
 	slowRcv := NewTCPReceiver(&sim, slowAck, slowFlow)
 	bottleneck.SetReceiver(func(p *Packet) {

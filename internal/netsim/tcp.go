@@ -7,30 +7,16 @@ import (
 	"github.com/nwca/broadband/internal/unit"
 )
 
-// TCPConfig tunes the simplified TCP Reno implementation used by the
-// measurement harness. Zero values select sensible defaults.
-type TCPConfig struct {
-	MSS         unit.ByteSize // segment payload size (default 1460 B)
-	InitialCwnd float64       // initial congestion window in segments (default 10)
-	MinRTO      float64       // RTO floor in seconds (default 0.2)
-	MaxCwnd     float64       // window clamp in segments (default 10000)
-}
-
-func (c TCPConfig) withDefaults() TCPConfig {
-	if c.MSS <= 0 {
-		c.MSS = 1460 * unit.Byte
-	}
-	if c.InitialCwnd <= 0 {
-		c.InitialCwnd = 10
-	}
-	if c.MinRTO <= 0 {
-		c.MinRTO = 0.2
-	}
-	if c.MaxCwnd <= 0 {
-		c.MaxCwnd = 10000
-	}
-	return c
-}
+// The simplified TCP Reno implementation used by the measurement harness
+// has one configuration: an Ethernet-sized segment, the RFC 6928 initial
+// window, the common 200 ms RTO floor and a window clamp far above any
+// simulated bandwidth-delay product.
+const (
+	mss         int64 = 1460  // segment payload size, bytes
+	initialCwnd       = 10    // initial congestion window, segments
+	minRTO            = 0.2   // RTO floor, seconds
+	maxCwnd           = 10000 // window clamp, segments
+)
 
 // TCPSender is a simplified TCP Reno source: slow start, congestion
 // avoidance, fast retransmit/recovery on three duplicate ACKs, and an
@@ -41,7 +27,6 @@ func (c TCPConfig) withDefaults() TCPConfig {
 type TCPSender struct {
 	sim  *Simulator
 	data *Link // direction carrying segments
-	cfg  TCPConfig
 	flow Flow
 
 	cwnd     float64 // congestion window, in segments
@@ -76,20 +61,18 @@ type TCPSender struct {
 // NewTCPSender creates a sender that transmits over data and expects
 // acknowledgments to be delivered via OnAck (typically wired to the reverse
 // link's receiver). limitBytes of 0 streams until the simulation stops.
-func NewTCPSender(sim *Simulator, data *Link, flow Flow, limitBytes int64, cfg TCPConfig) (*TCPSender, error) {
+func NewTCPSender(sim *Simulator, data *Link, flow Flow, limitBytes int64) (*TCPSender, error) {
 	if sim == nil || data == nil {
 		return nil, fmt.Errorf("netsim: TCP sender needs a simulator and a data link")
 	}
 	if limitBytes < 0 {
 		return nil, fmt.Errorf("netsim: negative transfer size %d", limitBytes)
 	}
-	cfg = cfg.withDefaults()
 	return &TCPSender{
 		sim:        sim,
 		data:       data,
-		cfg:        cfg,
 		flow:       flow,
-		cwnd:       cfg.InitialCwnd,
+		cwnd:       initialCwnd,
 		ssthresh:   math.Inf(1),
 		rto:        1.0, // RFC 6298 initial RTO
 		limitBytes: limitBytes,
@@ -131,8 +114,6 @@ func (s *TCPSender) Timeouts() int64 { return s.timeouts }
 // Done reports whether a bounded transfer has completed.
 func (s *TCPSender) Done() bool { return s.done }
 
-func (s *TCPSender) mss() int64 { return int64(s.cfg.MSS) }
-
 // flightSize is the canonical nextSeq − sndUna byte estimate of outstanding
 // data; retransmissions do not perturb it.
 func (s *TCPSender) flightSize() int64 { return s.nextSeq - s.sndUna }
@@ -141,12 +122,12 @@ func (s *TCPSender) trySend() {
 	if s.done {
 		return
 	}
-	window := int64(s.cwnd * float64(s.mss()))
-	for s.flightSize()+s.mss() <= window {
+	window := int64(s.cwnd * float64(mss))
+	for s.flightSize()+mss <= window {
 		if s.limitBytes > 0 && s.nextSeq >= s.limitBytes {
 			break
 		}
-		size := s.mss()
+		size := mss
 		if s.limitBytes > 0 && s.nextSeq+size > s.limitBytes {
 			size = s.limitBytes - s.nextSeq
 		}
@@ -196,13 +177,13 @@ func (s *TCPSender) OnAck(p *Packet) {
 			}
 		} else if s.cwnd < s.ssthresh {
 			// Slow start: one segment per segment acknowledged.
-			s.cwnd += float64(newly) / float64(s.mss())
+			s.cwnd += float64(newly) / float64(mss)
 		} else {
 			// Congestion avoidance: ~one segment per RTT.
-			s.cwnd += float64(newly) / float64(s.mss()) / s.cwnd
+			s.cwnd += float64(newly) / float64(mss) / s.cwnd
 		}
-		if s.cwnd > s.cfg.MaxCwnd {
-			s.cwnd = s.cfg.MaxCwnd
+		if s.cwnd > maxCwnd {
+			s.cwnd = maxCwnd
 		}
 		if s.limitBytes > 0 && s.sndUna >= s.limitBytes {
 			s.done = true
@@ -245,7 +226,7 @@ func (s *TCPSender) retransmitHole() {
 	if !s.recovering || s.retxNext >= s.recoverSeq || s.retxNext >= s.nextSeq {
 		return
 	}
-	size := min64(s.mss(), s.nextSeq-s.retxNext)
+	size := min64(mss, s.nextSeq-s.retxNext)
 	s.retransmits++
 	s.transmit(s.retxNext, size)
 	s.retxNext += size
@@ -263,7 +244,7 @@ func (s *TCPSender) sampleRTT(rtt float64) {
 		s.rttvar = (1-beta)*s.rttvar + beta*math.Abs(s.srtt-rtt)
 		s.srtt = (1-alpha)*s.srtt + alpha*rtt
 	}
-	s.rto = math.Max(s.cfg.MinRTO, s.srtt+4*s.rttvar)
+	s.rto = math.Max(minRTO, s.srtt+4*s.rttvar)
 }
 
 func (s *TCPSender) armRTO() {
@@ -284,7 +265,7 @@ func (s *TCPSender) armRTO() {
 		s.recovering = false
 		s.rto = math.Min(s.rto*2, 60) // Karn backoff
 		s.retransmits++
-		s.transmit(s.sndUna, min64(s.mss(), s.nextSeq-s.sndUna))
+		s.transmit(s.sndUna, min64(mss, s.nextSeq-s.sndUna))
 		s.armRTO()
 	})
 }

@@ -25,7 +25,7 @@ func buildPath(t *testing.T, sim *Simulator, dataCfg, ackCfg LinkConfig, limit i
 		t.Fatal(err)
 	}
 	flow := Flow{Src: Endpoint{Host: "s", Port: 1}, Dst: Endpoint{Host: "c", Port: 2}}
-	snd, err := NewTCPSender(sim, data, flow, limit, TCPConfig{})
+	snd, err := NewTCPSender(sim, data, flow, limit)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,13 +42,13 @@ func cleanAck() LinkConfig {
 func TestTCPValidation(t *testing.T) {
 	var sim Simulator
 	data, _ := NewLink(&sim, LinkConfig{Rate: unit.Mbps}, nil)
-	if _, err := NewTCPSender(nil, data, Flow{}, 0, TCPConfig{}); err == nil {
+	if _, err := NewTCPSender(nil, data, Flow{}, 0); err == nil {
 		t.Error("nil simulator should error")
 	}
-	if _, err := NewTCPSender(&sim, nil, Flow{}, 0, TCPConfig{}); err == nil {
+	if _, err := NewTCPSender(&sim, nil, Flow{}, 0); err == nil {
 		t.Error("nil link should error")
 	}
-	if _, err := NewTCPSender(&sim, data, Flow{}, -1, TCPConfig{}); err == nil {
+	if _, err := NewTCPSender(&sim, data, Flow{}, -1); err == nil {
 		t.Error("negative size should error")
 	}
 }

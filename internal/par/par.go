@@ -22,62 +22,14 @@ func Workers(n int) int {
 	return runtime.GOMAXPROCS(0)
 }
 
-// ForN runs fn(i) for every i in [0, n) across at most workers goroutines.
-// Every index runs exactly once; fn must write its result into caller-owned
-// storage at index i. All indices are executed even when some fail, and the
-// returned error is the lowest-indexed one — the same error a sequential
-// loop that ran to completion would pick, so error reporting is independent
-// of scheduling. workers <= 1 (or n <= 1) degrades to a plain loop on the
-// calling goroutine.
-func ForN(workers, n int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		var first error
-		for i := 0; i < n; i++ {
-			if err := fn(i); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
-	errs := make([]error, n)
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				errs[i] = fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// ForNCtx is the fail-fast, cancellable variant of ForN: no new index is
-// dispatched after the first fn error or after ctx is cancelled. Indices
-// already running are allowed to finish (fn is never interrupted mid-call),
-// so caller-owned result slots are either fully written or untouched. The
-// returned error is the lowest-indexed fn error among the indices that ran;
-// if no fn failed but the context was cancelled, it is ctx.Err(). Unlike
-// ForN, not every index is guaranteed to run — use ForN when run-everything
-// semantics matter (e.g. reporting every failure, not just the first).
+// ForNCtx runs fn(i) for every i in [0, n) across at most workers
+// goroutines, failing fast: no new index is dispatched after the first fn
+// error or after ctx is cancelled. Indices already running are allowed to
+// finish (fn is never interrupted mid-call), so caller-owned result slots
+// are either fully written or untouched. The returned error is the
+// lowest-indexed fn error among the indices that ran; if no fn failed but
+// the context was cancelled, it is ctx.Err(). workers <= 1 (or n <= 1)
+// degrades to a plain loop on the calling goroutine.
 func ForNCtx(ctx context.Context, workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return ctx.Err()

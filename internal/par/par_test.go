@@ -18,71 +18,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestForNRunsEveryIndexOnce(t *testing.T) {
-	for _, workers := range []int{1, 2, 7, 64} {
-		n := 153
-		counts := make([]atomic.Int32, n)
-		if err := ForN(workers, n, func(i int) error {
-			counts[i].Add(1)
-			return nil
-		}); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		for i := range counts {
-			if c := counts[i].Load(); c != 1 {
-				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
-			}
-		}
-	}
-}
-
-func TestForNReturnsLowestIndexedError(t *testing.T) {
-	errLow := errors.New("low")
-	for _, workers := range []int{1, 4} {
-		err := ForN(workers, 100, func(i int) error {
-			switch i {
-			case 17:
-				return errLow
-			case 80:
-				return fmt.Errorf("high")
-			}
-			return nil
-		})
-		if !errors.Is(err, errLow) {
-			t.Errorf("workers=%d: got %v, want the lowest-indexed error", workers, err)
-		}
-	}
-}
-
-func TestForNEmpty(t *testing.T) {
-	if err := ForN(4, 0, func(int) error { return errors.New("boom") }); err != nil {
-		t.Error("n=0 must not invoke fn")
-	}
-}
-
-// TestForNRunsEverythingDespiteError pins ForN's run-everything contract:
-// even with an early failure, every index executes exactly once. ForNCtx
-// deliberately breaks this contract; this test guards against the two ever
-// being merged.
-func TestForNRunsEverythingDespiteError(t *testing.T) {
-	for _, workers := range []int{1, 4} {
-		var ran atomic.Int64
-		err := ForN(workers, 200, func(i int) error {
-			ran.Add(1)
-			if i == 0 {
-				return errors.New("early")
-			}
-			return nil
-		})
-		if err == nil {
-			t.Fatalf("workers=%d: error swallowed", workers)
-		}
-		if got := ran.Load(); got != 200 {
-			t.Errorf("workers=%d: ForN ran %d of 200 indices; the contract is all of them", workers, got)
-		}
-	}
-}
-
 // TestForNCtxFailFast pins the fail-fast half of ForNCtx's contract: after
 // the first error, dispatching stops, so with a failure at index 0 far fewer
 // than n indices run. The exact count is scheduling-dependent but bounded by
@@ -114,7 +49,8 @@ func TestForNCtxFailFast(t *testing.T) {
 }
 
 // TestForNCtxReturnsLowestIndexedError: among the indices that did run, the
-// reported error is the lowest-indexed one, matching ForN's convention.
+// reported error is the lowest-indexed one, the error a sequential loop
+// would stop at.
 func TestForNCtxReturnsLowestIndexedError(t *testing.T) {
 	errLow := errors.New("low")
 	// workers=2 with both initial dispatches failing: whichever order the
@@ -130,16 +66,50 @@ func TestForNCtxReturnsLowestIndexedError(t *testing.T) {
 	}
 }
 
+// TestForNReturnsLowestIndexedError: with failures at indices 17 and 80, the
+// error reported is index 17's, sequentially and across workers.
+func TestForNReturnsLowestIndexedError(t *testing.T) {
+	errLow := errors.New("low")
+	for _, workers := range []int{1, 4} {
+		err := ForNCtx(context.Background(), workers, 100, func(i int) error {
+			switch i {
+			case 17:
+				return errLow
+			case 80:
+				return fmt.Errorf("high")
+			}
+			return nil
+		})
+		if !errors.Is(err, errLow) {
+			t.Errorf("workers=%d: got %v, want the lowest-indexed error", workers, err)
+		}
+	}
+}
+
+// TestForNCtxEmpty: n = 0 never invokes fn.
+func TestForNCtxEmpty(t *testing.T) {
+	if err := ForNCtx(context.Background(), 4, 0, func(int) error { return errors.New("boom") }); err != nil {
+		t.Error("n=0 must not invoke fn")
+	}
+}
+
 // TestForNCtxCancellation: a cancelled context stops dispatch and surfaces
 // ctx.Err() when no task error occurred first.
 func TestForNCtxCancellation(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		ctx, cancel := context.WithCancel(context.Background())
 		var ran atomic.Int64
+		cancelled := make(chan struct{})
 		err := ForNCtx(ctx, workers, 10_000, func(i int) error {
 			if ran.Add(1) == 1 {
 				cancel() // cancel from inside the first task
+				close(cancelled)
+				return nil
 			}
+			// Peers wait until the cancel has landed, so the bound below
+			// counts only dispatches after cancellation, not tasks that
+			// raced ahead while the first one had yet to call cancel.
+			<-cancelled
 			return nil
 		})
 		if !errors.Is(err, context.Canceled) {
@@ -167,10 +137,10 @@ func TestForNCtxPreCancelled(t *testing.T) {
 	}
 }
 
-// TestForNCtxCompletesCleanly: with no errors and no cancellation, ForNCtx
-// behaves exactly like ForN.
-func TestForNCtxCompletesCleanly(t *testing.T) {
-	for _, workers := range []int{1, 2, 7} {
+// TestForNRunsEveryIndexOnce: with no errors and no cancellation, every
+// index runs exactly once, for worker counts below and above n.
+func TestForNRunsEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{1, 2, 7, 64, 200} {
 		n := 153
 		counts := make([]atomic.Int32, n)
 		if err := ForNCtx(context.Background(), workers, n, func(i int) error {
@@ -182,6 +152,34 @@ func TestForNCtxCompletesCleanly(t *testing.T) {
 		for i := range counts {
 			if c := counts[i].Load(); c != 1 {
 				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+	}
+}
+
+// TestForNCtxCompletesCleanly: under a live, never-cancelled context, ForNCtx
+// returns nil and the slots it fills match a sequential loop's, whatever the
+// worker count.
+func TestForNCtxCompletesCleanly(t *testing.T) {
+	const n = 153
+	want := make([]int, n)
+	for i := range want {
+		want[i] = i * i
+	}
+	for _, workers := range []int{1, 2, 7} {
+		ctx, cancel := context.WithCancel(context.Background())
+		got := make([]int, n)
+		err := ForNCtx(ctx, workers, n, func(i int) error {
+			got[i] = i * i
+			return nil
+		})
+		cancel()
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("workers=%d: slot %d = %d, want %d", workers, i, got[i], want[i])
 			}
 		}
 	}

@@ -121,7 +121,7 @@ func Main(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "bbscenario: %v\n", merr)
 			return ExitErr
 		}
-		if werr := fsx.RetryWrite(context.Background(), fsx.RetryPolicy{}, *jsonOut, append(data, '\n'), 0o644); werr != nil {
+		if werr := fsx.RetryWrite(context.Background(), *jsonOut, append(data, '\n'), 0o644); werr != nil {
 			fmt.Fprintf(stderr, "bbscenario: %v\n", werr)
 			return ExitErr
 		}

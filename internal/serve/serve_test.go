@@ -223,7 +223,9 @@ func TestUploadMissingTableRejected(t *testing.T) {
 }
 
 func TestUploadOverBudgetRejected(t *testing.T) {
-	s, ts := newTestServer(t, Config{Quarantine: dataset.QuarantineOptions{MaxBadRows: 1}})
+	// A budget of one bad row in 10,000: the two garbage rows appended
+	// below exceed it for any fixture world smaller than 20,000 users.
+	s, ts := newTestServer(t, Config{Quarantine: dataset.QuarantineOptions{MaxBadFrac: 1e-4}})
 	u, sw, p := worldTables(t)
 	dirty := append(append([]byte{}, u...), []byte("garbage\nmore garbage\n")...)
 	body, ctype := multipartUpload(t, map[string][]byte{
@@ -546,7 +548,7 @@ func TestReportsDeadlineKeepsDispatchedWork(t *testing.T) {
 	}
 }
 
-// On a world too small for Table 3, /reports answers RunAll's own error:
+// On a world too small for Table 7, /reports answers RunAll's own error:
 // the lowest-indexed failure, and no failed artifact stays cached.
 func TestReportsFailureMatchesRunAll(t *testing.T) {
 	w, err := synth.Build(synth.Config{Seed: 20140705, Users: 200, FCCUsers: 50, Days: 1, SwitchTarget: 40, MinPerCountry: 3})

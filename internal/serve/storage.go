@@ -184,12 +184,12 @@ func (s *DiskStore) Put(name string, d *dataset.Dataset, rep *dataset.Quarantine
 		if err != nil {
 			return "", err
 		}
-		if err := fsx.RetryWrite(ctx, fsx.RetryPolicy{}, filepath.Join(dir, "quarantine.json"), repJSON, 0o644); err != nil {
+		if err := fsx.RetryWrite(ctx, filepath.Join(dir, "quarantine.json"), repJSON, 0o644); err != nil {
 			return "", err
 		}
 	}
 	old, _ := s.currentHash(name)
-	if err := fsx.RetryWrite(ctx, fsx.RetryPolicy{}, filepath.Join(s.root, name, currentFile), []byte(hash+"\n"), 0o644); err != nil {
+	if err := fsx.RetryWrite(ctx, filepath.Join(s.root, name, currentFile), []byte(hash+"\n"), 0o644); err != nil {
 		return "", err
 	}
 	if old != "" && old != hash {
@@ -202,7 +202,7 @@ func (s *DiskStore) Put(name string, d *dataset.Dataset, rep *dataset.Quarantine
 }
 
 func (s *DiskStore) currentHash(name string) (string, error) {
-	b, err := fsx.RetryRead(context.Background(), fsx.RetryPolicy{}, filepath.Join(s.root, name, currentFile))
+	b, err := fsx.RetryRead(context.Background(), filepath.Join(s.root, name, currentFile))
 	if err != nil {
 		return "", err
 	}
@@ -241,7 +241,7 @@ func (s *DiskStore) Get(name string) (*Entry, bool) {
 func (s *DiskStore) load(name, hash string) (*Entry, error) {
 	dir := filepath.Join(s.root, name, hash)
 	var d *dataset.Dataset
-	err := fsx.Retry(context.Background(), fsx.RetryPolicy{Transient: func(error) bool { return true }}, func() error {
+	err := fsx.Retry(context.Background(), func() error {
 		var err error
 		d, err = dataset.LoadDir(dir)
 		return err

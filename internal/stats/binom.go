@@ -5,28 +5,27 @@ import (
 	"math"
 )
 
-// Tail selects which alternative a binomial test evaluates.
+// Tail names the alternative a test evaluated. The paper's design is
+// one-tailed throughout, so TailGreater is the only one.
 type Tail int
 
-const (
-	// TailGreater tests H1: success probability > p0 (the paper's
-	// one-tailed design: "H holds more often than chance").
-	TailGreater Tail = iota
-	// TailLess tests H1: success probability < p0.
-	TailLess
-	// TailTwoSided tests H1: success probability ≠ p0 (doubled smaller tail).
-	TailTwoSided
-)
+// TailGreater is H1: success probability > P0 ("H holds more often than
+// chance").
+const TailGreater Tail = 0
+
+// nullP is the null success probability of every binomial test in the
+// paper: under H0 the hypothesis holds in a matched pair by chance.
+const nullP = 0.5
 
 // BinomialResult reports a binomial hypothesis test on k successes out of n
-// trials against a null success probability P0.
+// trials against the null success probability P0.
 type BinomialResult struct {
 	N         int     // number of trials (matched pairs)
 	Successes int     // trials where the hypothesis held
-	P0        float64 // null success probability (0.5 throughout the paper)
+	P0        float64 // null success probability (always nullP)
 	Fraction  float64 // observed success fraction
-	P         float64 // p-value for the selected tail
-	Tail      Tail
+	P         float64 // one-tailed p-value P(X ≥ Successes)
+	Tail      Tail    // always TailGreater
 }
 
 // String renders the result in the paper's reporting style.
@@ -47,41 +46,27 @@ func FormatP(p float64) string {
 	}
 }
 
-// BinomialTest performs an exact binomial test of k successes in n trials
-// against null probability p0. The upper tail P(X ≥ k) is computed through
-// the regularized incomplete beta identity P(X ≥ k) = I_p0(k, n−k+1), which
-// stays accurate for the n ≈ 10⁴ matched-pair counts in this study where
-// naive summation of binomial pmf terms would underflow.
-func BinomialTest(k, n int, p0 float64, tail Tail) (BinomialResult, error) {
+// BinomialTest performs the paper's exact one-tailed binomial test of k
+// successes in n trials against nullP. The upper tail P(X ≥ k) is computed
+// through the regularized incomplete beta identity P(X ≥ k) =
+// I_p0(k, n−k+1), which stays accurate for the n ≈ 10⁴ matched-pair counts
+// in this study where naive summation of binomial pmf terms would
+// underflow.
+func BinomialTest(k, n int) (BinomialResult, error) {
 	if n <= 0 {
 		return BinomialResult{}, ErrEmpty
 	}
 	if k < 0 || k > n {
 		return BinomialResult{}, fmt.Errorf("stats: %d successes out of %d trials", k, n)
 	}
-	if p0 <= 0 || p0 >= 1 {
-		return BinomialResult{}, fmt.Errorf("stats: null probability %v outside (0,1)", p0)
-	}
-	res := BinomialResult{
+	return BinomialResult{
 		N:         n,
 		Successes: k,
-		P0:        p0,
+		P0:        nullP,
 		Fraction:  float64(k) / float64(n),
-		Tail:      tail,
-	}
-	upper := binomUpperTail(k, n, p0)       // P(X >= k)
-	lower := 1 - binomUpperTail(k+1, n, p0) // P(X <= k)
-	switch tail {
-	case TailGreater:
-		res.P = upper
-	case TailLess:
-		res.P = lower
-	case TailTwoSided:
-		res.P = math.Min(1, 2*math.Min(upper, lower))
-	default:
-		return BinomialResult{}, fmt.Errorf("stats: unknown tail %d", tail)
-	}
-	return res, nil
+		P:         binomUpperTail(k, n, nullP),
+		Tail:      TailGreater,
+	}, nil
 }
 
 // binomUpperTail returns P(X ≥ k) for X ~ Binomial(n, p).

@@ -9,46 +9,39 @@ import (
 
 func TestBinomialTestExactSmall(t *testing.T) {
 	// Fair coin, 9 heads out of 10: P(X>=9) = (10+1)/1024 = 0.0107421875.
-	r, err := BinomialTest(9, 10, 0.5, TailGreater)
+	r, err := BinomialTest(9, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, "upper tail", r.P, 11.0/1024, 1e-12)
-	// Lower tail of the same outcome: P(X<=9) = 1 - 1/1024.
-	r, _ = BinomialTest(9, 10, 0.5, TailLess)
-	almost(t, "lower tail", r.P, 1-1.0/1024, 1e-12)
-	// Two-sided doubles the smaller tail.
-	r, _ = BinomialTest(9, 10, 0.5, TailTwoSided)
-	almost(t, "two-sided", r.P, 2*11.0/1024, 1e-12)
+	// The result records the paper's fixed null and alternative.
+	if r.P0 != 0.5 || r.Tail != TailGreater {
+		t.Errorf("P0, Tail = %v, %v; want 0.5, TailGreater", r.P0, r.Tail)
+	}
 }
 
 func TestBinomialTestDegenerate(t *testing.T) {
-	r, err := BinomialTest(0, 10, 0.5, TailGreater)
+	r, err := BinomialTest(0, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, "k=0 upper", r.P, 1, 1e-12)
-	r, _ = BinomialTest(10, 10, 0.5, TailGreater)
+	r, _ = BinomialTest(10, 10)
 	almost(t, "k=n upper", r.P, math.Pow(0.5, 10), 1e-12)
-	r, _ = BinomialTest(0, 10, 0.5, TailLess)
-	almost(t, "k=0 lower", r.P, math.Pow(0.5, 10), 1e-12)
+	// P(X >= 1) = 1 − P(X = 0).
+	r, _ = BinomialTest(1, 10)
+	almost(t, "k=1 upper", r.P, 1-math.Pow(0.5, 10), 1e-12)
 }
 
 func TestBinomialTestErrors(t *testing.T) {
-	if _, err := BinomialTest(1, 0, 0.5, TailGreater); err == nil {
+	if _, err := BinomialTest(1, 0); err == nil {
 		t.Error("n=0 should error")
 	}
-	if _, err := BinomialTest(-1, 10, 0.5, TailGreater); err == nil {
+	if _, err := BinomialTest(-1, 10); err == nil {
 		t.Error("negative k should error")
 	}
-	if _, err := BinomialTest(11, 10, 0.5, TailGreater); err == nil {
+	if _, err := BinomialTest(11, 10); err == nil {
 		t.Error("k>n should error")
-	}
-	if _, err := BinomialTest(5, 10, 0, TailGreater); err == nil {
-		t.Error("p0=0 should error")
-	}
-	if _, err := BinomialTest(5, 10, 0.5, Tail(99)); err == nil {
-		t.Error("unknown tail should error")
 	}
 }
 
@@ -58,7 +51,7 @@ func TestBinomialMatchesPaperScale(t *testing.T) {
 	// We verify our test reproduces the same order of magnitude.
 	n := 900
 	k := int(0.668 * float64(n))
-	r, err := BinomialTest(k, n, 0.5, TailGreater)
+	r, err := BinomialTest(k, n)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +67,7 @@ func TestBinomialAgainstNormalApproxProperty(t *testing.T) {
 		rng := newTestRand(seed)
 		n := 500 + rng.IntN(5000)
 		k := int(float64(n) * (0.45 + 0.1*rng.Float64()))
-		r, err := BinomialTest(k, n, 0.5, TailGreater)
+		r, err := BinomialTest(k, n)
 		if err != nil {
 			return false
 		}
@@ -89,13 +82,14 @@ func TestBinomialAgainstNormalApproxProperty(t *testing.T) {
 }
 
 func TestBinomialTailComplementProperty(t *testing.T) {
-	// P(X >= k) + P(X <= k-1) = 1 exactly.
+	// P(X >= k) + P(X <= k-1) = 1 exactly. At p0 = 0.5 the distribution is
+	// symmetric, so P(X <= k-1) = P(X >= n-k+1), another upper tail.
 	f := func(seed int64) bool {
 		rng := newTestRand(seed)
 		n := 1 + rng.IntN(2000)
 		k := 1 + rng.IntN(n)
-		up, err1 := BinomialTest(k, n, 0.5, TailGreater)
-		lo, err2 := BinomialTest(k-1, n, 0.5, TailLess)
+		up, err1 := BinomialTest(k, n)
+		lo, err2 := BinomialTest(n-k+1, n)
 		return err1 == nil && err2 == nil && math.Abs(up.P+lo.P-1) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -105,7 +99,7 @@ func TestBinomialTailComplementProperty(t *testing.T) {
 
 func TestSignificanceRule(t *testing.T) {
 	// Statistically significant but practically unimportant: huge n, 51%.
-	r, err := BinomialTest(51000, 100000, 0.5, TailGreater)
+	r, err := BinomialTest(51000, 100000)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +111,12 @@ func TestSignificanceRule(t *testing.T) {
 		t.Error("51% must fail the paper's 52% practical-importance rule")
 	}
 	// Both criteria met.
-	r, _ = BinomialTest(60, 100, 0.5, TailGreater)
+	r, _ = BinomialTest(60, 100)
 	if !r.Assess().Significant() {
 		t.Error("60% of 100 should be significant on both criteria")
 	}
 	// Practically large but statistically weak (tiny n).
-	r, _ = BinomialTest(3, 5, 0.5, TailGreater)
+	r, _ = BinomialTest(3, 5)
 	s = r.Assess()
 	if s.Statistical {
 		t.Error("3/5 should not be statistically significant")
@@ -133,7 +127,7 @@ func TestSignificanceRule(t *testing.T) {
 }
 
 func TestBinomialResultString(t *testing.T) {
-	r, _ := BinomialTest(703, 1000, 0.5, TailGreater)
+	r, _ := BinomialTest(703, 1000)
 	s := r.String()
 	if !strings.Contains(s, "703/1000") || !strings.Contains(s, "70.3%") {
 		t.Errorf("String() = %q", s)

@@ -50,29 +50,28 @@ type Interval struct {
 	Point float64 // the estimate (e.g. sample mean)
 	Lo    float64 // lower confidence bound
 	Hi    float64 // upper confidence bound
-	Level float64 // confidence level, e.g. 0.95
+	Level float64 // confidence level (always ciLevel)
 }
 
-// MeanCI returns the Student-t confidence interval for the population mean
-// at the given level (e.g. 0.95). A single observation yields a degenerate
-// interval at the point.
-func MeanCI(xs []float64, level float64) (Interval, error) {
+// ciLevel is the confidence level of every interval the paper reports.
+const ciLevel = 0.95
+
+// MeanCI returns the 95% Student-t confidence interval for the population
+// mean. A single observation yields a degenerate interval at the point.
+func MeanCI(xs []float64) (Interval, error) {
 	if len(xs) == 0 {
 		return Interval{}, ErrEmpty
 	}
-	if level <= 0 || level >= 1 {
-		level = 0.95
-	}
 	m, _ := Mean(xs)
 	if len(xs) == 1 {
-		return Interval{Point: m, Lo: m, Hi: m, Level: level}, nil
+		return Interval{Point: m, Lo: m, Hi: m, Level: ciLevel}, nil
 	}
 	sd, err := StdDev(xs)
 	if err != nil {
 		return Interval{}, err
 	}
 	n := float64(len(xs))
-	tcrit := StudentTQuantile(0.5+level/2, n-1)
+	tcrit := StudentTQuantile(0.5+ciLevel/2, n-1)
 	margin := tcrit * sd / math.Sqrt(n)
-	return Interval{Point: m, Lo: m - margin, Hi: m + margin, Level: level}, nil
+	return Interval{Point: m, Lo: m - margin, Hi: m + margin, Level: ciLevel}, nil
 }

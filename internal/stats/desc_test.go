@@ -57,21 +57,21 @@ func TestMeanCI(t *testing.T) {
 		xs[i] = float64(i%2)*2 - 1 // alternating -1, 1... fix below for sd
 	}
 	xs = []float64{-1, 1, -1, 1, -1, 1, -1, 1, 0} // mean 0, var 1 (n-1 = 8, ss = 8)
-	iv, err := MeanCI(xs, 0.95)
+	iv, err := MeanCI(xs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	almost(t, "CI point", iv.Point, 0, 1e-12)
 	almost(t, "CI halfwidth", (iv.Hi-iv.Lo)/2, 2.30600413520417/3, 1e-6)
 	// Degenerate single-sample interval.
-	iv, err = MeanCI([]float64{4.2}, 0.95)
+	iv, err = MeanCI([]float64{4.2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if iv.Lo != 4.2 || iv.Hi != 4.2 {
 		t.Errorf("single-sample CI = [%v, %v], want degenerate at 4.2", iv.Lo, iv.Hi)
 	}
-	if _, err := MeanCI(nil, 0.95); err != ErrEmpty {
+	if _, err := MeanCI(nil); err != ErrEmpty {
 		t.Error("MeanCI(nil) should be ErrEmpty")
 	}
 }
@@ -89,7 +89,7 @@ func TestMeanCICoversTruthProperty(t *testing.T) {
 		for i := range xs {
 			xs[i] = 3 + 2*rng.NormFloat64()
 		}
-		iv, err := MeanCI(xs, 0.95)
+		iv, err := MeanCI(xs)
 		if err != nil {
 			return false
 		}

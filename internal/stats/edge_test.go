@@ -46,7 +46,7 @@ func TestDescriptiveEdgeTable(t *testing.T) {
 			_, _, errMM := MinMax(c.xs)
 			_, errSumm := Summarize(c.xs)
 			_, errECDF := NewECDF(c.xs)
-			_, errCI := MeanCI(c.xs, 0.95)
+			_, errCI := MeanCI(c.xs)
 			for name, err := range map[string]error{
 				"Mean": errMean, "Median": errMed, "MinMax": errMM,
 				"Summarize": errSumm, "NewECDF": errECDF, "MeanCI": errCI,
@@ -226,7 +226,7 @@ func TestPairedEdgeTable(t *testing.T) {
 	if err != nil || k.D != 1 {
 		t.Errorf("KS of disjoint singletons = %v, %v; want D=1, nil", k.D, err)
 	}
-	if _, err := WilcoxonSignedRank([]float64{1, 2}, []float64{1, 2}, TailGreater); err == nil {
+	if _, err := WilcoxonSignedRank([]float64{1, 2}, []float64{1, 2}); err == nil {
 		t.Error("Wilcoxon with every pair tied should error (no informative pairs)")
 	}
 }

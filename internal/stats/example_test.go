@@ -11,7 +11,7 @@ import (
 // pairs plus the 52% practical-importance bar.
 func ExampleBinomialTest() {
 	// Table 1's peak-usage row: 70.3% of ~1000 pairs.
-	res, err := stats.BinomialTest(703, 1000, 0.5, stats.TailGreater)
+	res, err := stats.BinomialTest(703, 1000)
 	if err != nil {
 		panic(err)
 	}
@@ -25,7 +25,7 @@ func ExampleBinomialTest() {
 // The practical-importance rule rejects statistically significant but
 // trivially small deviations.
 func ExampleBinomialResult_Assess() {
-	res, _ := stats.BinomialTest(51000, 100000, 0.5, stats.TailGreater)
+	res, _ := stats.BinomialTest(51000, 100000)
 	s := res.Assess()
 	fmt.Printf("statistical=%v practical=%v significant=%v\n",
 		s.Statistical, s.Practical, s.Significant())

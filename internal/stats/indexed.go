@@ -53,25 +53,22 @@ func StdDevIdx(xs []float64, idx []int32) (float64, error) {
 	return math.Sqrt(v), nil
 }
 
-// MeanCIIdx returns the Student-t confidence interval for the population
-// mean of xs at idx at the given level.
-func MeanCIIdx(xs []float64, idx []int32, level float64) (Interval, error) {
+// MeanCIIdx returns the 95% Student-t confidence interval for the
+// population mean of xs at idx.
+func MeanCIIdx(xs []float64, idx []int32) (Interval, error) {
 	if len(idx) == 0 {
 		return Interval{}, ErrEmpty
 	}
-	if level <= 0 || level >= 1 {
-		level = 0.95
-	}
 	m, _ := MeanIdx(xs, idx)
 	if len(idx) == 1 {
-		return Interval{Point: m, Lo: m, Hi: m, Level: level}, nil
+		return Interval{Point: m, Lo: m, Hi: m, Level: ciLevel}, nil
 	}
 	sd, err := StdDevIdx(xs, idx)
 	if err != nil {
 		return Interval{}, err
 	}
 	n := float64(len(idx))
-	tcrit := StudentTQuantile(0.5+level/2, n-1)
+	tcrit := StudentTQuantile(0.5+ciLevel/2, n-1)
 	margin := tcrit * sd / math.Sqrt(n)
-	return Interval{Point: m, Lo: m - margin, Hi: m + margin, Level: level}, nil
+	return Interval{Point: m, Lo: m - margin, Hi: m + margin, Level: ciLevel}, nil
 }

@@ -50,12 +50,10 @@ func TestIndexedAggregatesBitIdentical(t *testing.T) {
 		t.Fatalf("StdDevIdx = %v (%v), StdDev = %v (%v)", gotS, err1, wantS, err2)
 	}
 
-	for _, level := range []float64{0.90, 0.95, 0.99} {
-		gotCI, err1 := MeanCIIdx(xs, idx, level)
-		wantCI, err2 := MeanCI(g, level)
-		if err1 != nil || err2 != nil || gotCI != wantCI {
-			t.Fatalf("level %v: MeanCIIdx = %+v (%v), MeanCI = %+v (%v)", level, gotCI, err1, wantCI, err2)
-		}
+	gotCI, err1 := MeanCIIdx(xs, idx)
+	wantCI, err2 := MeanCI(g)
+	if err1 != nil || err2 != nil || gotCI != wantCI {
+		t.Fatalf("MeanCIIdx = %+v (%v), MeanCI = %+v (%v)", gotCI, err1, wantCI, err2)
 	}
 }
 
@@ -71,16 +69,16 @@ func TestIndexedAggregatesEdgeCases(t *testing.T) {
 	if _, err := VarianceIdx(xs, []int32{1}); !errors.Is(err, ErrShortSample) {
 		t.Fatalf("VarianceIdx(n=1) err = %v, want ErrShortSample", err)
 	}
-	if _, err := MeanCIIdx(xs, nil, 0.95); !errors.Is(err, ErrEmpty) {
+	if _, err := MeanCIIdx(xs, nil); !errors.Is(err, ErrEmpty) {
 		t.Fatalf("MeanCIIdx(empty) err = %v, want ErrEmpty", err)
 	}
 
 	// n == 1: degenerate interval at the single point, same as MeanCI.
-	gotCI, err := MeanCIIdx(xs, []int32{2}, 0.95)
+	gotCI, err := MeanCIIdx(xs, []int32{2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantCI, err := MeanCI(xs[2:3], 0.95)
+	wantCI, err := MeanCI(xs[2:3])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -13,14 +13,12 @@ import (
 // paper's power trade-offs explicit.
 
 // BenjaminiHochberg applies the Benjamini–Hochberg false-discovery-rate
-// procedure at level q to a family of p-values, returning a parallel slice
-// marking the discoveries (p-values considered significant with FDR ≤ q).
-func BenjaminiHochberg(pvals []float64, q float64) ([]bool, error) {
+// procedure at level q = 0.05 (the paper's α) to a family of p-values,
+// returning a parallel slice marking the discoveries (p-values considered
+// significant with FDR ≤ q).
+func BenjaminiHochberg(pvals []float64) ([]bool, error) {
 	if len(pvals) == 0 {
 		return nil, ErrEmpty
-	}
-	if q <= 0 || q >= 1 {
-		q = 0.05
 	}
 	type indexed struct {
 		p float64
@@ -37,6 +35,7 @@ func BenjaminiHochberg(pvals []float64, q float64) ([]bool, error) {
 	m := float64(len(order))
 	// Largest k with p_(k) ≤ k·q/m; everything at or below rank k is a
 	// discovery.
+	const q = 0.05
 	cut := -1
 	for k, e := range order {
 		if e.p <= float64(k+1)*q/m {

@@ -9,7 +9,7 @@ import (
 func TestBenjaminiHochbergKnownCase(t *testing.T) {
 	// Classic worked example: m=6, q=0.05.
 	pvals := []float64{0.005, 0.009, 0.05, 0.10, 0.30, 0.90}
-	disc, err := BenjaminiHochberg(pvals, 0.05)
+	disc, err := BenjaminiHochberg(pvals)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestBenjaminiHochbergStepUp(t *testing.T) {
 	// The step-up property: a larger p-value can rescue smaller ones. With
 	// p = {0.04, 0.045, 0.049} and q=0.05, the rank-3 test passes
 	// (0.049 ≤ 3·0.05/3) so ALL are discoveries.
-	disc, err := BenjaminiHochberg([]float64{0.04, 0.045, 0.049}, 0.05)
+	disc, err := BenjaminiHochberg([]float64{0.04, 0.045, 0.049})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,17 +39,17 @@ func TestBenjaminiHochbergStepUp(t *testing.T) {
 }
 
 func TestBenjaminiHochbergEdges(t *testing.T) {
-	if _, err := BenjaminiHochberg(nil, 0.05); err != ErrEmpty {
+	if _, err := BenjaminiHochberg(nil); err != ErrEmpty {
 		t.Error("empty input should error")
 	}
-	if _, err := BenjaminiHochberg([]float64{0.5, math.NaN()}, 0.05); err == nil {
+	if _, err := BenjaminiHochberg([]float64{0.5, math.NaN()}); err == nil {
 		t.Error("NaN p-value should error")
 	}
-	if _, err := BenjaminiHochberg([]float64{1.5}, 0.05); err == nil {
+	if _, err := BenjaminiHochberg([]float64{1.5}); err == nil {
 		t.Error("out-of-range p-value should error")
 	}
 	// All-null family: nothing discovered.
-	disc, _ := BenjaminiHochberg([]float64{0.5, 0.7, 0.9}, 0.05)
+	disc, _ := BenjaminiHochberg([]float64{0.5, 0.7, 0.9})
 	for _, d := range disc {
 		if d {
 			t.Error("null family produced a discovery")
@@ -67,7 +67,7 @@ func TestBenjaminiHochbergMonotoneProperty(t *testing.T) {
 		for i := range pv {
 			pv[i] = rng.Float64()
 		}
-		disc, err := BenjaminiHochberg(pv, 0.1)
+		disc, err := BenjaminiHochberg(pv)
 		if err != nil {
 			return false
 		}

@@ -84,9 +84,10 @@ type WilcoxonResult struct {
 }
 
 // WilcoxonSignedRank tests whether paired differences (after − before) tend
-// to be positive, with the normal approximation (valid for n ≳ 20). Zero
-// differences are dropped, ties share average ranks.
-func WilcoxonSignedRank(before, after []float64, tail Tail) (WilcoxonResult, error) {
+// to be positive (one-tailed, TailGreater), with the normal approximation
+// (valid for n ≳ 20). Zero differences are dropped, ties share average
+// ranks.
+func WilcoxonSignedRank(before, after []float64) (WilcoxonResult, error) {
 	if len(before) != len(after) {
 		return WilcoxonResult{}, ErrMismatched
 	}
@@ -114,14 +115,5 @@ func WilcoxonSignedRank(before, after []float64, tail Tail) (WilcoxonResult, err
 	mu := n * (n + 1) / 4
 	sigma := math.Sqrt(n * (n + 1) * (2*n + 1) / 24)
 	z := (wPlus - mu) / sigma
-	res := WilcoxonResult{WPlus: wPlus, Z: z, N: len(diffs)}
-	switch tail {
-	case TailGreater:
-		res.P = 1 - NormalCDF(z)
-	case TailLess:
-		res.P = NormalCDF(z)
-	default:
-		res.P = 2 * (1 - NormalCDF(math.Abs(z)))
-	}
-	return res, nil
+	return WilcoxonResult{WPlus: wPlus, Z: z, P: 1 - NormalCDF(z), N: len(diffs)}, nil
 }

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -89,7 +90,7 @@ func TestWilcoxonSignedRankDetectsShift(t *testing.T) {
 		before[i] = 5 + rng.NormFloat64()
 		after[i] = before[i] + 0.4 + 0.8*rng.NormFloat64()
 	}
-	res, err := WilcoxonSignedRank(before, after, TailGreater)
+	res, err := WilcoxonSignedRank(before, after)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,28 +111,33 @@ func TestWilcoxonNull(t *testing.T) {
 		before[i] = rng.NormFloat64()
 		after[i] = rng.NormFloat64()
 	}
-	res, err := WilcoxonSignedRank(before, after, TailTwoSided)
+	// Neither direction rejects: the one-tailed test on the pairs and on
+	// the swapped pairs, at 0.025 each (a two-sided 0.05 test).
+	res, err := WilcoxonSignedRank(before, after)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.P < 0.05 {
-		t.Errorf("null paired test rejected: z=%v p=%v", res.Z, res.P)
+	rev, err := WilcoxonSignedRank(after, before)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p := 2 * math.Min(res.P, rev.P); p < 0.05 {
+		t.Errorf("null paired test rejected: z=%v p=%v", res.Z, p)
 	}
 }
 
 func TestWilcoxonEdgeCases(t *testing.T) {
-	if _, err := WilcoxonSignedRank([]float64{1}, []float64{1, 2}, TailGreater); err != ErrMismatched {
+	if _, err := WilcoxonSignedRank([]float64{1}, []float64{1, 2}); err != ErrMismatched {
 		t.Error("mismatched lengths should error")
 	}
 	// All-zero differences drop out entirely.
-	if _, err := WilcoxonSignedRank([]float64{1, 2}, []float64{1, 2}, TailGreater); err != ErrEmpty {
+	if _, err := WilcoxonSignedRank([]float64{1, 2}, []float64{1, 2}); err != ErrEmpty {
 		t.Error("all-tied pairs should error")
 	}
 	// Every difference positive: one-tailed p must be small.
 	res, err := WilcoxonSignedRank(
 		[]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20},
-		[]float64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21},
-		TailGreater)
+		[]float64{2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 18, 19, 20, 21})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,7 @@ import "math"
 // UserSource-style stream too large to materialize. Two layers:
 //
 //   - Moments: Welford running mean and variance with exact min/max;
-//   - OnlineECDF: a fixed-bin (linear or log-spaced) single-pass ECDF
+//   - OnlineECDF: a fixed-bin, log-spaced single-pass ECDF
 //     supporting Quantile with a declared worst-case resolution.
 //
 // Both reject NaN at Add, mirroring the exact layer's ErrNaN contract
@@ -95,54 +95,43 @@ func (m *Moments) Max() (float64, error) {
 }
 
 // OnlineECDF is a single-pass binned approximation of an ECDF: a fixed
-// number of bins spanning [Lo, Hi] (linear, or log-spaced for scale-free
-// positive metrics like bitrates) counts observations as they stream by;
+// number of log-spaced bins spanning [Lo, Hi] (the metrics it sketches —
+// bitrates, volumes — are positive and scale-free) counts observations as
+// they stream by;
 // Quantile interpolates within bins. Observations outside the
 // configured span clamp into the first/last bin, and the exact min/max are
 // tracked so the distribution's support is reported truthfully.
 //
 // The worst-case quantile error is one bin: |Quantile(p) − exact| is
 // bounded by the containing bin's width (relative width ≈ (Hi/Lo)^(1/Bins)
-// − 1 in log mode). Declare tolerances accordingly (DESIGN.md §8).
+// − 1). Declare tolerances accordingly (DESIGN.md §8).
 type OnlineECDF struct {
 	lo, hi float64
-	log    bool
 	counts []int64
 	n      int64
 	min    float64
 	max    float64
 }
 
-// NewOnlineECDF builds an empty binned ECDF over [lo, hi]. In log mode the
-// bin edges are geometrically spaced and lo must be positive.
-func NewOnlineECDF(lo, hi float64, bins int, logSpaced bool) (*OnlineECDF, error) {
-	if bins < 1 || math.IsNaN(lo) || math.IsNaN(hi) || lo >= hi {
+// NewOnlineECDF builds an empty binned ECDF over [lo, hi]. The bin edges
+// are geometrically spaced, so lo must be positive.
+func NewOnlineECDF(lo, hi float64, bins int) (*OnlineECDF, error) {
+	if bins < 1 || math.IsNaN(lo) || math.IsNaN(hi) || lo >= hi || lo <= 0 {
 		return nil, ErrInvalidBins
 	}
-	if logSpaced && lo <= 0 {
-		return nil, ErrInvalidBins
-	}
-	return &OnlineECDF{lo: lo, hi: hi, log: logSpaced, counts: make([]int64, bins)}, nil
+	return &OnlineECDF{lo: lo, hi: hi, counts: make([]int64, bins)}, nil
 }
 
 // pos maps a value onto the continuous bin coordinate in [0, Bins].
 func (e *OnlineECDF) pos(x float64) float64 {
-	var f float64
-	if e.log {
-		f = math.Log(x/e.lo) / math.Log(e.hi/e.lo)
-	} else {
-		f = (x - e.lo) / (e.hi - e.lo)
-	}
+	f := math.Log(x/e.lo) / math.Log(e.hi/e.lo)
 	return f * float64(len(e.counts))
 }
 
 // edge is the inverse of pos: the value at continuous bin coordinate c.
 func (e *OnlineECDF) edge(c float64) float64 {
 	f := c / float64(len(e.counts))
-	if e.log {
-		return e.lo * math.Exp(f*math.Log(e.hi/e.lo))
-	}
-	return e.lo + f*(e.hi-e.lo)
+	return e.lo * math.Exp(f*math.Log(e.hi/e.lo))
 }
 
 // Add folds one observation in. Values at or outside the span clamp into
@@ -153,7 +142,7 @@ func (e *OnlineECDF) Add(x float64) error {
 		return ErrNaN
 	}
 	i := 0
-	if x > e.lo { // also filters log-mode x <= 0
+	if x > e.lo { // also filters x <= 0
 		i = int(e.pos(x))
 		if i >= len(e.counts) {
 			i = len(e.counts) - 1
@@ -175,8 +164,8 @@ func (e *OnlineECDF) Add(x float64) error {
 }
 
 // Quantile returns the approximate p-quantile: the bin containing the
-// p·n-th observation, interpolated linearly (in the bin-coordinate domain,
-// so geometrically in log mode) and clamped to the exact observed range.
+// p·n-th observation, interpolated linearly in the bin-coordinate domain
+// (so geometrically in value) and clamped to the exact observed range.
 func (e *OnlineECDF) Quantile(p float64) (float64, error) {
 	if e.n == 0 {
 		return 0, ErrEmpty

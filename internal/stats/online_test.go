@@ -84,7 +84,7 @@ func TestOnlineECDFQuantileWithinBinResolution(t *testing.T) {
 	xs := lognormalSample(30000, 3)
 	// Span chosen like the production sketches: generous decades around
 	// the data with 2048 log bins → ≲0.7% relative bin width.
-	e, err := NewOnlineECDF(0.01, 10000, 2048, true)
+	e, err := NewOnlineECDF(0.01, 10000, 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -125,21 +125,20 @@ func TestOnlineECDFEdge(t *testing.T) {
 	for _, c := range []struct {
 		lo, hi float64
 		bins   int
-		log    bool
 	}{
-		{1, 1, 8, false},  // degenerate span
-		{5, 1, 8, false},  // inverted span
-		{1, 10, 0, false}, // no bins
-		{0, 10, 8, true},  // log mode needs positive lo
-		{-1, 10, 8, true}, // log mode needs positive lo
-		{math.NaN(), 1, 8, false},
+		{1, 1, 8},  // degenerate span
+		{5, 1, 8},  // inverted span
+		{1, 10, 0}, // no bins
+		{0, 10, 8}, // log spacing needs positive lo
+		{-1, 10, 8},
+		{math.NaN(), 1, 8},
 	} {
-		if _, err := NewOnlineECDF(c.lo, c.hi, c.bins, c.log); err != ErrInvalidBins {
-			t.Errorf("NewOnlineECDF(%v,%v,%d,log=%v) err = %v, want ErrInvalidBins",
-				c.lo, c.hi, c.bins, c.log, err)
+		if _, err := NewOnlineECDF(c.lo, c.hi, c.bins); err != ErrInvalidBins {
+			t.Errorf("NewOnlineECDF(%v,%v,%d) err = %v, want ErrInvalidBins",
+				c.lo, c.hi, c.bins, err)
 		}
 	}
-	e, err := NewOnlineECDF(0, 1, 16, false)
+	e, err := NewOnlineECDF(1, 10, 16)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -153,7 +152,7 @@ func TestOnlineECDFEdge(t *testing.T) {
 		t.Errorf("rejected NaN still counted: Quantile err = %v, want ErrEmpty", err)
 	}
 	// Out-of-span values clamp into terminal bins but keep exact extrema.
-	for _, x := range []float64{-3, 0.5, 9} {
+	for _, x := range []float64{-3, 0.5, 12} {
 		if err := e.Add(x); err != nil {
 			t.Fatal(err)
 		}
@@ -161,7 +160,7 @@ func TestOnlineECDFEdge(t *testing.T) {
 	if got, _ := e.Quantile(0); got != -3 {
 		t.Errorf("Quantile(0) = %v, want -3", got)
 	}
-	if got, _ := e.Quantile(1); got != 9 {
-		t.Errorf("Quantile(1) = %v, want 9", got)
+	if got, _ := e.Quantile(1); got != 12 {
+		t.Errorf("Quantile(1) = %v, want 12", got)
 	}
 }

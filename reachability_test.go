@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -38,17 +39,36 @@ var testOnlyExempt = []string{
 	"experiments.Fig08.Group", "experiments.Fig09.Bar", "experiments.Table05.Row",
 }
 
-// TestInternalAPIReachable keeps test-only API out of the program: every
-// function, method and type declared under internal/ must be reachable
-// from the non-test code of the module and of perfbench/, or be listed in
-// testOnlyExempt. Test-only reference implementations belong in _test.go
-// files. A method counts as reached when it is called, or when its type
-// is reached and it implements an interface method that reached code (or
-// the standard library) calls.
-func TestInternalAPIReachable(t *testing.T) {
+// module is the non-test Go code of the module and of perfbench/, parsed
+// and type-checked once for the design guards below.
+type module struct {
+	fset  *token.FileSet
+	files map[string][]*ast.File // by import path
+	infos map[string]*types.Info
+	paths []string // sorted import paths
+}
+
+var (
+	moduleOnce sync.Once
+	moduleVal  *module
+	moduleErr  error
+)
+
+// loadModule parses and type-checks every non-test .go file under the
+// repository root (perfbench/ included, testdata/ and hidden directories
+// skipped).
+func loadModule(t *testing.T) *module {
+	t.Helper()
+	moduleOnce.Do(func() { moduleVal, moduleErr = parseModule() })
+	if moduleErr != nil {
+		t.Fatal(moduleErr)
+	}
+	return moduleVal
+}
+
+func parseModule() (*module, error) {
 	const mod = "github.com/nwca/broadband"
-	fset := token.NewFileSet()
-	files := map[string][]*ast.File{}
+	m := &module{fset: token.NewFileSet(), files: map[string][]*ast.File{}, infos: map[string]*types.Info{}}
 	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -62,7 +82,7 @@ func TestInternalAPIReachable(t *testing.T) {
 		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
 			return nil
 		}
-		f, err := parser.ParseFile(fset, path, nil, 0)
+		f, err := parser.ParseFile(m.fset, path, nil, 0)
 		if err != nil {
 			return err
 		}
@@ -70,14 +90,13 @@ func TestInternalAPIReachable(t *testing.T) {
 		if dir := filepath.ToSlash(filepath.Dir(path)); dir != "." {
 			ip += "/" + dir
 		}
-		files[ip] = append(files[ip], f)
+		m.files[ip] = append(m.files[ip], f)
 		return nil
 	})
 	if err != nil {
-		t.Fatal(err)
+		return nil, err
 	}
 
-	infos := map[string]*types.Info{}
 	checked := map[string]*types.Package{}
 	std := importer.Default()
 	var imp importerFunc
@@ -85,27 +104,43 @@ func TestInternalAPIReachable(t *testing.T) {
 		if p, ok := checked[path]; ok {
 			return p, nil
 		}
-		if _, ok := files[path]; !ok {
+		if _, ok := m.files[path]; !ok {
 			return std.Import(path)
 		}
-		info := &types.Info{Defs: map[*ast.Ident]types.Object{}, Uses: map[*ast.Ident]types.Object{}}
-		p, err := (&types.Config{Importer: imp}).Check(path, fset, files[path], info)
+		info := &types.Info{
+			Defs:  map[*ast.Ident]types.Object{},
+			Uses:  map[*ast.Ident]types.Object{},
+			Types: map[ast.Expr]types.TypeAndValue{},
+		}
+		p, err := (&types.Config{Importer: imp}).Check(path, m.fset, m.files[path], info)
 		if err != nil {
 			return nil, err
 		}
-		checked[path], infos[path] = p, info
+		checked[path], m.infos[path] = p, info
 		return p, nil
 	}
-	paths := make([]string, 0, len(files))
-	for p := range files {
-		paths = append(paths, p)
+	for p := range m.files {
+		m.paths = append(m.paths, p)
 	}
-	sort.Strings(paths)
-	for _, p := range paths {
+	sort.Strings(m.paths)
+	for _, p := range m.paths {
 		if _, err := imp(p); err != nil {
-			t.Fatal(err)
+			return nil, err
 		}
 	}
+	return m, nil
+}
+
+// TestInternalAPIReachable keeps test-only API out of the program: every
+// function, method and type declared under internal/ must be reachable
+// from the non-test code of the module and of perfbench/, or be listed in
+// testOnlyExempt. Test-only reference implementations belong in _test.go
+// files. A method counts as reached when it is called, or when its type
+// is reached and it implements an interface method that reached code (or
+// the standard library) calls.
+func TestInternalAPIReachable(t *testing.T) {
+	m := loadModule(t)
+	fset, files, infos, paths := m.fset, m.files, m.infos, m.paths
 
 	// One node per package-level declaration; an edge to every object its
 	// declaration mentions.
@@ -226,6 +261,134 @@ func TestInternalAPIReachable(t *testing.T) {
 	}
 	for key := range exempt {
 		t.Errorf("%s is exempt but non-test code reaches it, or it is gone; drop the exemption", key)
+	}
+}
+
+// knobExempt lists the exported *Config, *Options and *Policy fields under
+// internal/ that no non-test code outside their own package writes but
+// that stay settable on purpose, as "pkg.Type.Field" with the reason.
+var knobExempt = map[string]string{
+	"chaos.Config.Faults": "chaos tests and the fault-class suite restrict injection " +
+		"to one class; bbchaos injects every class",
+	"netsim.LinkConfig.Queue": "the bufferbloat and drop-tail tests size the buffer; " +
+		"every measured line uses DefaultQueue",
+}
+
+// TestConfigKnobsSet keeps settings that no caller sets out of the
+// program: every exported field of an exported struct type under internal/
+// whose name ends in Config, Options or Policy must be written by the
+// non-test code of the module or of perfbench/ from outside the field's
+// own package, or be listed in knobExempt. A composite-literal key (or an
+// unkeyed element), an assignment, an increment or decrement, or taking
+// the field's address (a flag binding) counts as a write. A value every
+// caller leaves at its default is a constant: write it as one where it is
+// used.
+func TestConfigKnobsSet(t *testing.T) {
+	m := loadModule(t)
+
+	// knobs names every field in scope as "pkg.Type.Field"; order keeps
+	// the declaration order for the report.
+	knobs := map[*types.Var]string{}
+	declared := map[string]bool{}
+	var order []*types.Var
+	for _, path := range m.paths {
+		if !strings.Contains(path, "/internal/") {
+			continue
+		}
+		info := m.infos[path]
+		for _, f := range m.files[path] {
+			for _, d := range f.Decls {
+				gd, ok := d.(*ast.GenDecl)
+				if !ok || gd.Tok != token.TYPE {
+					continue
+				}
+				for _, spec := range gd.Specs {
+					ts := spec.(*ast.TypeSpec)
+					name := ts.Name.Name
+					if !ts.Name.IsExported() || ts.Assign.IsValid() ||
+						!(strings.HasSuffix(name, "Config") || strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Policy")) {
+						continue
+					}
+					st, ok := info.Defs[ts.Name].Type().Underlying().(*types.Struct)
+					if !ok {
+						continue
+					}
+					for i := 0; i < st.NumFields(); i++ {
+						if fv := st.Field(i); fv.Exported() {
+							knobs[fv] = fv.Pkg().Name() + "." + name + "." + fv.Name()
+							declared[knobs[fv]] = true
+							order = append(order, fv)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	written := map[*types.Var]bool{}
+	for _, path := range m.paths {
+		info := m.infos[path]
+		write := func(v *types.Var) {
+			if v != nil && knobs[v.Origin()] != "" && v.Pkg().Path() != path {
+				written[v.Origin()] = true
+			}
+		}
+		field := func(e ast.Expr) *types.Var {
+			if sel, ok := ast.Unparen(e).(*ast.SelectorExpr); ok {
+				v, _ := info.Uses[sel.Sel].(*types.Var)
+				return v
+			}
+			return nil
+		}
+		for _, f := range m.files[path] {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CompositeLit:
+					st, ok := info.Types[n].Type.Underlying().(*types.Struct)
+					if !ok {
+						break
+					}
+					for i, el := range n.Elts {
+						if kv, ok := el.(*ast.KeyValueExpr); ok {
+							if id, ok := kv.Key.(*ast.Ident); ok {
+								v, _ := info.Uses[id].(*types.Var)
+								write(v)
+							}
+						} else if i < st.NumFields() {
+							write(st.Field(i))
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						write(field(lhs))
+					}
+				case *ast.IncDecStmt:
+					write(field(n.X))
+				case *ast.UnaryExpr:
+					if n.Op == token.AND {
+						write(field(n.X))
+					}
+				}
+				return true
+			})
+		}
+	}
+
+	for _, v := range order {
+		key := knobs[v]
+		_, exempt := knobExempt[key]
+		switch {
+		case exempt && written[v]:
+			t.Errorf("%s is exempt but non-test code outside its package sets it; drop the exemption", key)
+		case !exempt && !written[v]:
+			t.Errorf("%s: %s is set by no non-test caller outside its package; "+
+				"make its one value a constant", m.fset.Position(v.Pos()), key)
+		}
+	}
+	for key := range knobExempt {
+		if !declared[key] {
+			t.Errorf("%s is exempt but no longer exists; drop the exemption", key)
+		}
 	}
 }
 
