@@ -93,7 +93,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	st := res.DownStats
 	fmt.Fprintf(stdout, "down link:    %d sent, %d delivered, %d queue drops, %d channel drops\n",
 		st.Sent, st.Delivered, st.DroppedQueue, st.DroppedLoss)
-	mathis := netsim.MathisThroughput(1460*unit.Byte, res.RTT, res.ChannelLoss)
+	mathis := netsim.MathisThroughput(netsim.MSS, res.RTT, res.ChannelLoss)
 	fmt.Fprintf(stdout, "mathis bound: %v\n", mathis)
 
 	if *loaded {

@@ -99,11 +99,15 @@ func BenchmarkFluidVsPacketAgreement(b *testing.B) {
 			b.Fatal(err)
 		}
 		flow := &netsim.FluidFlow{Volume: unit.GB, Cap: 0}
-		fl, err := netsim.FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}.Run([]*netsim.FluidFlow{flow}, 8)
+		fl, err := netsim.FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}.Run([]*netsim.FluidFlow{flow}, 8, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
-		fluidRate := fl.TotalBytes.RateOver(8)
+		var moved unit.ByteSize
+		for _, c := range fl.Counters {
+			moved += c
+		}
+		fluidRate := moved.RateOver(8)
 		ratio = float64(pkt.DownloadRate) / float64(fluidRate)
 	}
 	b.ReportMetric(ratio, "pkt/fluid")

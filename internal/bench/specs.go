@@ -385,7 +385,7 @@ func benchFluidDay(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := s.Summarize(nil); err != nil {
+		if _, err := s.Summarize(traffic.GatewayMask); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -31,12 +31,16 @@ func ExampleFluidSim_Run() {
 	a := &netsim.FluidFlow{ID: 1, Volume: 30 * unit.MB}
 	b := &netsim.FluidFlow{ID: 2, Volume: 30 * unit.MB}
 	res, err := netsim.FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}.Run(
-		[]*netsim.FluidFlow{a, b}, 120)
+		[]*netsim.FluidFlow{a, b}, 120, nil)
 	if err != nil {
 		panic(err)
 	}
 	_, atA := a.Finished()
-	fmt.Printf("both done at %.0f s, moved %s\n", atA, res.TotalBytes)
+	var moved unit.ByteSize
+	for _, c := range res.Counters {
+		moved += c
+	}
+	fmt.Printf("both done at %.0f s, moved %s\n", atA, moved)
 	// Output:
 	// both done at 60 s, moved 60.00 MB
 }

@@ -3,7 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/nwca/broadband/internal/unit"
 )
@@ -41,10 +41,18 @@ type FluidResult struct {
 	// Counters[i] is the byte volume transferred in interval i, i.e. in
 	// virtual time [i·Interval, (i+1)·Interval).
 	Counters []unit.ByteSize
-	// TotalBytes is the volume moved across the whole horizon.
-	TotalBytes unit.ByteSize
 	// Completed is the number of flows that finished within the horizon.
 	Completed int
+}
+
+// FluidScratch holds the buffers of a fluid run — the counters, the
+// arrival order, the active set and the allocator's — so that a caller
+// simulating many flow sets in turn allocates them once. The zero value
+// is ready to use. A scratch serves one run at a time.
+type FluidScratch struct {
+	counters        []unit.ByteSize
+	pending, active []*FluidFlow
+	fair            fairScratch
 }
 
 // Run simulates the flows until the given horizon (seconds). Flows still in
@@ -52,38 +60,45 @@ type FluidResult struct {
 // event-driven: between consecutive events (arrival, completion, or counter
 // boundary) the max-min fair allocation is constant, so each flow's
 // remaining volume decreases linearly and the earliest completion is exact.
-func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) {
+//
+// The run works in sc's buffers, and the result's Counters alias sc: they
+// stay valid until sc's next run. A nil sc runs on fresh buffers.
+func (s FluidSim) Run(flows []*FluidFlow, horizon float64, sc *FluidScratch) (FluidResult, error) {
 	if s.Capacity <= 0 {
 		return FluidResult{}, fmt.Errorf("netsim: fluid capacity must be positive, got %v", s.Capacity)
 	}
 	if horizon <= 0 {
 		return FluidResult{}, fmt.Errorf("netsim: fluid horizon must be positive, got %v", horizon)
 	}
+	if sc == nil {
+		sc = new(FluidScratch)
+	}
 	interval := s.Interval
 	if interval <= 0 {
 		interval = 30
 	}
 	nIntervals := int(math.Ceil(horizon / interval))
-	res := FluidResult{Counters: make([]unit.ByteSize, nIntervals)}
+	if cap(sc.counters) < nIntervals {
+		sc.counters = make([]unit.ByteSize, nIntervals)
+	} else {
+		sc.counters = sc.counters[:nIntervals]
+		clear(sc.counters)
+	}
+	res := FluidResult{Counters: sc.counters}
 
 	// Sort flows by arrival; initialize remaining volumes.
-	pending := make([]*FluidFlow, len(flows))
-	copy(pending, flows)
-	sort.Slice(pending, func(i, j int) bool { return pending[i].Arrival < pending[j].Arrival })
+	pending := append(sc.pending[:0], flows...)
+	sc.pending = pending
+	slices.SortFunc(pending, byArrival)
 	for _, f := range pending {
 		f.remaining = float64(f.Volume)
 		f.done = false
 	}
 
-	active := make([]*FluidFlow, 0, 16)
+	active := slices.Grow(sc.active[:0], 16)
 	now := 0.0
 	next := 0    // next pending arrival index
 	carry := 0.0 // sub-byte remainder so counter truncation never accumulates
-
-	// Allocation scratch reused by every maxMinFair step: the allocator
-	// was the dominant cost of long fluid horizons (one rates + one unsat
-	// slice per event step, hundreds of steps per simulated day).
-	var scratch fairScratch
 
 	for now < horizon {
 		// Admit arrivals at the current time.
@@ -119,7 +134,7 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 			stepEnd = boundary
 		}
 
-		rates := scratch.maxMinFair(s.Capacity.BitsPerSecond(), active)
+		rates := sc.fair.maxMinFair(s.Capacity.BitsPerSecond(), active)
 
 		// Earliest completion under these rates.
 		for i, f := range active {
@@ -159,26 +174,41 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64) (FluidResult, error) 
 		carry = moved - whole
 		res.Counters[idx] += unit.ByteSize(whole)
 
-		// Retire completed flows.
-		live := active[:0]
-		for _, f := range active {
+		// Retire completed flows, moving a survivor only when one before
+		// it left: most steps retire nothing.
+		live := 0
+		for i, f := range active {
 			if f.remaining <= 1e-6 {
 				f.remaining = 0
 				f.done = true
 				f.finish = stepEnd
 				res.Completed++
-			} else {
-				live = append(live, f)
+				continue
 			}
+			if live != i {
+				active[live] = f
+			}
+			live++
 		}
-		active = live
+		active = active[:live]
 		now = stepEnd
 	}
 
-	for _, c := range res.Counters {
-		res.TotalBytes += c
-	}
+	sc.active = active[:0] // keep a grown backing array for the next run
 	return res, nil
+}
+
+// byArrival orders flows by arrival time. slices.SortFunc runs the same
+// pdqsort as sort.Slice step for step, so tied flows land in the order
+// they always have.
+func byArrival(a, b *FluidFlow) int {
+	switch {
+	case a.Arrival < b.Arrival:
+		return -1
+	case b.Arrival < a.Arrival:
+		return 1
+	}
+	return 0
 }
 
 // fairScratch carries the reusable buffers of the max-min fair allocator
@@ -194,20 +224,21 @@ type fairScratch struct {
 // saturate first and the residual is split among the rest.
 func (sc *fairScratch) maxMinFair(capacity float64, active []*FluidFlow) []float64 {
 	n := len(active)
-	rates := sc.rates[:0]
-	for i := 0; i < n; i++ {
-		rates = append(rates, 0)
+	if cap(sc.rates) < n {
+		// Grow only here: storing the slices back on every call costs a
+		// GC write barrier per event step.
+		sc.rates, sc.unsat = make([]float64, n), make([]int, n)
 	}
-	sc.rates = rates
+	rates := sc.rates[:n]
+	clear(rates)
 	if n == 0 {
 		return rates
 	}
 	remainingCap := capacity
-	unsat := sc.unsat[:0]
-	for i := range active {
-		unsat = append(unsat, i)
+	unsat := sc.unsat[:n]
+	for i := range unsat {
+		unsat[i] = i
 	}
-	sc.unsat = unsat
 	for len(unsat) > 0 && remainingCap > 1e-12 {
 		share := remainingCap / float64(len(unsat))
 		progressed := false

@@ -8,11 +8,20 @@ import (
 	"github.com/nwca/broadband/internal/unit"
 )
 
+// totalBytes is the volume a run moved across the whole horizon.
+func totalBytes(res FluidResult) unit.ByteSize {
+	var total unit.ByteSize
+	for _, c := range res.Counters {
+		total += c
+	}
+	return total
+}
+
 func TestFluidSingleFlow(t *testing.T) {
 	// One uncapped 15 MB flow on a 4 Mbps link: completes in 30 s.
 	sim := FluidSim{Capacity: unit.MbpsOf(4), Interval: 10}
 	f := &FluidFlow{Arrival: 0, Volume: 15 * unit.MB}
-	res, err := sim.Run([]*FluidFlow{f}, 100)
+	res, err := sim.Run([]*FluidFlow{f}, 100, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,8 +35,8 @@ func TestFluidSingleFlow(t *testing.T) {
 	if res.Completed != 1 {
 		t.Errorf("Completed = %d", res.Completed)
 	}
-	if res.TotalBytes != 15*unit.MB {
-		t.Errorf("TotalBytes = %v", res.TotalBytes)
+	if totalBytes(res) != 15*unit.MB {
+		t.Errorf("moved %v", totalBytes(res))
 	}
 	// First three 10-second counters carry 5 MB each; the rest are empty.
 	for i := 0; i < 3; i++ {
@@ -48,7 +57,7 @@ func TestFluidFairSharing(t *testing.T) {
 	sim := FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}
 	a := &FluidFlow{ID: 1, Volume: 30 * unit.MB}
 	b := &FluidFlow{ID: 2, Volume: 30 * unit.MB}
-	if _, err := sim.Run([]*FluidFlow{a, b}, 200); err != nil {
+	if _, err := sim.Run([]*FluidFlow{a, b}, 200, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, atA := a.Finished()
@@ -65,7 +74,7 @@ func TestFluidCapRespected(t *testing.T) {
 	sim := FluidSim{Capacity: unit.MbpsOf(10), Interval: 30}
 	capped := &FluidFlow{ID: 1, Volume: 7500 * unit.KB, Cap: unit.MbpsOf(2)} // 7.5 MB at 2 Mbps = 30 s
 	greedy := &FluidFlow{ID: 2, Volume: 30 * unit.MB}                        // gets 8 Mbps → 30 s
-	if _, err := sim.Run([]*FluidFlow{capped, greedy}, 200); err != nil {
+	if _, err := sim.Run([]*FluidFlow{capped, greedy}, 200, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, atC := capped.Finished()
@@ -86,7 +95,7 @@ func TestFluidStaggeredArrivals(t *testing.T) {
 	sim := FluidSim{Capacity: unit.MbpsOf(10), Interval: 30}
 	a := &FluidFlow{ID: 1, Arrival: 0, Volume: 25 * unit.MB}
 	b := &FluidFlow{ID: 2, Arrival: 10, Volume: 25 * unit.MB}
-	if _, err := sim.Run([]*FluidFlow{a, b}, 300); err != nil {
+	if _, err := sim.Run([]*FluidFlow{a, b}, 300, nil); err != nil {
 		t.Fatal(err)
 	}
 	_, atA := a.Finished()
@@ -102,7 +111,7 @@ func TestFluidStaggeredArrivals(t *testing.T) {
 func TestFluidHorizonTruncation(t *testing.T) {
 	sim := FluidSim{Capacity: unit.MbpsOf(1), Interval: 30}
 	f := &FluidFlow{Volume: unit.GB} // 8000 s of work
-	res, err := sim.Run([]*FluidFlow{f}, 60)
+	res, err := sim.Run([]*FluidFlow{f}, 60, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,24 +122,24 @@ func TestFluidHorizonTruncation(t *testing.T) {
 		t.Errorf("Completed = %d", res.Completed)
 	}
 	// 60 s at 1 Mbps = 7.5 MB.
-	if math.Abs(float64(res.TotalBytes)/float64(unit.MB)-7.5) > 1e-6 {
-		t.Errorf("TotalBytes = %v, want 7.5 MB", res.TotalBytes)
+	if math.Abs(float64(totalBytes(res))/float64(unit.MB)-7.5) > 1e-6 {
+		t.Errorf("moved %v, want 7.5 MB", totalBytes(res))
 	}
 }
 
 func TestFluidZeroVolumeAndErrors(t *testing.T) {
 	sim := FluidSim{Capacity: unit.MbpsOf(1)}
-	res, err := sim.Run([]*FluidFlow{{Volume: 0}}, 10)
+	res, err := sim.Run([]*FluidFlow{{Volume: 0}}, 10, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Completed != 1 {
 		t.Errorf("zero-volume flow should complete instantly, got %d", res.Completed)
 	}
-	if _, err := (FluidSim{}).Run(nil, 10); err == nil {
+	if _, err := (FluidSim{}).Run(nil, 10, nil); err == nil {
 		t.Error("zero capacity should error")
 	}
-	if _, err := (FluidSim{Capacity: unit.Mbps}).Run(nil, 0); err == nil {
+	if _, err := (FluidSim{Capacity: unit.Mbps}).Run(nil, 0, nil); err == nil {
 		t.Error("zero horizon should error")
 	}
 }
@@ -158,7 +167,7 @@ func TestFluidConservationProperty(t *testing.T) {
 			offered += float64(fl.Volume)
 			flows = append(flows, fl)
 		}
-		res, err := FluidSim{Capacity: capacity, Interval: 30}.Run(flows, horizon)
+		res, err := FluidSim{Capacity: capacity, Interval: 30}.Run(flows, horizon, nil)
 		if err != nil {
 			return false
 		}
@@ -167,11 +176,11 @@ func TestFluidConservationProperty(t *testing.T) {
 		for _, fl := range flows {
 			remaining += fl.remaining
 		}
-		if math.Abs(float64(res.TotalBytes)-(offered-remaining)) > 1+1e-6*offered {
+		if math.Abs(float64(totalBytes(res))-(offered-remaining)) > 1+1e-6*offered {
 			return false
 		}
 		// Never exceeds capacity × horizon.
-		return float64(res.TotalBytes) <= capacity.BitsPerSecond()*horizon/8*1.000001
+		return float64(totalBytes(res)) <= capacity.BitsPerSecond()*horizon/8*1.000001
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

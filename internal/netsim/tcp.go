@@ -7,15 +7,20 @@ import (
 	"github.com/nwca/broadband/internal/unit"
 )
 
+// MSS is the Ethernet-sized TCP segment payload of every simulated
+// sender. The fluid model's Mathis caps take it too, so that the flow-level
+// and the packet-level TCP agree on the segment size.
+const MSS = 1460 * unit.Byte
+
 // The simplified TCP Reno implementation used by the measurement harness
-// has one configuration: an Ethernet-sized segment, the RFC 6928 initial
-// window, the common 200 ms RTO floor and a window clamp far above any
-// simulated bandwidth-delay product.
+// has one configuration: an MSS segment, the RFC 6928 initial window, the
+// common 200 ms RTO floor and a window clamp far above any simulated
+// bandwidth-delay product.
 const (
-	mss         int64 = 1460  // segment payload size, bytes
-	initialCwnd       = 10    // initial congestion window, segments
-	minRTO            = 0.2   // RTO floor, seconds
-	maxCwnd           = 10000 // window clamp, segments
+	mss         = int64(MSS) // segment payload size, bytes
+	initialCwnd = 10         // initial congestion window, segments
+	minRTO      = 0.2        // RTO floor, seconds
+	maxCwnd     = 10000      // window clamp, segments
 )
 
 // TCPSender is a simplified TCP Reno source: slow start, congestion

@@ -45,7 +45,7 @@ func measureFast(plan market.Plan, q traffic.Quality, rng *randx.Source) measure
 	// capacity of merely-mediocre lines (which would smuggle a need-
 	// selection bias into every loss-banded comparison).
 	if bestLoss := q.Loss / 8; bestLoss >= 0.0005 && q.RTT > 0 {
-		m := netsim.MathisThroughput(1460*unit.Byte, q.RTT, bestLoss)
+		m := netsim.MathisThroughput(netsim.MSS, q.RTT, bestLoss)
 		jitter := unit.Bitrate(0.85 + 0.3*rng.Float64())
 		if lim := m * jitter; lim < down {
 			down = lim

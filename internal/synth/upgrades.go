@@ -192,11 +192,7 @@ func (g *generator) tryUpgrade(u *dataset.User) (dataset.Switch, bool, error) {
 			MonthlyCap:       newPlan.Cap,
 		},
 	}
-	series, err := tgen.Generate(g.cfg.Days, rng.Split("traffic-after"))
-	if err != nil {
-		return dataset.Switch{}, false, err
-	}
-	after, err := series.Summarize(traffic.DasuMask)
+	after, err := usage(tgen, g.cfg.Days, rng.Split("traffic-after"), traffic.DasuMask)
 	if err != nil {
 		return dataset.Switch{}, false, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"sync"
 
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/market"
@@ -333,15 +334,11 @@ func (g *generator) realizeUser(id int64, prof market.Profile, year int, vantage
 		Quality:  tq,
 		Profile:  profile,
 	}
-	series, err := tgen.Generate(g.cfg.Days, rng.Split("traffic"))
-	if err != nil {
-		return nil, err
-	}
 	mask := traffic.GatewayMask
 	if vantage == dataset.VantageDasu {
 		mask = traffic.DasuMask
 	}
-	sum, err := series.Summarize(mask)
+	sum, err := usage(tgen, g.cfg.Days, rng.Split("traffic"), mask)
 	if err != nil {
 		return nil, err
 	}
@@ -377,6 +374,23 @@ func (g *generator) realizeUser(id int64, prof market.Profile, year int, vantage
 		UpgradeCost: unit.PerMbps(g.world.Data.Markets[prof.Country.Code].Upgrade.Slope),
 	}
 	return u, nil
+}
+
+// scratches holds the traffic buffers of the world build's workers: each
+// usage call borrows one for its user, so a build allocates them about
+// once per worker instead of once per user.
+var scratches = sync.Pool{New: func() any { return new(traffic.Scratch) }}
+
+// usage generates a household's traffic over the horizon and summarises it
+// under the vantage's sampling mask, on a borrowed scratch.
+func usage(tgen *traffic.Generator, days int, rng *randx.Source, mask traffic.SampleMask) (traffic.Summary, error) {
+	sc := scratches.Get().(*traffic.Scratch)
+	defer scratches.Put(sc)
+	series, err := tgen.GenerateWith(sc, days, rng)
+	if err != nil {
+		return traffic.Summary{}, err
+	}
+	return series.Summarize(mask)
 }
 
 // availabilityShare is the fraction of households whose street is only

@@ -24,7 +24,7 @@ func archSummary(t *testing.T, arch Archetype, capBytes unit.ByteSize, q Quality
 	if err != nil {
 		t.Fatal(err)
 	}
-	sum, err := series.Summarize(nil)
+	sum, err := series.Summarize(GatewayMask)
 	if err != nil {
 		t.Fatal(err)
 	}

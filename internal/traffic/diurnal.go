@@ -20,6 +20,15 @@ func Activity(hour float64) float64 {
 	return (floor + day + evening) / diurnalNorm
 }
 
+// hourlyActivity[h] is Activity at the middle of hour h: the intensity of
+// the session draws for that hour of every day.
+var hourlyActivity = func() (a [24]float64) {
+	for h := range a {
+		a[h] = Activity(float64(h) + 0.5)
+	}
+	return a
+}()
+
 // gaussianBump is a 24-hour-periodic Gaussian bump centered at c.
 func gaussianBump(h, c, width float64) float64 {
 	d := math.Abs(h - c)

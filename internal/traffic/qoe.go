@@ -65,7 +65,7 @@ func FeasibleRate(capacity unit.Bitrate, q Quality, flowCap unit.Bitrate) unit.B
 		r = capacity
 	}
 	if q.RTT > 0 && q.Loss > 0 {
-		if m := netsim.MathisThroughput(1460*unit.Byte, q.RTT, q.Loss); m < r {
+		if m := netsim.MathisThroughput(netsim.MSS, q.RTT, q.Loss); m < r {
 			r = m
 		}
 	}

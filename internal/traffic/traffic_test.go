@@ -79,7 +79,7 @@ func TestGenerateBasicInvariants(t *testing.T) {
 	if nonZero == 0 {
 		t.Fatal("series is entirely idle")
 	}
-	sum, err := series.Summarize(nil)
+	sum, err := series.Summarize(GatewayMask)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +109,7 @@ func TestGenerateDeterminism(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sum, _ := s.Summarize(nil)
+		sum, _ := s.Summarize(GatewayMask)
 		return sum
 	}
 	a, b := run(), run()
@@ -322,12 +322,12 @@ func TestAppTypeStrings(t *testing.T) {
 
 func TestSummarizeErrors(t *testing.T) {
 	s := &Series{Interval: 30}
-	if _, err := s.Summarize(nil); err == nil {
+	if _, err := s.Summarize(GatewayMask); err == nil {
 		t.Error("empty series should error")
 	}
+	// Five minutes from midnight: the Dasu mask observes none of it.
 	s = &Series{Interval: 30, Counters: make([]unit.ByteSize, 10), BTActive: make([]bool, 10)}
-	none := func(float64) bool { return false }
-	if _, err := s.Summarize(none); err == nil {
+	if _, err := s.Summarize(DasuMask); err == nil {
 		t.Error("all-masked series should error")
 	}
 }
