@@ -3,9 +3,11 @@
 //
 // Usage:
 //
-//	bbgen -out data/ -seed 1 -users 8000 -fcc 2000 -days 3 -switches 2000
+//	bbgen -out data/
 //
-// The output directory receives users.csv, switches.csv and plans.csv in
+// writes the canonical world (cli.CanonicalWorld), the one bbrepro
+// analyzes by default; -seed and the world-size flags pick another. The
+// output directory receives users.csv, switches.csv and plans.csv in
 // the schema documented in internal/dataset.
 package main
 
@@ -30,8 +32,8 @@ func run(args []string, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		out      = fs.String("out", "data", "output directory for the CSV files")
-		seed     = fs.Uint64("seed", 1, "world seed (all data is deterministic in it)")
-		worldCfg = cli.WorldFlags(fs, broadband.WorldConfig{Users: 8000, FCCUsers: 2000, Days: 3, SwitchTarget: 2000, MinPerCountry: 30})
+		seed     = fs.Uint64("seed", cli.CanonicalWorld.Seed, "world seed (all data is deterministic in it)")
+		worldCfg = cli.WorldFlags(fs, cli.CanonicalWorld)
 		ndt      = fs.Bool("ndt", false, "measure every line with the packet-level simulator (slow)")
 		gz       = fs.Bool("gzip", false, "write gzip-compressed CSVs (users.csv.gz etc.; bbrepro -data reads either)")
 		shards   = fs.Int("shards", 0, "write the user panel out-of-core as N shard files (users-00000-of-0000N.csv …); 0 builds in memory. Resident memory stays bounded regardless of -users")

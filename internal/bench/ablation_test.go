@@ -99,7 +99,7 @@ func BenchmarkFluidVsPacketAgreement(b *testing.B) {
 			b.Fatal(err)
 		}
 		flow := &netsim.FluidFlow{Volume: unit.GB, Cap: 0}
-		fl, err := netsim.FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}.Run([]*netsim.FluidFlow{flow}, 8, nil)
+		fl, err := netsim.FluidSim{Capacity: unit.MbpsOf(8)}.Run([]*netsim.FluidFlow{flow}, 8, nil)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -19,10 +19,6 @@ type Tolerance struct {
 	// either bound passing is enough.
 	Abs float64 `json:"abs,omitempty"`
 	Rel float64 `json:"rel,omitempty"`
-	// Set compares the arrays at matching paths as unordered multisets:
-	// each wanted element must match some distinct got element under the
-	// remaining rules, wherever it moved.
-	Set bool `json:"set,omitempty"`
 }
 
 // Diff is one divergence between a golden tree and a regenerated one.
@@ -66,16 +62,16 @@ func (c *comparer) add(p string, want, got *Value, msg string) {
 
 // tolAt resolves the tolerance rule for a path. The last matching rule
 // wins, so manifests can layer a broad rule and then a narrower override.
-func (c *comparer) tolAt(p string) (abs, rel float64, set bool) {
+func (c *comparer) tolAt(p string) (abs, rel float64) {
 	for _, t := range c.tols {
 		if t.Artifact != "" && t.Artifact != c.artifact {
 			continue
 		}
 		if ok, err := path.Match(t.Path, p); err == nil && ok {
-			abs, rel, set = t.Abs, t.Rel, t.Set
+			abs, rel = t.Abs, t.Rel
 		}
 	}
-	return abs, rel, set
+	return abs, rel
 }
 
 func (c *comparer) compare(p string, want, got *Value) {
@@ -100,15 +96,11 @@ func (c *comparer) compare(p string, want, got *Value) {
 			c.add(p, want, got, "")
 		}
 	case KindNum:
-		abs, rel, _ := c.tolAt(p)
+		abs, rel := c.tolAt(p)
 		if !numEqual(want.Num, got.Num, abs, rel) {
 			c.add(p, want, got, fmt.Sprintf("drift %s", formatDrift(want.Num, got.Num)))
 		}
 	case KindArr:
-		if _, _, set := c.tolAt(p); set {
-			c.compareSet(p, want, got)
-			return
-		}
 		n := len(want.Arr)
 		if len(got.Arr) != n {
 			c.add(p, want, got, fmt.Sprintf("length changed (%d → %d)", n, len(got.Arr)))
@@ -133,32 +125,6 @@ func (c *comparer) compare(p string, want, got *Value) {
 				c.add(childPath(p, k), nil, got.Fields[k], "field added")
 			}
 		}
-	}
-}
-
-// compareSet matches array elements as an unordered multiset: each wanted
-// element claims the first unclaimed got element it matches cleanly
-// (greedy bipartite matching — quadratic, fine at artifact sizes).
-func (c *comparer) compareSet(p string, want, got *Value) {
-	if len(want.Arr) != len(got.Arr) {
-		c.add(p, want, got, fmt.Sprintf("length changed (%d → %d)", len(want.Arr), len(got.Arr)))
-		return
-	}
-	used := make([]bool, len(got.Arr))
-outer:
-	for i, wv := range want.Arr {
-		for j, gv := range got.Arr {
-			if used[j] {
-				continue
-			}
-			probe := &comparer{artifact: c.artifact, tols: c.tols}
-			probe.compare(childPath(p, strconv.Itoa(i)), wv, gv)
-			if len(probe.diffs) == 0 {
-				used[j] = true
-				continue outer
-			}
-		}
-		c.add(fmt.Sprintf("%s/%d", p, i), wv, nil, "no matching element in set")
 	}
 }
 

@@ -208,17 +208,6 @@ func TestCompareMissingAndKindChange(t *testing.T) {
 	}
 }
 
-func TestCompareSetLengthChange(t *testing.T) {
-	t.Parallel()
-	want, _ := Parse([]byte(`{"Rows": [1, 2]}`))
-	got, _ := Parse([]byte(`{"Rows": [1]}`))
-	set := []Tolerance{{Path: "Rows", Set: true}}
-	diffs := Compare(want, got, "", set)
-	if len(diffs) != 1 || !strings.Contains(diffs[0].Msg, "length changed") {
-		t.Errorf("set length change: %v", diffs)
-	}
-}
-
 func TestFormatDriftZeroBaseline(t *testing.T) {
 	t.Parallel()
 	want, _ := Parse([]byte(`{"A": 0}`))

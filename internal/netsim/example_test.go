@@ -30,7 +30,7 @@ func ExampleRunNDT() {
 func ExampleFluidSim_Run() {
 	a := &netsim.FluidFlow{ID: 1, Volume: 30 * unit.MB}
 	b := &netsim.FluidFlow{ID: 2, Volume: 30 * unit.MB}
-	res, err := netsim.FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}.Run(
+	res, err := netsim.FluidSim{Capacity: unit.MbpsOf(8)}.Run(
 		[]*netsim.FluidFlow{a, b}, 120, nil)
 	if err != nil {
 		panic(err)

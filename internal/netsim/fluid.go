@@ -28,18 +28,22 @@ type FluidFlow struct {
 // and at what time.
 func (f *FluidFlow) Finished() (bool, float64) { return f.done, f.finish }
 
+// CounterInterval is the byte-counter period in seconds: the Dasu client
+// sampled its UPnP/netstat counters every 30 seconds, and the FCC
+// gateways' hourly counters are aggregated from the same grid downstream.
+const CounterInterval = 30
+
 // FluidSim runs a set of fluid flows over a single bottleneck of the given
-// capacity and records per-interval byte counters — the synthetic equivalent
-// of the UPnP/netstat counters the Dasu client sampled every ~30 seconds.
+// capacity and records a byte counter per CounterInterval — the synthetic
+// equivalent of the counters the Dasu client sampled.
 type FluidSim struct {
 	Capacity unit.Bitrate
-	Interval float64 // counter sampling interval, seconds (default 30)
 }
 
 // FluidResult reports a fluid simulation run.
 type FluidResult struct {
 	// Counters[i] is the byte volume transferred in interval i, i.e. in
-	// virtual time [i·Interval, (i+1)·Interval).
+	// virtual time [i·CounterInterval, (i+1)·CounterInterval).
 	Counters []unit.ByteSize
 	// Completed is the number of flows that finished within the horizon.
 	Completed int
@@ -73,10 +77,7 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64, sc *FluidScratch) (Fl
 	if sc == nil {
 		sc = new(FluidScratch)
 	}
-	interval := s.Interval
-	if interval <= 0 {
-		interval = 30
-	}
+	const interval = CounterInterval
 	nIntervals := int(math.Ceil(horizon / interval))
 	if cap(sc.counters) < nIntervals {
 		sc.counters = make([]unit.ByteSize, nIntervals)

@@ -19,7 +19,7 @@ func totalBytes(res FluidResult) unit.ByteSize {
 
 func TestFluidSingleFlow(t *testing.T) {
 	// One uncapped 15 MB flow on a 4 Mbps link: completes in 30 s.
-	sim := FluidSim{Capacity: unit.MbpsOf(4), Interval: 10}
+	sim := FluidSim{Capacity: unit.MbpsOf(4)}
 	f := &FluidFlow{Arrival: 0, Volume: 15 * unit.MB}
 	res, err := sim.Run([]*FluidFlow{f}, 100, nil)
 	if err != nil {
@@ -38,13 +38,14 @@ func TestFluidSingleFlow(t *testing.T) {
 	if totalBytes(res) != 15*unit.MB {
 		t.Errorf("moved %v", totalBytes(res))
 	}
-	// First three 10-second counters carry 5 MB each; the rest are empty.
-	for i := 0; i < 3; i++ {
-		if math.Abs(float64(res.Counters[i])/float64(unit.MB)-5) > 1e-6 {
-			t.Errorf("counter[%d] = %v, want 5 MB", i, res.Counters[i])
-		}
+	// The first 30-second counter carries all 15 MB; the rest are empty.
+	if len(res.Counters) != 4 {
+		t.Fatalf("%d counters over 100 s, want 4", len(res.Counters))
 	}
-	for i := 3; i < len(res.Counters); i++ {
+	if res.Counters[0] != 15*unit.MB {
+		t.Errorf("counter[0] = %v, want 15 MB", res.Counters[0])
+	}
+	for i := 1; i < len(res.Counters); i++ {
 		if res.Counters[i] != 0 {
 			t.Errorf("counter[%d] = %v, want 0", i, res.Counters[i])
 		}
@@ -54,7 +55,7 @@ func TestFluidSingleFlow(t *testing.T) {
 func TestFluidFairSharing(t *testing.T) {
 	// Two equal uncapped flows arriving together split the link; each
 	// transfers half as fast as alone.
-	sim := FluidSim{Capacity: unit.MbpsOf(8), Interval: 30}
+	sim := FluidSim{Capacity: unit.MbpsOf(8)}
 	a := &FluidFlow{ID: 1, Volume: 30 * unit.MB}
 	b := &FluidFlow{ID: 2, Volume: 30 * unit.MB}
 	if _, err := sim.Run([]*FluidFlow{a, b}, 200, nil); err != nil {
@@ -71,7 +72,7 @@ func TestFluidFairSharing(t *testing.T) {
 func TestFluidCapRespected(t *testing.T) {
 	// A capped flow cannot exceed its ceiling even on an idle fat link, and
 	// the spare capacity goes to the uncapped flow.
-	sim := FluidSim{Capacity: unit.MbpsOf(10), Interval: 30}
+	sim := FluidSim{Capacity: unit.MbpsOf(10)}
 	capped := &FluidFlow{ID: 1, Volume: 7500 * unit.KB, Cap: unit.MbpsOf(2)} // 7.5 MB at 2 Mbps = 30 s
 	greedy := &FluidFlow{ID: 2, Volume: 30 * unit.MB}                        // gets 8 Mbps → 30 s
 	if _, err := sim.Run([]*FluidFlow{capped, greedy}, 200, nil); err != nil {
@@ -92,7 +93,7 @@ func TestFluidStaggeredArrivals(t *testing.T) {
 	// moved), then 5 Mbps shared. A has 12.5 MB left → 20 more s (t=30).
 	// B needs 25 MB: shares 5 Mbps until A leaves (12.5 MB in 20 s), then
 	// 10 Mbps alone for remaining 12.5 MB → 10 s, t=40.
-	sim := FluidSim{Capacity: unit.MbpsOf(10), Interval: 30}
+	sim := FluidSim{Capacity: unit.MbpsOf(10)}
 	a := &FluidFlow{ID: 1, Arrival: 0, Volume: 25 * unit.MB}
 	b := &FluidFlow{ID: 2, Arrival: 10, Volume: 25 * unit.MB}
 	if _, err := sim.Run([]*FluidFlow{a, b}, 300, nil); err != nil {
@@ -109,7 +110,7 @@ func TestFluidStaggeredArrivals(t *testing.T) {
 }
 
 func TestFluidHorizonTruncation(t *testing.T) {
-	sim := FluidSim{Capacity: unit.MbpsOf(1), Interval: 30}
+	sim := FluidSim{Capacity: unit.MbpsOf(1)}
 	f := &FluidFlow{Volume: unit.GB} // 8000 s of work
 	res, err := sim.Run([]*FluidFlow{f}, 60, nil)
 	if err != nil {
@@ -167,7 +168,7 @@ func TestFluidConservationProperty(t *testing.T) {
 			offered += float64(fl.Volume)
 			flows = append(flows, fl)
 		}
-		res, err := FluidSim{Capacity: capacity, Interval: 30}.Run(flows, horizon, nil)
+		res, err := FluidSim{Capacity: capacity}.Run(flows, horizon, nil)
 		if err != nil {
 			return false
 		}

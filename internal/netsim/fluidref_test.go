@@ -19,10 +19,7 @@ func runStepped(s FluidSim, flows []*FluidFlow, horizon float64) (FluidResult, e
 	if horizon <= 0 {
 		return FluidResult{}, fmt.Errorf("netsim: fluid horizon must be positive, got %v", horizon)
 	}
-	interval := s.Interval
-	if interval <= 0 {
-		interval = 30
-	}
+	const interval = CounterInterval
 	nIntervals := int(math.Ceil(horizon / interval))
 	res := FluidResult{Counters: make([]unit.ByteSize, nIntervals)}
 
@@ -142,7 +139,7 @@ func TestFluidRunMatchesStepped(t *testing.T) {
 	rng := newRand(13)
 	var sc FluidScratch
 	for trial := 0; trial < 300; trial++ {
-		interval := []float64{30, 10, 7, 0.5}[trial%4]
+		const interval = CounterInterval
 		horizon := interval * float64(1+rng.IntN(400))
 		if trial%5 == 0 {
 			horizon += interval * rng.Float64() // a partial last interval
@@ -177,10 +174,7 @@ func TestFluidRunMatchesStepped(t *testing.T) {
 				FluidFlow{ID: 103, Arrival: horizon * 2, Volume: unit.MB},
 			)
 		}
-		sim := FluidSim{Capacity: unit.MbpsOf(0.5 + 20*rng.Float64()), Interval: interval}
-		if trial%11 == 0 {
-			sim.Interval = 0 // the 30-second default
-		}
+		sim := FluidSim{Capacity: unit.MbpsOf(0.5 + 20*rng.Float64())}
 
 		run := func(run func([]*FluidFlow) (FluidResult, error)) (FluidResult, []FluidFlow) {
 			flows := make([]FluidFlow, len(specs))

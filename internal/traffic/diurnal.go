@@ -50,19 +50,3 @@ var diurnalNorm = func() float64 {
 	}
 	return sum / steps
 }()
-
-// PeakHours reports whether an hour falls in the evening busy window used
-// by the Dasu-vantage sampling bias (the client tends to run while the user
-// is at the machine).
-func PeakHours(hour float64) bool {
-	h := hour
-	if !(h >= 0 && h < 24) {
-		// math.Mod returns an in-range hour unchanged, so only
-		// out-of-range (and NaN) hours need the reduction.
-		h = math.Mod(hour, 24)
-		if h < 0 {
-			h += 24
-		}
-	}
-	return h >= 12 // afternoon through midnight
-}

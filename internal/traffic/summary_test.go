@@ -11,84 +11,6 @@ import (
 	"github.com/nwca/broadband/internal/unit"
 )
 
-// TestHourClockMatchesMod holds the incremental hour-of-day reduction to
-// math.Mod, bit for bit, over 60 days of intervals. Short intervals visit a
-// dense prefix plus a window around every 12-hour mark, so every index
-// whose hour lands exactly on 12 or 24 is covered; calls stay in
-// increasing index order, as when a mask vector is filled.
-func TestHourClockMatchesMod(t *testing.T) {
-	const days = 60
-	exactMarks := 0
-	for _, interval := range []float64{30, 60, 7, 0.1, 3600} {
-		n := int(days * 86400 / interval)
-		clock := newHourClock(interval, n)
-		check := func(i int) {
-			want := math.Mod(float64(i)*interval/3600, 24)
-			got := clock.at(i)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("interval %v i=%d: got %v (%#x), math.Mod gives %v (%#x)",
-					interval, i, got, math.Float64bits(got), want, math.Float64bits(want))
-			}
-			if want == 0 || want == 12 {
-				exactMarks++
-			}
-		}
-		const dense = 1 << 20
-		i := 0
-		for ; i < n && i < dense; i++ {
-			check(i)
-		}
-		// Sparse tail: a few indices either side of each 12-hour mark.
-		perMark := 12 * 3600 / interval
-		for m := math.Ceil(float64(i) / perMark); ; m++ {
-			centre := int(math.Round(m * perMark))
-			if centre-2 >= n {
-				break
-			}
-			for j := max(centre-2, i); j <= centre+2 && j < n; j++ {
-				check(j)
-				i = j + 1
-			}
-		}
-	}
-	if exactMarks == 0 {
-		t.Fatal("no interval landed exactly on a 12- or 24-hour mark")
-	}
-}
-
-// TestHourClockFallback covers the inputs the incremental path refuses:
-// they must still agree with math.Mod.
-func TestHourClockFallback(t *testing.T) {
-	for _, interval := range []float64{-30, math.Inf(1), math.NaN(), 1e12} {
-		clock := newHourClock(interval, 100)
-		if clock.exact {
-			t.Errorf("interval %v: took the incremental path", interval)
-		}
-		for i := 0; i < 100; i++ {
-			want := math.Mod(float64(i)*interval/3600, 24)
-			if got := clock.at(i); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("interval %v i=%d: got %v, want %v", interval, i, got, want)
-			}
-		}
-	}
-}
-
-func TestPeakHoursMatchesMod(t *testing.T) {
-	ref := func(hour float64) bool {
-		h := math.Mod(hour, 24)
-		if h < 0 {
-			h += 24
-		}
-		return h >= 12
-	}
-	for _, h := range []float64{0, math.Copysign(0, -1), math.Nextafter(12, 0), 12, 23.999, math.Nextafter(24, 0),
-		24, 36, 47.5, -0.5, -12, -13, 1e9, math.Inf(1), math.NaN()} {
-		if got, want := PeakHours(h), ref(h); got != want {
-			t.Errorf("PeakHours(%v) = %v, math.Mod path gives %v", h, got, want)
-		}
-	}
-}
-
 // p95Sorted is the sort-based type-7 95th percentile p95 must match.
 func p95Sorted(xs []float64) float64 {
 	s := append([]float64(nil), xs...)
@@ -247,15 +169,57 @@ func maxOf(xs []float64) float64 {
 	return m
 }
 
-// summarizeRef is the per-sample math.Mod, sort-based Summarize the
+// observesRef is the per-sample hour rule the mask runs must reproduce:
+// the Dasu client observes the 30-second intervals that start at 12:00 or
+// later, the gateway every interval.
+func observesRef(mask SampleMask, i int) bool {
+	return mask != DasuMask || math.Mod(float64(i)*30/3600, 24) >= 12
+}
+
+// TestMaskRunsMatchHourRule holds each mask's observed runs to the hour
+// rule on every interval of a 400-day grid, and of every grid from one
+// interval to two days and one, which covers a partial last day and a
+// series that ends before noon. The runs must also come in ascending,
+// disjoint order: Summarize sums the samples in the order it visits them.
+func TestMaskRunsMatchHourRule(t *testing.T) {
+	seen := make([]bool, 400*intervalsPerDay)
+	check := func(name string, mask SampleMask, n int) {
+		seen := seen[:n]
+		clear(seen)
+		next := 0
+		for d := 0; d*intervalsPerDay < n; d++ {
+			lo, hi := mask.run(d, n)
+			if lo < next || hi < lo || hi > n {
+				t.Fatalf("%s, %d intervals: day %d's run [%d, %d) after %d", name, n, d, lo, hi, next)
+			}
+			for i := lo; i < hi; i++ {
+				seen[i] = true
+			}
+			next = hi
+		}
+		for i, got := range seen {
+			if want := observesRef(mask, i); got != want {
+				t.Fatalf("%s, %d intervals: interval %d observed %v, the hour rule says %v", name, n, i, got, want)
+			}
+		}
+	}
+	for name, mask := range masks {
+		check(name, mask, len(seen))
+		for n := 1; n <= 2*intervalsPerDay+1; n++ {
+			check(name, mask, n)
+		}
+	}
+}
+
+// summarizeRef is the per-sample hour-rule, sort-based Summarize the
 // production path must reproduce.
 func summarizeRef(s *Series, mask SampleMask) Summary {
 	var all, noBT []float64
 	for i, c := range s.Counters {
-		if !mask.Observes(math.Mod(float64(i)*s.Interval/3600, 24)) {
+		if !observesRef(mask, i) {
 			continue
 		}
-		rate := float64(c.RateOver(s.Interval))
+		rate := float64(c.RateOver(30))
 		all = append(all, rate)
 		if !s.BTActive[i] {
 			noBT = append(noBT, rate)
@@ -315,8 +279,8 @@ var scratchCases = []scratchCase{
 // TestScratchReuseMatchesFresh runs a BitTorrent user over a long horizon,
 // then a plain user over a short one, then the first again, all through
 // one scratch. Each series and summary must equal a fresh Generate and
-// Summarize field for field, which a stale BTActive mark, counter, session
-// or mask vector would break.
+// Summarize field for field, which a stale BTActive mark, counter or
+// session would break.
 func TestScratchReuseMatchesFresh(t *testing.T) {
 	var sc Scratch
 	for _, c := range []scratchCase{scratchCases[0], scratchCases[1], scratchCases[0]} {
@@ -330,7 +294,7 @@ func TestScratchReuseMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if reused.Interval != fresh.Interval || !slices.Equal(reused.Counters, fresh.Counters) ||
+		if !slices.Equal(reused.Counters, fresh.Counters) ||
 			!slices.Equal(reused.BTActive, fresh.BTActive) {
 			t.Fatalf("%s: the reused scratch's series differs from a fresh one", c.name)
 		}

@@ -321,12 +321,12 @@ func TestAppTypeStrings(t *testing.T) {
 }
 
 func TestSummarizeErrors(t *testing.T) {
-	s := &Series{Interval: 30}
+	s := &Series{}
 	if _, err := s.Summarize(GatewayMask); err == nil {
 		t.Error("empty series should error")
 	}
 	// Five minutes from midnight: the Dasu mask observes none of it.
-	s = &Series{Interval: 30, Counters: make([]unit.ByteSize, 10), BTActive: make([]bool, 10)}
+	s = &Series{Counters: make([]unit.ByteSize, 10), BTActive: make([]bool, 10)}
 	if _, err := s.Summarize(DasuMask); err == nil {
 		t.Error("all-masked series should error")
 	}
