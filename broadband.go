@@ -164,15 +164,10 @@ type (
 // count (DESIGN.md §8). Shard bytes are deterministic in (cfg.Seed, shard
 // count): concatenating the shard bodies reproduces exactly the users.csv
 // an in-core BuildWorld of the same config would save. LoadDataset and
-// StreamUsers read the sharded directory transparently.
+// LoadDatasetRobust read the sharded directory transparently.
 func BuildWorldSharded(ctx context.Context, cfg WorldConfig, spec ShardSpec) (*ShardReport, error) {
 	return synth.BuildSharded(ctx, cfg, spec)
 }
-
-// StreamUsers opens the user table of a dataset directory for streaming —
-// the monolithic users.csv(.gz) or a complete shard set — one file and one
-// row resident at a time. The caller owns Close.
-func StreamUsers(dir string) (*dataset.UserStream, error) { return dataset.StreamUsersDir(dir) }
 
 // LoadDataset reads a dataset previously written with Dataset.SaveDir or
 // SaveDataset (users.csv, switches.csv, plans.csv — plain or .gz),

@@ -45,14 +45,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 
-	us, err := dataset.StreamUsersDir(*data)
+	sketch, err := experiments.NewOverviewSketch()
 	if err != nil {
 		return cli.ExitCode(stderr, "bbstats", err, 1)
 	}
-	overview, err := experiments.OverviewFromSource(us)
-	if cerr := us.Close(); err == nil {
-		err = cerr
+	if err := dataset.EachUser(*data, sketch.AddUser); err != nil {
+		return cli.ExitCode(stderr, "bbstats", err, 1)
 	}
+	overview, err := sketch.Overview()
 	if err != nil {
 		return cli.ExitCode(stderr, "bbstats", err, 1)
 	}

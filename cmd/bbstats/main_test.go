@@ -3,10 +3,13 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"math"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	broadband "github.com/nwca/broadband"
+	"github.com/nwca/broadband/internal/dataset"
 )
 
 // savedWorld writes a small generated world to a temporary directory.
@@ -57,5 +60,38 @@ func TestRunExitCodes(t *testing.T) {
 	}
 	if code := run([]string{"-bogus"}, &stdout, &stderr); code != 2 {
 		t.Errorf("bad flag: exit %d, want 2", code)
+	}
+}
+
+// TestRunNamesFailingRow pins the stream's error location: a NaN RTT in
+// the second shard of a three-shard set must fail with that shard's path
+// and the row holding the NaN, not a bare "sample contains NaN".
+func TestRunNamesFailingRow(t *testing.T) {
+	dir := t.TempDir()
+	for i := 0; i < 3; i++ {
+		_, err := dataset.WriteUserShardCtx(t.Context(), dir, i, 3, false, func(w *dataset.Writer[dataset.User]) error {
+			for j := 0; j < 4; j++ {
+				u := dataset.User{ID: int64(4*i + j + 1), Country: "US", Year: 2013, Capacity: 8e6, RTT: 0.05, Loss: 0.001}
+				if i == 1 && j == 2 {
+					u.RTT = math.NaN()
+				}
+				if err := w.Write(&u); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{"-data", dir}, &stdout, &stderr); code != 1 {
+		t.Fatalf("NaN RTT: exit %d, want 1; stderr:\n%s", code, stderr.String())
+	}
+	// The third data row of the shard: row 4, the header being row 1.
+	want := filepath.Join(dir, dataset.UserShardName(1, 3, false)) + " row 4:"
+	if msg := stderr.String(); !strings.Contains(msg, want) || !strings.Contains(msg, "NaN") {
+		t.Errorf("error does not name %q and the NaN:\n%s", want, msg)
 	}
 }

@@ -20,8 +20,9 @@ import (
 func LoadDir(dir string) (*Dataset, error) {
 	d := &Dataset{}
 	p := NewPanel(0)
-	if err := loadTables(dir, d, nil, QuarantineOptions{}, func(u *User, _ int, _ *Quarantine) {
+	if err := loadTables(dir, d, nil, QuarantineOptions{}, func(u *User, _ int, _ *Quarantine) error {
 		p.Append(u)
+		return nil
 	}); err != nil {
 		return nil, err
 	}
@@ -33,6 +34,16 @@ func LoadDir(dir string) (*Dataset, error) {
 	return d, nil
 }
 
+// EachUser streams the user table under dir — users.csv(.gz), else the
+// complete shard set — through fn one row at a time in file order, with
+// one file open and one record resident, so a one-pass consumer (bbstats)
+// runs over worlds larger than RAM. The load is strict. The first error fn
+// returns stops the walk and comes back wrapped with the file and 1-based
+// row it rejected. fn must not retain u: the record is reused.
+func EachUser(dir string, fn func(u *User) error) error {
+	return loadUsers(dir, nil, QuarantineOptions{}, func(u *User, _ int, _ *Quarantine) error { return fn(u) })
+}
+
 // loadTables is the table loop LoadDir and LoadDirRobust share: it streams
 // the user table file by file (users.csv(.gz) or its shard set) into
 // keepUser, then the switch panel and the plan survey into d. With rep nil
@@ -40,28 +51,35 @@ func LoadDir(dir string) (*Dataset, error) {
 // table being loaded. Otherwise every file gets its own Quarantine under
 // opts writing into rep, and keepUser receives it with each user's row so
 // post-passes can charge demotions to the file the row came from.
-func loadTables(dir string, d *Dataset, rep *QuarantineReport, opts QuarantineOptions, keepUser func(u *User, row int, q *Quarantine)) error {
-	users, err := userTableFiles(dir)
-	if err != nil {
-		return loadErr(rep, "users", dir, err)
-	}
-	if err := loadTable(users, rep, opts, keepUser); err != nil {
+func loadTables(dir string, d *Dataset, rep *QuarantineReport, opts QuarantineOptions, keepUser func(u *User, row int, q *Quarantine) error) error {
+	if err := loadUsers(dir, rep, opts, keepUser); err != nil {
 		return err
 	}
 	switches, _ := tablePath(dir, "switches.csv")
-	if err := loadTable([]string{switches}, rep, opts, func(s *Switch, _ int, _ *Quarantine) {
+	if err := loadTable([]string{switches}, rep, opts, func(s *Switch, _ int, _ *Quarantine) error {
 		d.Switches = append(d.Switches, *s)
+		return nil
 	}); err != nil {
 		return err
 	}
 	plans, _ := tablePath(dir, "plans.csv")
-	return loadTable([]string{plans}, rep, opts, func(pl *market.Plan, _ int, _ *Quarantine) {
+	return loadTable([]string{plans}, rep, opts, func(pl *market.Plan, _ int, _ *Quarantine) error {
 		d.Plans = append(d.Plans, *pl)
+		return nil
 	})
 }
 
+// loadUsers streams the user table under dir through keep.
+func loadUsers(dir string, rep *QuarantineReport, opts QuarantineOptions, keep func(u *User, row int, q *Quarantine) error) error {
+	files, err := userTableFiles(dir)
+	if err != nil {
+		return loadErr(rep, "users", dir, err)
+	}
+	return loadTable(files, rep, opts, keep)
+}
+
 // loadTable streams each file of one table through readRows.
-func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOptions, keep func(v *T, row int, q *Quarantine)) error {
+func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOptions, keep func(v *T, row int, q *Quarantine) error) error {
 	for _, path := range files {
 		var q *Quarantine
 		if rep != nil {
@@ -73,7 +91,7 @@ func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOpti
 				return err
 			}
 			defer rc.Close()
-			return readRows(rc, path, q, func(v *T, row int) { keep(v, row, q) })
+			return readRows(rc, path, q, func(v *T, row int) error { return keep(v, row, q) })
 		}()
 		if err != nil {
 			return loadErr(rep, tableOf[T]().name, path, err)
@@ -98,13 +116,14 @@ func loadErr(rep *QuarantineReport, table, file string, err error) error {
 }
 
 // readRows streams one table file through keep, passing each row with its
-// 1-based line. With q nil the first faulty row aborts the read (the
+// 1-based line; an error from keep stops the read, wrapped with the file
+// and row. With q nil the first faulty row aborts the read (the
 // strict contract). Otherwise rows that fail structurally, at parse time
 // or the table's domain check are quarantined against q and skipped; the
 // read fails with a *BudgetError once q's budget is exhausted and with a
 // terminal *RowError when the transport itself fails (truncation, gzip
 // corruption, I/O).
-func readRows[T Row](r io.Reader, file string, q *Quarantine, keep func(v *T, row int)) error {
+func readRows[T Row](r io.Reader, file string, q *Quarantine, keep func(v *T, row int) error) error {
 	tr, err := NewReader[T](r, file)
 	if err != nil {
 		return err
@@ -123,7 +142,9 @@ func readRows[T Row](r io.Reader, file string, q *Quarantine, keep func(v *T, ro
 			if q != nil {
 				q.kept()
 			}
-			keep(&v, tr.row)
+			if err := keep(&v, tr.row); err != nil {
+				return fmt.Errorf("dataset: %s row %d: %w", file, tr.row, err)
+			}
 		case err == io.EOF:
 			if q != nil {
 				return q.finish()

@@ -464,9 +464,10 @@ func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineRep
 	}
 	p := NewPanel(0)
 	var origins []origin
-	if err := loadTables(dir, d, rep, opts, func(u *User, row int, q *Quarantine) {
+	if err := loadTables(dir, d, rep, opts, func(u *User, row int, q *Quarantine) error {
 		p.Append(u)
 		origins = append(origins, origin{q, row})
+		return nil
 	}); err != nil {
 		return nil, rep, err
 	}

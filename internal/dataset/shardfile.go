@@ -22,9 +22,9 @@ import (
 // independently readable users CSV (header included), written through the
 // streaming writers with constant per-row memory; concatenating the shard
 // bodies in index order yields exactly the rows of the monolithic
-// users.csv. Readers never see the difference: StreamUsersDir returns a
-// UserSource over either layout, and LoadDir and LoadDirRobust fall back
-// to the shard set when users.csv is absent.
+// users.csv. Readers never see the difference: EachUser, LoadDir and
+// LoadDirRobust read the user table through one loop (loadUsers) that
+// falls back to the shard set when users.csv is absent.
 
 // userShardRe matches a shard file name and captures (index, total, gz).
 var userShardRe = regexp.MustCompile(`^users-(\d{5})-of-(\d{5})\.csv(\.gz)?$`)
@@ -126,85 +126,3 @@ func userTableFiles(dir string) ([]string, error) {
 	}
 	return files, err
 }
-
-// UserStream is a closable UserSource over the user table of a dataset
-// directory — the monolithic users.csv(.gz) or a shard set — opening one
-// file at a time, so resident memory is one reader regardless of panel
-// size. Errors carry the real path and row of the failing record.
-type UserStream struct {
-	files []string
-	next  int
-	rc    io.ReadCloser
-	ur    *Reader[User]
-}
-
-// StreamUsersDir opens the user table under dir for streaming: users.csv
-// (or users.csv.gz) when present, else the complete shard set. The first
-// file is opened and its header checked before it returns. The caller
-// owns Close.
-func StreamUsersDir(dir string) (*UserStream, error) {
-	files, err := userTableFiles(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := &UserStream{files: files}
-	if err := s.open(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// open advances to file s.next.
-func (s *UserStream) open() error {
-	path := s.files[s.next]
-	rc, err := openPath(path)
-	if err != nil {
-		return err
-	}
-	ur, err := NewReader[User](rc, path)
-	if err != nil {
-		rc.Close()
-		return err
-	}
-	s.rc, s.ur, s.next = rc, ur, s.next+1
-	return nil
-}
-
-// Read yields the next user across the file sequence, returning io.EOF
-// after the last row of the last file. An empty (header-only) shard is
-// skipped transparently.
-func (s *UserStream) Read(u *User) error {
-	for {
-		if s.ur == nil {
-			if s.next >= len(s.files) {
-				return io.EOF
-			}
-			if err := s.open(); err != nil {
-				return err
-			}
-		}
-		err := s.ur.Read(u)
-		if err == nil {
-			return nil
-		}
-		if err != io.EOF {
-			return err
-		}
-		if cerr := s.closeCurrent(); cerr != nil {
-			return cerr
-		}
-	}
-}
-
-// closeCurrent closes the active file and clears the reader state.
-func (s *UserStream) closeCurrent() error {
-	if s.rc == nil {
-		return nil
-	}
-	err := s.rc.Close()
-	s.rc, s.ur = nil, nil
-	return err
-}
-
-// Close releases the open file, if any. It is safe after EOF and idempotent.
-func (s *UserStream) Close() error { return s.closeCurrent() }

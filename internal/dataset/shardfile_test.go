@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
@@ -52,37 +53,27 @@ func writeShardSet(t *testing.T, dir string, users []User, total int, gz bool) {
 	}
 }
 
-func readAll(t *testing.T, src UserSource) []User {
+// eachUser collects the user table under dir through EachUser.
+func eachUser(t *testing.T, dir string) []User {
 	t.Helper()
 	var out []User
-	var u User
-	for {
-		switch err := src.Read(&u); err {
-		case nil:
-			out = append(out, u)
-		case io.EOF:
-			return out
-		default:
-			t.Fatal(err)
-		}
+	if err := EachUser(dir, func(u *User) error {
+		out = append(out, *u)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
+	return out
 }
 
-func TestUserStreamOverShards(t *testing.T) {
+func TestEachUserOverShards(t *testing.T) {
 	t.Parallel()
 	users := shardTestUsers(11)
 	for _, gz := range []bool{false, true} {
 		dir := t.TempDir()
 		// total=4 over 11 users: uneven shard sizes exercise the split.
 		writeShardSet(t, dir, users, 4, gz)
-		us, err := StreamUsersDir(dir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := readAll(t, us)
-		if err := us.Close(); err != nil {
-			t.Fatal(err)
-		}
+		got := eachUser(t, dir)
 		if len(got) != len(users) {
 			t.Fatalf("gz=%v: read %d users, want %d", gz, len(got), len(users))
 		}
@@ -94,7 +85,7 @@ func TestUserStreamOverShards(t *testing.T) {
 	}
 }
 
-func TestUserStreamSkipsEmptyShards(t *testing.T) {
+func TestEachUserSkipsEmptyShards(t *testing.T) {
 	t.Parallel()
 	dir := t.TempDir()
 	users := shardTestUsers(2)
@@ -105,14 +96,40 @@ func TestUserStreamSkipsEmptyShards(t *testing.T) {
 			t.Fatalf("shard %d missing: %v (empty shards must still exist)", i, err)
 		}
 	}
-	us, err := StreamUsersDir(dir)
-	if err != nil {
+	if got := eachUser(t, dir); len(got) != 2 {
+		t.Fatalf("read %d users through empty shards, want 2", len(got))
+	}
+}
+
+// TestEachUserStopsAtFnError pins the walk's stop contract: the first
+// error fn returns ends the walk, wrapped with the file and row it
+// rejected, and no later shard is opened — the last shard here is not a
+// CSV at all, so reading it would fail with a different error.
+func TestEachUserStopsAtFnError(t *testing.T) {
+	t.Parallel()
+	dir := t.TempDir()
+	writeShardSet(t, dir, shardTestUsers(9), 3, false)
+	if err := os.WriteFile(filepath.Join(dir, UserShardName(2, 3, false)), []byte("not a users table\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	defer us.Close()
-	got := readAll(t, us)
-	if len(got) != 2 {
-		t.Fatalf("read %d users through empty shards, want 2", len(got))
+	stop := errors.New("stop")
+	var seen []int64
+	err := EachUser(dir, func(u *User) error {
+		seen = append(seen, u.ID)
+		if u.ID == 5 {
+			return stop
+		}
+		return nil
+	})
+	if !errors.Is(err, stop) {
+		t.Fatalf("err = %v, want the fn error", err)
+	}
+	// User 5 is the second row of shard 1: row 3, the header being row 1.
+	if want := filepath.Join(dir, UserShardName(1, 3, false)) + " row 3:"; !strings.Contains(err.Error(), want) {
+		t.Errorf("err = %q, want it to name %q", err, want)
+	}
+	if len(seen) != 5 {
+		t.Errorf("fn saw users %v, want the walk to stop at user 5", seen)
 	}
 }
 
@@ -126,12 +143,7 @@ func TestMonolithicFileWinsOverShards(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	us, err := StreamUsersDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer us.Close()
-	if got := readAll(t, us); len(got) != 3 {
+	if got := eachUser(t, dir); len(got) != 3 {
 		t.Fatalf("read %d users, want the 3 from users.csv (monolithic file wins)", len(got))
 	}
 }
@@ -156,8 +168,8 @@ func TestFindUserShardsRejectsBrokenSets(t *testing.T) {
 		if _, err := FindUserShards(dir); err == nil {
 			t.Error("incomplete shard set loaded without error")
 		}
-		if _, err := StreamUsersDir(dir); err == nil {
-			t.Error("StreamUsersDir over incomplete set succeeded")
+		if err := EachUser(dir, func(*User) error { return nil }); err == nil {
+			t.Error("EachUser over incomplete set succeeded")
 		}
 	})
 	t.Run("mixed-totals", func(t *testing.T) {

@@ -16,8 +16,8 @@ import (
 // Streaming CSV layer: record-at-a-time readers and writers with constant
 // per-row memory, generic over the table descriptors in csv.go. ReadAll,
 // WriteAll and the directory loaders are built on them; consumers that
-// must scale past RAM (bbstats' one-pass overview) drain a UserSource
-// directly.
+// must scale past RAM (bbstats' one-pass overview) walk a directory's
+// user table with EachUser.
 //
 // Readers reuse the csv.Reader record slice (ReuseRecord) and enforce the
 // header's field count on every row; writers encode each record into a
@@ -185,13 +185,6 @@ func newStreamReader(r io.Reader, file string, header []string) (*csv.Reader, er
 	return cr, nil
 }
 
-// UserSource yields users one record at a time; Read returns io.EOF after
-// the last user. *Reader[User] and *UserStream (a shard set) implement it,
-// so one-pass consumers run unchanged over worlds larger than RAM.
-type UserSource interface {
-	Read(*User) error
-}
-
 // Reader iterates one table's CSV a record at a time with constant
 // memory. Read fills the caller's record and returns io.EOF after the last
 // row; every other error is a *RowError carrying the file, the 1-based row
@@ -244,7 +237,10 @@ func (r *Reader[T]) Read(v *T) error {
 // ReadAll parses a whole table; file names it in errors.
 func ReadAll[T Row](r io.Reader, file string) ([]T, error) {
 	var out []T
-	err := readRows(r, file, nil, func(v *T, _ int) { out = append(out, *v) })
+	err := readRows(r, file, nil, func(v *T, _ int) error {
+		out = append(out, *v)
+		return nil
+	})
 	if err != nil {
 		return nil, err
 	}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 
 	"github.com/nwca/broadband/internal/dataset"
@@ -12,7 +11,7 @@ import (
 // Streaming characterization (DESIGN.md §8): the Fig. 1 family of
 // statistics — capacity, latency and loss distributions over the end-host
 // panel plus the paper's headline threshold fractions — computed in one
-// pass over a dataset.UserSource with bounded memory. Out-of-core worlds
+// pass over a dataset.EachUser walk with bounded memory. Out-of-core worlds
 // (10M+ users as a shard set) get their overview without ever holding the
 // panel; the in-core experiments are untouched and remain the exact
 // reference. Sketch-vs-exact agreement is gated by the tolerance manifest
@@ -106,8 +105,9 @@ type StreamOverview struct {
 // decades keep the within-bin relative width under 0.8%.
 const streamBins = 2048
 
-// OverviewSketch is the streaming accumulator behind OverviewFromSource.
-// Feed with AddUser (Dasu users only are counted, matching Fig. 1's
+// OverviewSketch is the streaming accumulator behind bbstats: one row
+// resident at a time, so a 10M-user shard set costs the sketch (a few
+// hundred KB), not the panel. Feed with AddUser (Dasu users only are counted, matching Fig. 1's
 // population) and finish with Overview.
 type OverviewSketch struct {
 	capacity, rtt, loss *streamSketch
@@ -188,29 +188,6 @@ func (o *OverviewSketch) Overview() (*StreamOverview, error) {
 	out.FracRTTOver500 = float64(o.rttOver500) / n
 	out.FracLossOver1 = float64(o.lossOver1) / n
 	return out, nil
-}
-
-// OverviewFromSource drains a user source through the sketch: one row
-// resident at a time, so a 10M-user shard set costs the sketch (a few
-// hundred KB), not the panel.
-func OverviewFromSource(src dataset.UserSource) (*StreamOverview, error) {
-	o, err := NewOverviewSketch()
-	if err != nil {
-		return nil, err
-	}
-	var u dataset.User
-	for {
-		switch err := src.Read(&u); err {
-		case nil:
-			if err := o.AddUser(&u); err != nil {
-				return nil, err
-			}
-		case io.EOF:
-			return o.Overview()
-		default:
-			return nil, err
-		}
-	}
 }
 
 // Render formats the overview for terminal output (bbstats).

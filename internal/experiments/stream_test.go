@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"io"
 	"strings"
 	"testing"
 
@@ -21,20 +20,21 @@ func streamManifest(t *testing.T) *golden.Manifest {
 	return m
 }
 
-// panelRows streams a panel's rows through dataset.UserSource, one
-// materialized row per Read.
-type panelRows struct {
-	p *dataset.Panel
-	i int
-}
-
-func (s *panelRows) Read(u *dataset.User) error {
-	if s.i >= s.p.Len() {
-		return io.EOF
+// overviewOfPanel feeds a panel's rows to the sketch, one materialized
+// row at a time.
+func overviewOfPanel(p *dataset.Panel) (*StreamOverview, error) {
+	o, err := NewOverviewSketch()
+	if err != nil {
+		return nil, err
 	}
-	s.p.UserAt(s.i, u)
-	s.i++
-	return nil
+	var u dataset.User
+	for i := 0; i < p.Len(); i++ {
+		p.UserAt(i, &u)
+		if err := o.AddUser(&u); err != nil {
+			return nil, err
+		}
+	}
+	return o.Overview()
 }
 
 // TestOverviewSketchVsExact is the sketch-accuracy gate of the streaming
@@ -51,7 +51,7 @@ func TestOverviewSketchVsExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sketch, err := OverviewFromSource(&panelRows{p: d.Panel()})
+	sketch, err := overviewOfPanel(d.Panel())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,8 +85,8 @@ func TestOverviewSketchVsExact(t *testing.T) {
 
 // TestOverviewScaleInvariantChecks evaluates the manifest's scale-invariant
 // assertions on worlds the default reproduction config never sees — small,
-// reseeded, gzip-sharded on disk — streaming one through StreamUsersDir to
-// pin the source-vs-slice equivalence along the way.
+// reseeded, gzip-sharded on disk — streamed through dataset.EachUser as
+// bbstats reads them.
 func TestOverviewScaleInvariantChecks(t *testing.T) {
 	t.Parallel()
 	m := streamManifest(t)
@@ -99,12 +99,14 @@ func TestOverviewScaleInvariantChecks(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		us, err := dataset.StreamUsersDir(dir)
+		o, err := NewOverviewSketch()
 		if err != nil {
 			t.Fatal(err)
 		}
-		sketch, err := OverviewFromSource(us)
-		us.Close()
+		if err := dataset.EachUser(dir, o.AddUser); err != nil {
+			t.Fatal(err)
+		}
+		sketch, err := o.Overview()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,16 +123,16 @@ func TestOverviewScaleInvariantChecks(t *testing.T) {
 	}
 }
 
-// TestOverviewEmptyPanel pins the error contract: a source with no Dasu
+// TestOverviewEmptyPanel pins the error contract: a stream with no Dasu
 // rows is an error, not a zero-filled artifact.
 func TestOverviewEmptyPanel(t *testing.T) {
 	t.Parallel()
 	empty := dataset.BuildPanel(nil)
-	if _, err := OverviewFromSource(&panelRows{p: empty}); err == nil {
+	if _, err := overviewOfPanel(empty); err == nil {
 		t.Error("empty source produced an overview")
 	}
 	gw := dataset.BuildPanel([]dataset.User{{ID: 1, Vantage: dataset.VantageGateway}})
-	if _, err := OverviewFromSource(&panelRows{p: gw}); err == nil {
+	if _, err := overviewOfPanel(gw); err == nil {
 		t.Error("gateway-only source produced an overview")
 	}
 	if _, err := overviewExact(empty); err == nil {

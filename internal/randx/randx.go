@@ -12,15 +12,17 @@ package randx
 
 import (
 	"errors"
-	"hash/fnv"
 	"math"
 	"math/rand/v2"
 )
 
 // Source is a deterministic random stream. It wraps a PCG generator seeded
-// from a (seed, label) derivation chain.
+// from a (seed, label) derivation chain. The generator lives inside the
+// Source, so a split costs one allocation; a Source must not be copied
+// (the copy's rng would still draw from the original's PCG state).
 type Source struct {
-	rng *rand.Rand
+	pcg rand.PCG
+	rng rand.Rand
 	lo  uint64
 	hi  uint64
 }
@@ -31,46 +33,38 @@ func New(seed uint64) *Source {
 }
 
 func fromState(lo, hi uint64) *Source {
-	return &Source{rng: rand.New(rand.NewPCG(lo, hi)), lo: lo, hi: hi}
+	s := &Source{lo: lo, hi: hi}
+	s.pcg.Seed(lo, hi)
+	s.rng = *rand.New(&s.pcg)
+	return s
 }
 
 // Split derives an independent child stream identified by label. Splitting
 // does not consume randomness from the parent: the child state is a pure
 // function of the parent's seed state and the label.
-func (s *Source) Split(label string) *Source {
-	h := fnv.New64a()
-	var buf [16]byte
-	putUint64(buf[0:8], s.lo)
-	putUint64(buf[8:16], s.hi)
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	lo := h.Sum64()
-	h.Write([]byte{0xff}) // decorrelate the second word
-	hi := h.Sum64()
-	return fromState(lo, hi)
-}
+func (s *Source) Split(label string) *Source { return derive(label, s.lo, s.hi) }
 
 // SplitN derives an independent child stream identified by label and an
 // index, for per-entity streams ("user", i).
 func (s *Source) SplitN(label string, n int) *Source {
-	h := fnv.New64a()
-	var buf [24]byte
-	putUint64(buf[0:8], s.lo)
-	putUint64(buf[8:16], s.hi)
-	putUint64(buf[16:24], uint64(n))
-	h.Write(buf[:])
-	h.Write([]byte(label))
-	lo := h.Sum64()
-	h.Write([]byte{0xff})
-	hi := h.Sum64()
-	return fromState(lo, hi)
+	return derive(label, s.lo, s.hi, uint64(n))
 }
 
-func putUint64(b []byte, v uint64) {
-	_ = b[7]
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
+// derive seeds a child stream from an FNV-1a hash of words (each
+// little-endian) followed by label: the sum is the child's lo word, and
+// the sum after one more 0xff byte, which decorrelates it, the hi word.
+func derive(label string, words ...uint64) *Source {
+	const prime = 1099511628211
+	h := uint64(14695981039346656037) // FNV-1a 64-bit offset basis
+	for _, w := range words {
+		for i := 0; i < 8; i++ {
+			h = (h ^ uint64(byte(w>>(8*i)))) * prime
+		}
 	}
+	for i := 0; i < len(label); i++ {
+		h = (h ^ uint64(label[i])) * prime
+	}
+	return fromState(h, (h^0xff)*prime)
 }
 
 // Float64 returns a uniform draw in [0, 1).

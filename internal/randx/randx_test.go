@@ -1,8 +1,12 @@
 package randx
 
 import (
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -15,6 +19,71 @@ func TestDeterminism(t *testing.T) {
 			t.Fatalf("same seed/label diverged at draw %d: %v != %v", i, x, y)
 		}
 	}
+}
+
+// refState is the reference stream derivation the generator's outputs are
+// pinned to: a root state is (seed, golden-ratio constant), and a child's
+// state is the FNV-1a hash of the parent's words (plus the index, for
+// SplitN) and the label, then that hash continued over one 0xff byte.
+type refState struct{ lo, hi uint64 }
+
+func refNew(seed uint64) refState { return refState{seed, 0x9e3779b97f4a7c15} }
+
+func (r refState) split(label string, index ...uint64) refState {
+	h := fnv.New64a()
+	for _, w := range append([]uint64{r.lo, r.hi}, index...) {
+		h.Write(binary.LittleEndian.AppendUint64(nil, w))
+	}
+	h.Write([]byte(label))
+	lo := h.Sum64()
+	h.Write([]byte{0xff})
+	return refState{lo, h.Sum64()}
+}
+
+// TestStreamsMatchReference holds New, Split and SplitN to refState: any
+// change to the derivation or the generator would move every world.
+func TestStreamsMatchReference(t *testing.T) {
+	for _, seed := range []uint64{0, 1, 42} {
+		root, ref := New(seed), refNew(seed)
+		for i := 0; i < 1000; i++ {
+			label := fmt.Sprintf("stream-%d", i)
+			kids := []struct {
+				got *Source
+				ref refState
+			}{
+				{root.Split(label), ref.split(label)},
+				{root.SplitN("user", i), ref.split("user", uint64(i))},
+				{root.SplitN(label, i).Split("traffic"), ref.split(label, uint64(i)).split("traffic")},
+			}
+			for k, kid := range kids {
+				want := rand.New(rand.NewPCG(kid.ref.lo, kid.ref.hi))
+				for d := 0; d < 50; d++ {
+					if got, w := kid.got.Float64(), want.Float64(); got != w {
+						t.Fatalf("seed %d child %d/%d draw %d: Float64 %v, reference %v", seed, i, k, d, got, w)
+					}
+					if got, w := kid.got.Normal(0, 1), want.NormFloat64(); got != w {
+						t.Fatalf("seed %d child %d/%d draw %d: Normal %v, reference %v", seed, i, k, d, got, w)
+					}
+				}
+			}
+		}
+	}
+}
+
+func BenchmarkSplit(b *testing.B) {
+	root := New(1)
+	b.Run("Split", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			root.Split("latency")
+		}
+	})
+	b.Run("SplitN", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			root.SplitN("user", i)
+		}
+	})
 }
 
 func TestSplitIndependence(t *testing.T) {

@@ -4,7 +4,8 @@ import "math"
 
 // Online (single-pass) statistics: the streaming counterparts of the exact
 // estimators in desc.go / quantile.go, used when the sample is a
-// UserSource-style stream too large to materialize. Two layers:
+// one-row-at-a-time stream too large to materialize (a dataset.EachUser
+// walk). Two layers:
 //
 //   - Moments: Welford running mean and variance with exact min/max;
 //   - OnlineECDF: a fixed-bin, log-spaced single-pass ECDF

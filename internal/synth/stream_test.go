@@ -126,15 +126,12 @@ func TestBuildShardedEmptyTail(t *testing.T) {
 			t.Errorf("shard %d missing: %v", i, err)
 		}
 	}
-	us, err := dataset.StreamUsersDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer us.Close()
 	n := 0
-	var u dataset.User
-	for us.Read(&u) == nil {
+	if err := dataset.EachUser(dir, func(*dataset.User) error {
 		n++
+		return nil
+	}); err != nil {
+		t.Fatal(err)
 	}
 	if n != rep.Users {
 		t.Errorf("streamed %d users through the tail, report says %d", n, rep.Users)
