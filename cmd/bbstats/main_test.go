@@ -65,7 +65,8 @@ func TestRunExitCodes(t *testing.T) {
 
 // TestRunNamesFailingRow pins the stream's error location: a NaN RTT in
 // the second shard of a three-shard set must fail with that shard's path
-// and the row holding the NaN, not a bare "sample contains NaN".
+// and the row holding the NaN, not a bare "sample contains NaN", and name
+// the dataset package once.
 func TestRunNamesFailingRow(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 3; i++ {
@@ -93,5 +94,8 @@ func TestRunNamesFailingRow(t *testing.T) {
 	want := filepath.Join(dir, dataset.UserShardName(1, 3, false)) + " row 4:"
 	if msg := stderr.String(); !strings.Contains(msg, want) || !strings.Contains(msg, "NaN") {
 		t.Errorf("error does not name %q and the NaN:\n%s", want, msg)
+	}
+	if n := strings.Count(stderr.String(), "dataset:"); n != 1 {
+		t.Errorf("error names the dataset package %d times, want once:\n%s", n, stderr.String())
 	}
 }

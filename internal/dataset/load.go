@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 
 	"github.com/nwca/broadband/internal/market"
 )
@@ -105,7 +106,7 @@ func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOpti
 // (opening the file, finding the shard set) as a terminal FaultIO.
 func loadErr(rep *QuarantineReport, table, file string, err error) error {
 	if rep == nil {
-		return fmt.Errorf("dataset: loading %s: %w", table, err)
+		return &tableError{table: table, err: err}
 	}
 	var re *RowError
 	var be *BudgetError
@@ -114,6 +115,20 @@ func loadErr(rep *QuarantineReport, table, file string, err error) error {
 	}
 	return &RowError{File: file, Class: FaultIO, Err: err}
 }
+
+// tableError names the table a strict load failed on. Most causes —
+// a row's *RowError, a caller's error wrapped with its file and row —
+// already begin with the package name, which it does not repeat.
+type tableError struct {
+	table string
+	err   error
+}
+
+func (e *tableError) Error() string {
+	return "dataset: loading " + e.table + ": " + strings.TrimPrefix(e.err.Error(), "dataset: ")
+}
+
+func (e *tableError) Unwrap() error { return e.err }
 
 // readRows streams one table file through keep, passing each row with its
 // 1-based line; an error from keep stops the read, wrapped with the file

@@ -91,3 +91,62 @@ func planFor(cc string, mbps, price float64) (p market.Plan) {
 	p.PriceLocal = price
 	return p
 }
+
+// TestStrictLoadErrorNamesPackageOnce: a strict load's error says
+// "dataset:" once, names the file and the row, and keeps its cause
+// reachable through errors.Is and errors.As — for a row that fails to
+// parse (a *RowError from the reader) and for an error returned by the
+// caller's per-row function.
+func TestStrictLoadErrorNamesPackageOnce(t *testing.T) {
+	check := func(t *testing.T, err error, want string) {
+		t.Helper()
+		if err == nil {
+			t.Fatal("load succeeded")
+		}
+		msg := err.Error()
+		if n := strings.Count(msg, "dataset:"); n != 1 || !strings.HasPrefix(msg, "dataset: loading users: ") {
+			t.Errorf("error names the package %d times or lacks the table: %s", n, msg)
+		}
+		if !strings.Contains(msg, want) {
+			t.Errorf("error = %s, want it to name %q", msg, want)
+		}
+	}
+
+	t.Run("parse", func(t *testing.T) {
+		dir := savedSampleDir(t, sampleDataset())
+		path := filepath.Join(dir, "users.csv")
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lines := strings.Split(string(raw), "\n")
+		fields := strings.Split(lines[2], ",")
+		fields[0] = "not-an-id"
+		lines[2] = strings.Join(fields, ",")
+		if err := os.WriteFile(path, []byte(strings.Join(lines, "\n")), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err = LoadDir(dir)
+		check(t, err, path+" row 3 ")
+		var re *RowError
+		if !errors.As(err, &re) || re.File != path || re.Row != 3 {
+			t.Errorf("LoadDir error %v does not carry the row's *RowError", err)
+		}
+	})
+
+	t.Run("callback", func(t *testing.T) {
+		dir := savedSampleDir(t, sampleDataset())
+		stop := errors.New("stop here")
+		n := 0
+		err := EachUser(dir, func(*User) error {
+			if n++; n == 2 {
+				return stop
+			}
+			return nil
+		})
+		check(t, err, filepath.Join(dir, "users.csv")+" row 3: stop here")
+		if !errors.Is(err, stop) {
+			t.Errorf("EachUser error %v does not wrap the callback's error", err)
+		}
+	})
+}

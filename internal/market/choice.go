@@ -59,6 +59,9 @@ type ChoiceConfig struct {
 	SwitchingCost unit.USD
 	// Current, when non-nil, is the subscriber's existing plan.
 	Current *Plan
+	// MaxDown, when positive, leaves out every plan faster than it, as if
+	// the catalog held only the rest: the street-level availability limit.
+	MaxDown unit.Bitrate
 }
 
 // Choose selects the utility-maximizing affordable shared plan for the
@@ -71,7 +74,7 @@ func Choose(c Catalog, s Subscriber, cfg ChoiceConfig, rng *randx.Source) (Plan,
 	var best Plan
 	found := false
 	for _, p := range c.Plans {
-		if p.Dedicated {
+		if p.Dedicated || (cfg.MaxDown > 0 && p.Down > cfg.MaxDown) {
 			continue
 		}
 		u := s.Utility(p)

@@ -140,6 +140,41 @@ func TestChooseNeverPicksDedicated(t *testing.T) {
 	}
 }
 
+// TestChooseMaxDownMatchesTruncatedCatalog holds the availability limit to
+// its definition: choosing under MaxDown is choosing from a catalog that
+// holds only the shared plans at or below it. The pick and the taste
+// shocks drawn — one per eligible plan, in catalog order — must agree,
+// so the generator's stream after the choice is the same too.
+func TestChooseMaxDownMatchesTruncatedCatalog(t *testing.T) {
+	for _, code := range []string{"US", "AF", "DE"} {
+		cat := catalogFor(t, code)
+		for _, mbps := range []float64{0.5, 2, 6, 25, 1000} {
+			limit := unit.MbpsOf(mbps)
+			truncated := Catalog{Country: cat.Country}
+			for _, p := range cat.Plans {
+				if !p.Dedicated && p.Down <= limit {
+					truncated.Plans = append(truncated.Plans, p)
+				}
+			}
+			if len(truncated.Plans) == 0 {
+				continue
+			}
+			for i := 0; i < 40; i++ {
+				s := testSubscriber(0.5+float64(i%7), 25, 20+float64(i)*3)
+				a, b := randx.New(uint64(i)).Split("choice"), randx.New(uint64(i)).Split("choice")
+				got, gok := Choose(cat, s, ChoiceConfig{NoiseUSD: 4, MaxDown: limit}, a)
+				want, wok := Choose(truncated, s, ChoiceConfig{NoiseUSD: 4}, b)
+				if gok != wok || !samePlan(got, want) {
+					t.Fatalf("%s ≤ %v Mbps, draw %d: chose (%v, %v), truncated catalog (%v, %v)", code, mbps, i, got, gok, want, wok)
+				}
+				if a.Float64() != b.Float64() {
+					t.Fatalf("%s ≤ %v Mbps, draw %d: a different number of taste shocks drawn", code, mbps, i)
+				}
+			}
+		}
+	}
+}
+
 func TestSwitchingCostMakesSticky(t *testing.T) {
 	cat := catalogFor(t, "US")
 	s := testSubscriber(3, 25, 100)

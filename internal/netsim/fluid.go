@@ -50,12 +50,14 @@ type FluidResult struct {
 }
 
 // FluidScratch holds the buffers of a fluid run — the counters, the
-// arrival order, the active set and the allocator's — so that a caller
-// simulating many flow sets in turn allocates them once. The zero value
-// is ready to use. A scratch serves one run at a time.
+// arrival order, the active set, the per-interval volumes and the
+// allocator's — so that a caller simulating many flow sets in turn
+// allocates them once. The zero value is ready to use. A scratch serves
+// one run at a time.
 type FluidScratch struct {
 	counters        []unit.ByteSize
 	pending, active []*FluidFlow
+	step            []float64
 	fair            fairScratch
 }
 
@@ -64,6 +66,11 @@ type FluidScratch struct {
 // event-driven: between consecutive events (arrival, completion, or counter
 // boundary) the max-min fair allocation is constant, so each flow's
 // remaining volume decreases linearly and the earliest completion is exact.
+//
+// The allocation depends only on the active set, so it is solved once per
+// admission or retirement. From a counter boundary the run coasts through
+// whole intervals that no arrival, completion or horizon can cut short,
+// with the same arithmetic, in the same order, as one event step each.
 //
 // The run works in sc's buffers, and the result's Counters alias sc: they
 // stay valid until sc's next run. A nil sc runs on fresh buffers.
@@ -101,11 +108,18 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64, sc *FluidScratch) (Fl
 	next := 0    // next pending arrival index
 	carry := 0.0 // sub-byte remainder so counter truncation never accumulates
 
+	// rates[i] is active[i]'s max-min fair rate and step[i] the bytes it
+	// moves in one whole interval; both are stale once the active set
+	// changes.
+	var rates, step []float64
+	stale := true
+
 	for now < horizon {
 		// Admit arrivals at the current time.
 		for next < len(pending) && pending[next].Arrival <= now {
 			if pending[next].remaining > 0 {
 				active = append(active, pending[next])
+				stale = true
 			} else {
 				pending[next].done = true
 				pending[next].finish = now
@@ -125,17 +139,34 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64, sc *FluidScratch) (Fl
 			continue
 		}
 
+		if stale {
+			rates = sc.fair.maxMinFair(s.Capacity.BitsPerSecond(), active)
+			step = slices.Grow(sc.step[:0], len(rates))[:len(rates)]
+			sc.step = step
+			for i, r := range rates {
+				step[i] = r * interval / 8
+			}
+			stale = false
+		}
+
 		// Horizon of this step: next arrival, next counter boundary, horizon.
 		stepEnd := horizon
 		if next < len(pending) && pending[next].Arrival < stepEnd {
 			stepEnd = pending[next].Arrival
 		}
 		boundary := (math.Floor(now/interval) + 1) * interval
+
+		if boundary-interval == now && boundary <= stepEnd {
+			// On a counter boundary with a whole interval ahead: coast.
+			if n := coast(active, step, now, stepEnd, &carry, res.Counters); n > 0 {
+				now += float64(n) * interval
+				continue
+			}
+		}
+
 		if boundary < stepEnd {
 			stepEnd = boundary
 		}
-
-		rates := sc.fair.maxMinFair(s.Capacity.BitsPerSecond(), active)
 
 		// Earliest completion under these rates.
 		for i, f := range active {
@@ -191,12 +222,46 @@ func (s FluidSim) Run(flows []*FluidFlow, horizon float64, sc *FluidScratch) (Fl
 			}
 			live++
 		}
+		stale = stale || live < len(active)
 		active = active[:live]
 		now = stepEnd
 	}
 
 	sc.active = active[:0] // keep a grown backing array for the next run
 	return res, nil
+}
+
+// coast takes whole counter intervals from the boundary now while the next
+// one ends by limit and no flow would fall to the retire threshold in it,
+// and returns how many it took. Each is the event step Run would take
+// there: dt is exactly one interval, so flow i moves step[i] bytes, and
+// the bytes are summed in active order before carry joins them. Nor can a
+// flow complete inside such an interval: remaining − step[i] > 1e-6 puts
+// remaining at least one ulp above step[i], so remaining·8 exceeds
+// rate·30 exactly and the completion time now + remaining·8/rate rounds
+// to no earlier than the interval's end.
+func coast(active []*FluidFlow, step []float64, now, limit float64, carry *float64, counters []unit.ByteSize) int {
+	const interval = CounterInterval
+	idx := int(now / interval)
+	n := 0
+	for end := now + interval; end <= limit; end += interval {
+		for i, f := range active {
+			if f.remaining-step[i] <= 1e-6 {
+				return n
+			}
+		}
+		moved := 0.0
+		for i, f := range active {
+			f.remaining -= step[i]
+			moved += step[i]
+		}
+		moved += *carry
+		whole := math.Floor(moved)
+		*carry = moved - whole
+		counters[idx+n] += unit.ByteSize(whole)
+		n++
+	}
+	return n
 }
 
 // byArrival orders flows by arrival time. slices.SortFunc runs the same

@@ -224,20 +224,20 @@ func (g *generator) generateSlot(s userSlot) (slotResult, error) {
 		// lighter-using households, so these subscribers also carry reduced
 		// latent demand.
 		needMult := 1.0
-		choices := cat
+		var limit unit.Bitrate
 		if avail := rng.Split("avail"); avail.Bool(availabilityShare) {
 			needMult = 0.35 + 0.25*avail.Float64()
 			// The street-level limit tracks the era: legacy footprints were
 			// slower in earlier cohort years and improve alongside demand
 			// (the infrastructure half of the "jump to a higher service"
 			// dynamic).
-			limit := unit.MbpsOf(avail.LogNormalMedian(3*needScale, 0.5))
-			if truncated, ok := truncateCatalog(cat, limit); ok {
-				choices = truncated
+			limit = unit.MbpsOf(avail.LogNormalMedian(3*needScale, 0.5))
+			if !offersUpTo(cat, limit) {
+				limit = 0 // nothing that slow on sale: the full catalog applies
 			}
 		}
 		sub, truth := drawSubscriber(prof, needScale*needMult, rng)
-		plan, ok := market.Choose(choices, sub, market.ChoiceConfig{NoiseUSD: 2 + 0.015*float64(sub.Budget)}, rng.Split("choice"))
+		plan, ok := market.Choose(cat, sub, market.ChoiceConfig{NoiseUSD: 2 + 0.015*float64(sub.Budget), MaxDown: limit}, rng.Split("choice"))
 		if !ok {
 			continue // cannot afford broadband; resample the household
 		}
@@ -397,16 +397,15 @@ func usage(tgen *traffic.Generator, days int, rng *randx.Source, mask traffic.Sa
 // wired for a slow legacy tier regardless of what the market sells.
 const availabilityShare = 0.12
 
-// truncateCatalog keeps the shared plans at or below the availability
-// limit; ok is false when nothing survives (the full catalog then applies).
-func truncateCatalog(cat market.Catalog, limit unit.Bitrate) (market.Catalog, bool) {
-	out := market.Catalog{Country: cat.Country}
+// offersUpTo reports whether the catalog sells a shared plan at or below
+// the availability limit.
+func offersUpTo(cat market.Catalog, limit unit.Bitrate) bool {
 	for _, p := range cat.Plans {
 		if !p.Dedicated && p.Down <= limit {
-			out.Plans = append(out.Plans, p)
+			return true
 		}
 	}
-	return out, len(out.Plans) > 0
+	return false
 }
 
 // sessionScale converts latent need into a session-budget multiplier. The
