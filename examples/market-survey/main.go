@@ -1,6 +1,7 @@
 // Market survey: the Sec. 5/6 pricing analyses over the synthetic retail
-// plan survey — access prices, upgrade-cost slopes, regional shares and the
-// case-study affordability table.
+// plan survey — each market's access price and upgrade-cost slope,
+// access-price bands, regional shares and the case-study affordability
+// table.
 //
 //	go run ./examples/market-survey
 package main
@@ -21,8 +22,25 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// 1. The survey itself: how many plans, how many markets.
+	// 1. The survey itself: how many plans, how many markets, and each
+	// market's two price metrics.
 	fmt.Printf("survey: %d plans across %d markets\n\n", len(world.Data.Plans), len(world.Data.Markets))
+	plans := map[string]int{}
+	for _, p := range world.Data.Plans {
+		plans[p.Country]++
+	}
+	codes := make([]string, 0, len(world.Data.Markets))
+	for cc := range world.Data.Markets {
+		codes = append(codes, cc)
+	}
+	sort.Strings(codes)
+	fmt.Printf("%-4s %-22s %-28s %10s %14s %6s\n", "cc", "country", "region", "access", "upgrade", "plans")
+	for _, cc := range codes {
+		ms := world.Data.Markets[cc]
+		fmt.Printf("%-4s %-22s %-28s %10v %14v %6d\n",
+			cc, ms.Country.Name, ms.Country.Region, ms.AccessPrice, ms.Upgrade.Slope, plans[cc])
+	}
+	fmt.Println()
 
 	// 2. Access-price bands (Sec. 5's grouping).
 	type band struct{ cheap, mid, expensive []string }

@@ -59,13 +59,9 @@ type Check struct {
 	// Tol is the absolute slack for the monotone ops.
 	Tol float64 `json:"tol,omitempty"`
 	// MinCount fails the check when fewer values are selected (default 1
-	// — a check that selects nothing is a stale path, not a pass).
+	// — a check that selects nothing is a stale path or a skipped row, not
+	// a pass).
 	MinCount int `json:"min_count,omitempty"`
-	// NonzeroOnly drops exact zeros from the selection before evaluating.
-	// Rows skipped for small samples leave zero-valued results behind
-	// (fraction 0, p 0); this is how ladder checks see only populated
-	// rungs.
-	NonzeroOnly bool `json:"nonzero_only,omitempty"`
 	// ScaleInvariant marks checks that must hold for any reasonable world
 	// size and seed, not just the default reproduction config. The
 	// metamorphic suite evaluates exactly these.
@@ -217,9 +213,6 @@ func collect(v *Value, c Check) (vals []float64, paths []string, msg string) {
 		for _, s := range sel {
 			if s.V.Kind != KindNum {
 				return nil, nil, fmt.Sprintf("%s is %s, not a number", s.Path, s.V.Render())
-			}
-			if c.NonzeroOnly && s.V.Num == 0 {
-				continue
 			}
 			vals = append(vals, s.V.Num)
 			paths = append(paths, s.Path)
@@ -389,7 +382,10 @@ type Selected struct {
 
 // Select returns every tree location matching the slash-glob, in tree
 // order (struct declaration order for objects, index order for arrays) —
-// the order monotonicity checks evaluate in.
+// the order monotonicity checks evaluate in. It never descends into an
+// object whose Skipped field is true: a row skipped for too few pairs
+// holds no result, so a glob passes over it and a path naming it selects
+// nothing, while a populated row's true 0 is still read.
 func Select(v *Value, glob string) []Selected {
 	var out []Selected
 	selectWalk(v, "", glob, &out)
@@ -408,6 +404,9 @@ func selectWalk(v *Value, p, glob string, out *[]Selected) {
 	}
 	switch v.Kind {
 	case KindObj:
+		if s := v.Field("Skipped"); s != nil && s.Kind == KindBool && s.Bool {
+			return
+		}
 		for _, k := range v.Keys {
 			selectWalk(v.Fields[k], childPath(p, k), glob, out)
 		}

@@ -201,10 +201,10 @@ func TestEvalChecks(t *testing.T) {
 	t.Parallel()
 	v, err := Parse([]byte(`{
 		"Rows": [
-			{"Frac": 0.778, "P": 1e-6},
-			{"Frac": 0, "P": 0},
-			{"Frac": 0.61, "P": 0.002},
-			{"Frac": 0.65, "P": 0.04}
+			{"Frac": 0.778, "P": 1e-6, "Skipped": false},
+			{"Frac": 0, "P": 0, "Skipped": true},
+			{"Frac": 0.61, "P": 0.002, "Skipped": false},
+			{"Frac": 0.65, "P": 0.04, "Skipped": false}
 		],
 		"Slow": 1.0, "Fast": 2.0,
 		"Delta": -0.25
@@ -217,11 +217,11 @@ func TestEvalChecks(t *testing.T) {
 		c    Check
 		ok   bool
 	}{
-		{"range over populated rows", Check{Path: "Rows/*/Frac", Op: "range", Min: floatp(0.5), NonzeroOnly: true, MinCount: 3}, true},
-		{"range catches the skipped zero without nonzero_only", Check{Path: "Rows/*/Frac", Op: "range", Min: floatp(0.5)}, false},
-		{"peak_first on the ladder", Check{Path: "Rows/*/Frac", Op: "peak_first", NonzeroOnly: true}, true},
-		{"nonincreasing fails on the wobble", Check{Path: "Rows/*/Frac", Op: "nonincreasing", NonzeroOnly: true}, false},
-		{"nonincreasing with slack", Check{Path: "Rows/*/Frac", Op: "nonincreasing", Tol: 0.05, NonzeroOnly: true}, true},
+		{"range over populated rows", Check{Path: "Rows/*/Frac", Op: "range", Min: floatp(0.5), MinCount: 3}, true},
+		{"a skipped row does not count toward min_count", Check{Path: "Rows/*/Frac", Op: "range", Min: floatp(0.5), MinCount: 4}, false},
+		{"peak_first on the ladder", Check{Path: "Rows/*/Frac", Op: "peak_first"}, true},
+		{"nonincreasing fails on the wobble", Check{Path: "Rows/*/Frac", Op: "nonincreasing"}, false},
+		{"nonincreasing with slack", Check{Path: "Rows/*/Frac", Op: "nonincreasing", Tol: 0.05}, true},
 		{"ordering across fields", Check{Paths: []string{"Slow", "Fast"}, Op: "nondecreasing"}, true},
 		{"ordering violated", Check{Paths: []string{"Fast", "Slow"}, Op: "nondecreasing"}, false},
 		{"sign", Check{Path: "Delta", Op: "sign", Sign: -1}, true},
@@ -240,6 +240,34 @@ func TestEvalChecks(t *testing.T) {
 	failing := Check{Name: "f", Path: "Delta", Op: "sign", Sign: 1}
 	if vio := EvalChecks(v, []Check{failing}, true); len(vio) != 0 {
 		t.Errorf("non-scale-invariant check must be skipped, got %v", vio)
+	}
+}
+
+// TestSkippedRowsAreNotRead pins how a check reads a ladder: a row marked
+// Skipped (too few pairs) is not selected, and a populated row whose
+// every pair contradicts the hypothesis reads as its true 0 — the case a
+// zero-dropping filter would pass silently.
+func TestSkippedRowsAreNotRead(t *testing.T) {
+	t.Parallel()
+	v, err := Parse([]byte(`{
+		"Rows": [
+			{"Result": {"Binomial": {"Fraction": 0.7}}, "Skipped": false},
+			{"Result": {"Binomial": {"Fraction": 0}}, "Skipped": true},
+			{"Result": {"Binomial": {"Fraction": 0}}, "Skipped": false}
+		]
+	}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	floor := Check{Name: "floor", Path: "Rows/*/Result/Binomial/Fraction", Op: "range", Min: floatp(0.45)}
+	vio := EvalChecks(v, []Check{floor}, false)
+	if len(vio) != 1 || !strings.Contains(vio[0].Msg, "Rows/2/Result/Binomial/Fraction = 0 below min") {
+		t.Errorf("a populated rung at 0 must fail the floor, got %v", vio)
+	}
+	named := Check{Name: "named", Path: "Rows/1/Result/Binomial/Fraction", Op: "range", Min: floatp(0.45)}
+	vio = EvalChecks(v, []Check{named}, false)
+	if len(vio) != 1 || !strings.Contains(vio[0].Msg, "selected 0 values") {
+		t.Errorf("a skipped row named by path must select nothing, got %v", vio)
 	}
 }
 

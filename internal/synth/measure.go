@@ -29,8 +29,13 @@ func (g *generator) measure(plan market.Plan, q traffic.Quality, rng *randx.Sour
 
 // measureFast is the calibrated single-flow NDT model: throughput is the
 // provisioned rate times a protocol-efficiency factor, bounded by the
-// Mathis TCP-feasible rate for the line quality. Tests cross-validate it
-// against measureNDT.
+// Mathis TCP-feasible rate for the line quality. A test cross-validates it
+// against measureNDT on clean short lines (loss < 0.03%, RTT < 55 ms, plan
+// < 20 Mbps): at least 90% of them land in the same capacity class, and
+// the median capacity/plan ratios sit near 0.93 and 0.88. Outside that
+// regime the two differ by design — this models the maximum over a
+// 23-month panel, measureNDT the best of three 8-second runs — and about
+// 70–80% of all lines change class.
 func measureFast(plan market.Plan, q traffic.Quality, rng *randx.Source) measurement {
 	eff := 0.88 + 0.1*rng.Float64() // header overhead, ramp-up, sawtooth
 	down := unit.Bitrate(float64(plan.Down) * eff)

@@ -24,8 +24,9 @@ type MeasureMode int
 const (
 	// MeasureFast derives NDT-style results from the line parameters via
 	// the calibrated single-flow model (Mathis-bounded efficiency). It is
-	// validated against MeasureNDT in tests and is the default for large
-	// worlds.
+	// the default. Tests validate it against MeasureNDT on clean short
+	// lines only (loss < 0.03%, RTT < 55 ms, plan < 20 Mbps); outside
+	// that regime the two differ by design (see measureFast).
 	MeasureFast MeasureMode = iota
 	// MeasureNDT runs the full packet-level TCP simulation for every
 	// user's capacity/latency/loss measurement. Slower; bit-faithful to
