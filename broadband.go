@@ -66,16 +66,6 @@ const (
 	VantageGateway = dataset.VantageGateway
 )
 
-// MeasureMode selects how lines are measured during world generation.
-type MeasureMode = synth.MeasureMode
-
-// Measurement modes: the calibrated fast model, or the packet-level TCP
-// simulation for every line.
-const (
-	MeasureFast = synth.MeasureFast
-	MeasureNDT  = synth.MeasureNDT
-)
-
 // Market model.
 type (
 	// MarketProfile parameterizes one national broadband market.

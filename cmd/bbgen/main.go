@@ -34,7 +34,6 @@ func run(args []string, stderr io.Writer) int {
 		out      = fs.String("out", "data", "output directory for the CSV files")
 		seed     = fs.Uint64("seed", cli.CanonicalWorld.Seed, "world seed (all data is deterministic in it)")
 		worldCfg = cli.WorldFlags(fs, cli.CanonicalWorld)
-		ndt      = fs.Bool("ndt", false, "measure every line with the packet-level simulator (slow)")
 		gz       = fs.Bool("gzip", false, "write gzip-compressed CSVs (users.csv.gz etc.; bbrepro -data reads either)")
 		shards   = fs.Int("shards", 0, "write the user panel out-of-core as N shard files (users-00000-of-0000N.csv …); 0 builds in memory. Resident memory stays bounded regardless of -users")
 	)
@@ -51,9 +50,6 @@ func run(args []string, stderr io.Writer) int {
 
 	cfg := worldCfg()
 	cfg.Seed = *seed
-	if *ndt {
-		cfg.Measurement = broadband.MeasureNDT
-	}
 	start := time.Now()
 	if *shards > 0 {
 		fmt.Fprintf(stderr, "bbgen: generating world out-of-core (seed=%d, users=%d, shards=%d)...\n", cfg.Seed, cfg.Users, *shards)

@@ -61,14 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	loss := unit.LossFromPercent(*lossPct)
 	model := netsim.LossModel{Rate: loss}
 	if *burst {
-		// Two-thirds of the loss budget in 30%-lossy bursts.
-		model = netsim.LossModel{
-			Rate:       loss / 3,
-			Burst:      true,
-			PBadToGood: 0.2,
-			PGoodToBad: 0.2 * (2 * float64(loss) / 3 / 0.3) / (1 - 2*float64(loss)/3/0.3),
-			BadLoss:    0.3,
-		}
+		model = netsim.BurstyLoss(loss)
 	}
 	oneWay := rtt.Seconds() / 2
 	line := netsim.AccessLine{

@@ -79,6 +79,47 @@ func TestGoldenArtifacts(t *testing.T) {
 	}
 }
 
+// TestSkippedComparisonSelectsNothing pins how the gate reads a matched
+// comparison that is skipped for too few pairs. On this world, too small to
+// match Indian against US users, Fig. 11's check on the comparison selects
+// nothing; it must not read the empty result's zero as a fraction below
+// the floor.
+func TestSkippedComparisonSelectsNothing(t *testing.T) {
+	t.Parallel()
+	cfg := cli.CanonicalWorld
+	cfg.Users, cfg.FCCUsers, cfg.Days, cfg.SwitchTarget, cfg.MinPerCountry = 300, 80, 1, 50, 5
+	world, err := broadband.BuildWorld(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := broadband.Run("Fig. 11", &world.Data, cfg.Seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	v, err := golden.ToValue(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := golden.LoadManifest("testdata/assertions.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for _, c := range m.Checks("Fig. 11") {
+		if !strings.HasPrefix(c.Path, "IndiaVsUS/") {
+			continue
+		}
+		checked++
+		vio := golden.EvalChecks(v, []golden.Check{c}, false)
+		if len(vio) != 1 || !strings.Contains(vio[0].Msg, "selected 0 values") {
+			t.Errorf("%s: want a check that selects nothing, got %v", c.Name, vio)
+		}
+	}
+	if checked == 0 {
+		t.Fatal("the manifest has no check on Fig. 11's IndiaVsUS")
+	}
+}
+
 // firstLineDiff names the first line at which two texts differ.
 func firstLineDiff(want, got []byte) string {
 	w := strings.Split(string(want), "\n")

@@ -33,11 +33,10 @@ func Extensions() []Entry {
 type ExtA struct {
 	// CappedShare is the fraction of end-host users on capped plans.
 	CappedShare float64
-	// Result tests H: uncapped users impose higher mean demand than their
+	// AnyCap tests H: uncapped users impose higher mean demand than their
 	// matched capped counterparts.
-	Result  core.Result
-	Skipped bool
-	// TightResult restricts the control group to users whose allowance is
+	AnyCap Comparison[string]
+	// TightCap restricts the control group to users whose allowance is
 	// small against what uncapped users of the same capacity class
 	// typically move in a month (cap < 1.2× the class-median uncapped
 	// monthly volume — an allowance a typical household would brush
@@ -46,8 +45,7 @@ type ExtA struct {
 	// user's own (suppressed) usage would select heavy users and invert
 	// the comparison. Generous caps never bind, so the any-cap comparison
 	// is expected to sit near chance.
-	TightResult  core.Result
-	TightSkipped bool
+	TightCap Comparison[string]
 }
 
 // ID implements Report.
@@ -61,17 +59,19 @@ func (e *ExtA) Render() string {
 	var b strings.Builder
 	b.WriteString(header(e.ID(), e.Title()))
 	fmt.Fprintf(&b, "  %.0f%% of end-host users are on capped plans\n", 100*e.CappedShare)
-	if e.Skipped {
+	if e.AnyCap.Skipped {
 		b.WriteString("  all-caps comparison: too few matched pairs\n")
 	} else {
+		r := e.AnyCap.Result
 		fmt.Fprintf(&b, "  uncapped vs any-cap:   H holds %.1f%% (p=%s, %d pairs)\n",
-			100*e.Result.Fraction(), formatP(e.Result.PValue()), e.Result.Pairs)
+			100*r.Fraction(), formatP(r.PValue()), r.Pairs)
 	}
-	if e.TightSkipped {
+	if e.TightCap.Skipped {
 		b.WriteString("  tight-caps comparison: too few matched pairs\n")
 	} else {
+		r := e.TightCap.Result
 		fmt.Fprintf(&b, "  uncapped vs tight-cap: H holds %.1f%% (p=%s, %d pairs)\n",
-			100*e.TightResult.Fraction(), formatP(e.TightResult.PValue()), e.TightResult.Pairs)
+			100*r.Fraction(), formatP(r.PValue()), r.Pairs)
 	}
 	return b.String()
 }
@@ -115,29 +115,33 @@ func RunExtA(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	capped := dataset.View{P: p, Idx: cappedIdx}
 	uncapped := dataset.View{P: p, Idx: uncappedIdx}
 	tight := dataset.View{P: p, Idx: tightIdx}
-	e := &ExtA{CappedShare: float64(capped.Len()) / float64(v.Len())}
+	e := &ExtA{
+		CappedShare: float64(capped.Len()) / float64(v.Len()),
+		AnyCap:      Comparison[string]{Control: "capped", Treatment: "uncapped"},
+		TightCap:    Comparison[string]{Control: "tight", Treatment: "uncapped"},
+	}
 	m := core.Matcher{Confounders: []core.Confounder{
 		core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 		core.ConfounderAccessPrice(), core.ConfounderUpgradeCost(),
 	}}
-	run := func(control dataset.View, label string) (core.Result, bool, error) {
+	run := func(c *Comparison[string], control dataset.View) (err error) {
 		exp := core.Experiment{
-			Name:      "uncapped vs " + label,
+			Name:      "uncapped vs " + c.Control,
 			Treatment: uncapped,
 			Control:   control,
 			Matcher:   m,
 			Outcome:   dataset.MeanUsageNoBT,
 		}
-		return skipTooFew(exp.Run(rng.Split(label)))
+		c.Result, c.Skipped, err = skipTooFew(exp.Run(rng.Split(c.Control)))
+		return err
 	}
-	var err error
-	if e.Result, e.Skipped, err = run(capped, "capped"); err != nil {
+	if err := run(&e.AnyCap, capped); err != nil {
 		return nil, err
 	}
-	if e.TightResult, e.TightSkipped, err = run(tight, "tight"); err != nil {
+	if err := run(&e.TightCap, tight); err != nil {
 		return nil, err
 	}
-	if e.Skipped && e.TightSkipped {
+	if e.AnyCap.Skipped && e.TightCap.Skipped {
 		return nil, fmt.Errorf("extA: no comparison matched enough pairs")
 	}
 	return e, nil
@@ -152,8 +156,7 @@ type ExtB struct {
 	// StreamerVsBrowser is the sharpest category contrast: H states that
 	// streamers ("movie-watchers") impose higher mean demand than matched
 	// browsers.
-	StreamerVsBrowser core.Result
-	Skipped           bool
+	StreamerVsBrowser Comparison[traffic.Archetype]
 	// GamerLatencyShare reports what fraction of high-latency (>250 ms)
 	// gamer lines fall below their category's median demand — gamers being
 	// the most latency-sensitive category.
@@ -183,11 +186,12 @@ func (e *ExtB) Render() string {
 		fmt.Fprintf(&b, "  %-12s %6d %16.3f %16.3f\n",
 			r.Archetype, r.N, r.MeanDemand.Point/1e6, r.PeakDemand.Point/1e6)
 	}
-	if e.Skipped {
+	if e.StreamerVsBrowser.Skipped {
 		b.WriteString("  streamer-vs-browser: too few matched pairs\n")
 	} else {
+		r := e.StreamerVsBrowser.Result
 		fmt.Fprintf(&b, "  matched streamer-vs-browser: H holds %.1f%% (p=%s, %d pairs)\n",
-			100*e.StreamerVsBrowser.Fraction(), formatP(e.StreamerVsBrowser.PValue()), e.StreamerVsBrowser.Pairs)
+			100*r.Fraction(), formatP(r.PValue()), r.Pairs)
 	}
 	fmt.Fprintf(&b, "  high-latency gamers below their category median: %.0f%%\n", 100*e.GamerHighRTTBelowMedian)
 	return b.String()
@@ -201,7 +205,7 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	for _, i := range v.Idx {
 		byArch[p.Archetype[i]] = append(byArch[p.Archetype[i]], i)
 	}
-	e := &ExtB{}
+	e := &ExtB{StreamerVsBrowser: Comparison[traffic.Archetype]{Control: traffic.Browser, Treatment: traffic.Streamer}}
 	archs := traffic.Archetypes()
 	sort.Slice(archs, func(i, j int) bool { return archs[i] < archs[j] })
 	for _, a := range archs {
@@ -223,10 +227,11 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		return nil, fmt.Errorf("extB: only %d archetypes populated", len(e.Rows))
 	}
 
+	c := &e.StreamerVsBrowser
 	exp := core.Experiment{
 		Name:      "streamers vs browsers",
-		Treatment: dataset.View{P: p, Idx: byArch[traffic.Streamer]},
-		Control:   dataset.View{P: p, Idx: byArch[traffic.Browser]},
+		Treatment: dataset.View{P: p, Idx: byArch[c.Treatment]},
+		Control:   dataset.View{P: p, Idx: byArch[c.Control]},
 		Matcher: core.Matcher{Confounders: []core.Confounder{
 			core.ConfounderCapacity(), core.ConfounderRTT(), core.ConfounderLoss(),
 			core.ConfounderAccessPrice(),
@@ -234,7 +239,7 @@ func RunExtB(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 		Outcome: dataset.MeanUsageNoBT,
 	}
 	var err error
-	if e.StreamerVsBrowser, e.Skipped, err = skipTooFew(exp.Run(rng.Split("streamer-browser"))); err != nil {
+	if c.Result, c.Skipped, err = skipTooFew(exp.Run(rng.Split("streamer-browser"))); err != nil {
 		return nil, err
 	}
 

@@ -42,27 +42,27 @@ func TestExtACapsSuppressDemand(t *testing.T) {
 	if e.CappedShare <= 0.02 || e.CappedShare >= 0.6 {
 		t.Errorf("capped share = %.2f, expected a real minority", e.CappedShare)
 	}
-	if e.Skipped && e.TightSkipped {
+	if e.AnyCap.Skipped && e.TightCap.Skipped {
 		t.Fatal("both comparisons skipped")
 	}
 	// Most caps are generous and never bind, so the any-cap comparison may
 	// sit near chance; it must not invert hard.
-	if !e.Skipped && e.Result.Fraction() < 0.45 {
-		t.Errorf("any-cap comparison inverted: %v", e.Result)
+	if r := e.AnyCap; !r.Skipped && r.Result.Fraction() < 0.45 {
+		t.Errorf("any-cap comparison inverted: %v", r.Result)
 	}
 	// The binding caps carry the effect; at the eval world's size the
 	// tight group holds only a few dozen pairs, so the strict bound only
 	// applies to well-powered samples (the 12k-user bbrepro run shows
 	// 66% at n=83).
-	if e.TightSkipped {
+	if e.TightCap.Skipped {
 		t.Fatal("tight-cap comparison skipped")
 	}
-	if e.TightResult.Pairs >= 60 {
-		if e.TightResult.Fraction() <= 0.54 {
-			t.Errorf("binding caps should clearly suppress demand: %v", e.TightResult)
+	if r := e.TightCap.Result; r.Pairs >= 60 {
+		if r.Fraction() <= 0.54 {
+			t.Errorf("binding caps should clearly suppress demand: %v", r)
 		}
-	} else if e.TightResult.Fraction() < 0.40 {
-		t.Errorf("tight-cap comparison inverted hard at n=%d: %v", e.TightResult.Pairs, e.TightResult)
+	} else if r.Fraction() < 0.40 {
+		t.Errorf("tight-cap comparison inverted hard at n=%d: %v", r.Pairs, r)
 	}
 }
 
@@ -111,10 +111,8 @@ func TestExtBArchetypeContrasts(t *testing.T) {
 		t.Errorf("streamers should out-consume browsers: %.3f vs %.3f Mbps",
 			str.MeanDemand.Point/1e6, bro.MeanDemand.Point/1e6)
 	}
-	if !e.Skipped {
-		if e.StreamerVsBrowser.Fraction() <= 0.55 {
-			t.Errorf("matched streamer-vs-browser too weak: %v", e.StreamerVsBrowser)
-		}
+	if r := e.StreamerVsBrowser; !r.Skipped && r.Result.Fraction() <= 0.55 {
+		t.Errorf("matched streamer-vs-browser too weak: %v", r.Result)
 	}
 	if e.GamerHighRTTBelowMedian > 0 && e.GamerHighRTTBelowMedian < 0.5 {
 		t.Errorf("high-latency gamers should skew below their category median: %.2f", e.GamerHighRTTBelowMedian)

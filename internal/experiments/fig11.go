@@ -23,8 +23,7 @@ type Fig11 struct {
 	NDTIndia14, NDTOther14     []float64 `golden:"-"` // latest-cohort NDT RTT
 	WebIndia14, WebOther14     []float64 `golden:"-"` // latest-cohort web RTT
 	FracIndiaOver100ms         float64
-	IndiaVsUS                  core.Result // H: US (low latency) uses more than matched India
-	IndiaVsUSSkipped           bool
+	IndiaVsUS                  Comparison[string] // H: US (low latency) uses more than matched India
 	MedianIndiaNDT, MedianRest float64
 	// KS quantifies the NDT-latency CDF separation.
 	KS stats.KSResult
@@ -58,11 +57,12 @@ func (f *Fig11) Render() string {
 	fmt.Fprintf(&b, "  %.0f%% of Indian users above 100 ms (median %0.f ms vs %.0f ms elsewhere)\n",
 		100*f.FracIndiaOver100ms, f.MedianIndiaNDT*1000, f.MedianRest*1000)
 	fmt.Fprintf(&b, "  KS separation D=%.3f (p=%s)\n", f.KS.D, formatP(f.KS.P))
-	if f.IndiaVsUSSkipped {
+	if f.IndiaVsUS.Skipped {
 		b.WriteString("  India-vs-US matched comparison: too few pairs\n")
 	} else {
+		r := f.IndiaVsUS.Result
 		fmt.Fprintf(&b, "  matched India-vs-US: US demand higher in %.1f%% of pairs (p=%s)\n",
-			100*f.IndiaVsUS.Fraction(), formatP(f.IndiaVsUS.PValue()))
+			100*r.Fraction(), formatP(r.PValue()))
 	}
 	return b.String()
 }
@@ -73,7 +73,7 @@ func RunFig11(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	year := primaryYear(d)
 	p := all.P
 	inCode, inKnown := p.Countries.Code("IN")
-	f := &Fig11{}
+	f := &Fig11{IndiaVsUS: Comparison[string]{Control: "IN", Treatment: "US"}}
 	over := 0
 	indiaCount := 0
 	for _, i := range all.Idx {
@@ -114,14 +114,15 @@ func RunFig11(d *dataset.Dataset, rng *randx.Source) (Report, error) {
 	// capacity; H (as the paper frames its surprise): the US user, enjoying
 	// lower latency and loss, imposes HIGHER demand despite the lower
 	// access price.
+	c := &f.IndiaVsUS
 	exp := core.Experiment{
 		Name:      "US vs India at matched capacity",
-		Treatment: p.Where(dataset.ColCountry("US"), dataset.ColVantage(dataset.VantageDasu)),
-		Control:   p.Where(dataset.ColCountry("IN"), dataset.ColVantage(dataset.VantageDasu)),
+		Treatment: p.Where(dataset.ColCountry(c.Treatment), dataset.ColVantage(dataset.VantageDasu)),
+		Control:   p.Where(dataset.ColCountry(c.Control), dataset.ColVantage(dataset.VantageDasu)),
 		Matcher:   core.Matcher{Confounders: []core.Confounder{core.ConfounderCapacity()}},
 		Outcome:   dataset.PeakUsageNoBT,
 	}
-	if f.IndiaVsUS, f.IndiaVsUSSkipped, err = skipTooFew(exp.Run(rng.Split("india-us"))); err != nil {
+	if c.Result, c.Skipped, err = skipTooFew(exp.Run(rng.Split("india-us"))); err != nil {
 		return nil, err
 	}
 	return f, nil

@@ -22,6 +22,28 @@ type LossModel struct {
 	BadLoss                unit.LossRate
 }
 
+// BurstyLoss is the channel of a satellite or fixed-wireless line with
+// stationary loss l: a third of the budget i.i.d., the rest in bursts at
+// 30% in-burst loss, leaving the bad state with probability 0.2 per
+// packet. The bad state's share of packets is fracBad = 2l/3 / 0.3, which
+// PGoodToBad = fracBad·0.2/(1−fracBad) sets; it cannot exceed 1/1.2,
+// where PGoodToBad reaches 1, so above l = 37.5% only the i.i.d. part
+// still grows.
+func BurstyLoss(l unit.LossRate) LossModel {
+	const badLoss, pBadToGood = 0.3, 0.2
+	pGoodToBad := 1.0
+	if fracBad := 2 * float64(l) / 3 / badLoss; fracBad < 1/(1+pBadToGood) {
+		pGoodToBad = fracBad * pBadToGood / (1 - fracBad)
+	}
+	return LossModel{
+		Rate:       l / 3,
+		Burst:      true,
+		PGoodToBad: pGoodToBad,
+		PBadToGood: pBadToGood,
+		BadLoss:    badLoss,
+	}
+}
+
 // LinkConfig describes one direction of an access link.
 type LinkConfig struct {
 	Rate  unit.Bitrate  // transmission capacity
@@ -97,8 +119,11 @@ func NewLink(sim *Simulator, cfg LinkConfig, rng *randx.Source) (*Link, error) {
 	if cfg.Delay < 0 {
 		return nil, fmt.Errorf("netsim: link %q has negative delay", cfg.Name)
 	}
-	if !cfg.Loss.Rate.IsValid() {
-		return nil, fmt.Errorf("netsim: link %q has invalid loss rate", cfg.Name)
+	m := cfg.Loss
+	for _, p := range []float64{float64(m.Rate), m.PGoodToBad, m.PBadToGood, float64(m.BadLoss)} {
+		if !(p >= 0 && p <= 1) { // NaN fails both
+			return nil, fmt.Errorf("netsim: link %q has a loss probability outside [0, 1]: %+v", cfg.Name, m)
+		}
 	}
 	if cfg.Queue <= 0 {
 		cfg.Queue = DefaultQueue(cfg.Rate)

@@ -31,6 +31,41 @@ func TestLinkValidation(t *testing.T) {
 	if _, err := NewLink(&sim, LinkConfig{Rate: unit.Mbps, Loss: LossModel{Rate: 2}}, nil); err == nil {
 		t.Error("invalid loss should error")
 	}
+	for _, m := range []LossModel{
+		{Burst: true, PGoodToBad: -0.1, PBadToGood: 0.2, BadLoss: 0.3},
+		{Burst: true, PGoodToBad: 0.1, PBadToGood: 1.5, BadLoss: 0.3},
+		{Burst: true, PGoodToBad: math.NaN(), PBadToGood: 0.2, BadLoss: 0.3},
+		{Burst: true, PGoodToBad: 0.1, PBadToGood: 0.2, BadLoss: -0.3},
+	} {
+		if _, err := NewLink(&sim, LinkConfig{Rate: unit.Mbps, Loss: m}, nil); err == nil {
+			t.Errorf("loss model %+v is not a probability model, should error", m)
+		}
+	}
+}
+
+// TestBurstyLossIsAChannel holds BurstyLoss to a valid Gilbert–Elliott
+// model at every stationary loss in (0, 1], with the channel's stationary
+// loss (bad-state share × in-burst loss, plus the i.i.d. part) never
+// falling as the asked-for loss grows, and close to it on real lines.
+func TestBurstyLossIsAChannel(t *testing.T) {
+	var sim Simulator
+	prev := 0.0
+	for i := 1; i <= 1000; i++ {
+		l := unit.LossRate(float64(i) / 1000)
+		m := BurstyLoss(l)
+		if _, err := NewLink(&sim, LinkConfig{Rate: unit.Mbps, Loss: m}, nil); err != nil {
+			t.Fatalf("loss %v: %v", l, err)
+		}
+		fracBad := m.PGoodToBad / (m.PGoodToBad + m.PBadToGood)
+		stationary := 1 - (1-float64(m.Rate))*(1-fracBad*float64(m.BadLoss))
+		if stationary < prev {
+			t.Fatalf("loss %v: stationary loss %.6f below %.6f at the step before", l, stationary, prev)
+		}
+		prev = stationary
+		if l <= 0.15 && math.Abs(stationary-float64(l)) > 0.05*float64(l) {
+			t.Errorf("loss %v: stationary loss %.6f, want within 5%%", l, stationary)
+		}
+	}
 }
 
 func TestLinkDeliveryTiming(t *testing.T) {

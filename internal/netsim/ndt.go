@@ -30,16 +30,15 @@ func (a AccessLine) Validate() error {
 // NDTConfig tunes a simulated NDT measurement run.
 type NDTConfig struct {
 	Duration float64 // length of each throughput test in virtual seconds (default 10)
-	Probes   int     // RTT probe count (default 10)
 	SkipUp   bool    // skip the upload test (halves simulation cost when unused)
 }
+
+// ndtProbes is the length of the idle-line RTT probe train.
+const ndtProbes = 10
 
 func (c NDTConfig) withDefaults() NDTConfig {
 	if c.Duration <= 0 {
 		c.Duration = 10
-	}
-	if c.Probes <= 0 {
-		c.Probes = 10
 	}
 	return c
 }
@@ -75,7 +74,7 @@ func RunNDT(line AccessLine, cfg NDTConfig, rng *randx.Source) (NDTResult, error
 
 	// Phase 1: RTT probes on an idle line. Probes are small (64 B), sent
 	// 100 ms apart from the client; the server echoes immediately.
-	rtt, err := measureRTT(line, cfg.Probes)
+	rtt, err := measureRTT(line, ndtProbes)
 	if err != nil {
 		return NDTResult{}, err
 	}

@@ -300,10 +300,7 @@ func (g *generator) realizeUser(id int64, prof market.Profile, year int, vantage
 		truth.QoE = 1
 	}
 
-	meas, err := g.measure(plan, q, rng.Split("measure"))
-	if err != nil {
-		return nil, err
-	}
+	meas := measureFast(plan, q, rng.Split("measure"))
 
 	btUser := vantage == dataset.VantageDasu && rng.Split("bt").Bool(prof.BTShare)
 	archetype, err := drawArchetype(rng.Split("archetype"))

@@ -2,8 +2,8 @@
 // the end-host (Dasu-style) user panel, the US residential-gateway
 // (FCC-style) panel, and the retail-plan survey. It wires the market model
 // (who subscribes to what, and why), the traffic model (what they then do
-// with it), and the network simulator (what the measurements see) into
-// dataset records with the paper's schema.
+// with it), and the line-measurement model (what the measurements see)
+// into dataset records with the paper's schema.
 package synth
 
 import (
@@ -16,22 +16,6 @@ import (
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/market"
 	"github.com/nwca/broadband/internal/randx"
-)
-
-// MeasureMode selects how service characteristics are measured.
-type MeasureMode int
-
-const (
-	// MeasureFast derives NDT-style results from the line parameters via
-	// the calibrated single-flow model (Mathis-bounded efficiency). It is
-	// the default. Tests validate it against MeasureNDT on clean short
-	// lines only (loss < 0.03%, RTT < 55 ms, plan < 20 Mbps); outside
-	// that regime the two differ by design (see measureFast).
-	MeasureFast MeasureMode = iota
-	// MeasureNDT runs the full packet-level TCP simulation for every
-	// user's capacity/latency/loss measurement. Slower; bit-faithful to
-	// the netsim substrate.
-	MeasureNDT
 )
 
 // Config parameterizes a world generation.
@@ -60,8 +44,6 @@ type Config struct {
 	// MinPerCountry floors each country's primary-year population so tier
 	// analyses in small worlds keep their case-study markets (0 disables).
 	MinPerCountry int
-	// Measurement selects fast or packet-level measurement.
-	Measurement MeasureMode
 	// Profiles overrides the built-in market world (ablation worlds).
 	Profiles []market.Profile
 	// DisableQoE severs the quality→demand causal arrow: an ablation world
