@@ -32,12 +32,12 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/nwca/broadband/internal/core"
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/market"
-	"github.com/nwca/broadband/internal/par"
 	"github.com/nwca/broadband/internal/synth"
 	"github.com/nwca/broadband/internal/unit"
 )
@@ -193,9 +193,7 @@ func LoadDatasetRobust(dir string, opts QuarantineOptions) (*Dataset, *Quarantin
 	return dataset.LoadDirRobust(dir, opts)
 }
 
-// SaveOptions tunes SaveDataset: gzip transport (.csv.gz) and the sharded
-// parallel encoder's worker count (output bytes are identical for every
-// worker count).
+// SaveOptions tunes SaveDataset: gzip transport (.csv.gz).
 type SaveOptions = dataset.SaveOptions
 
 // SaveDataset writes d under dir as users.csv, switches.csv and plans.csv
@@ -274,18 +272,14 @@ func Run(id string, d *Dataset, seed uint64) (Report, error) {
 }
 
 // RunAll executes every reproduction, returning the reports in registry
-// order. The first error (in registry order) aborts: reports preceding it
-// are returned alongside the error. Experiments run concurrently across
-// runtime.GOMAXPROCS(0) workers; each seeds its own RNG from (seed, ID), so
-// results are identical to a sequential run.
+// order. Every experiment runs even when another fails; the first error
+// in registry order is returned alongside the reports preceding it.
+// Experiments run concurrently through the one registry fan-out
+// (parallelism is GOMAXPROCS; bound it with the environment variable);
+// each seeds its own RNG from (seed, ID), so results are identical to a
+// sequential run.
 func RunAll(d *Dataset, seed uint64) ([]Report, error) {
-	return RunAllWorkers(d, seed, 0)
-}
-
-// RunAllWorkers is RunAll with an explicit worker-pool bound. workers <= 0
-// selects runtime.GOMAXPROCS(0); 1 forces fully sequential execution.
-func RunAllWorkers(d *Dataset, seed uint64, workers int) ([]Report, error) {
-	return runEntries(context.Background(), experiments.Registry(), d, seed, workers)
+	return RunAllCtx(context.Background(), d, seed)
 }
 
 // RunAllCtx is RunAll with cancellation: no new experiment starts after ctx
@@ -293,45 +287,20 @@ func RunAllWorkers(d *Dataset, seed uint64, workers int) ([]Report, error) {
 // ctx.Err() alongside the reports completed before the cut. Experiment
 // failures keep RunAll's contract — every entry still runs.
 func RunAllCtx(ctx context.Context, d *Dataset, seed uint64) ([]Report, error) {
-	return RunAllWorkersCtx(ctx, d, seed, 0)
+	return runEntries(ctx, experiments.Registry(), d, seed)
 }
 
-// RunAllWorkersCtx is RunAllCtx with an explicit worker-pool bound.
-func RunAllWorkersCtx(ctx context.Context, d *Dataset, seed uint64, workers int) ([]Report, error) {
-	return runEntries(ctx, experiments.Registry(), d, seed, workers)
-}
-
-// runEntries fans an entry list out over the worker pool with ordered
-// collection: reports come back in entry order, every entry runs even when
-// some fail, and the returned error is the lowest-indexed failure — with
-// the reports preceding it — exactly what a sequential loop would report.
-// Cancellation is the one exception to run-everything: once ctx is
-// cancelled no new entry is dispatched, and ctx.Err() is returned with the
-// contiguous prefix of completed reports (an entry that never ran cannot
-// appear, so nothing after a gap is reported).
-func runEntries(ctx context.Context, entries []ReportEntry, d *Dataset, seed uint64, workers int) ([]Report, error) {
-	reports := make([]Report, len(entries))
-	errs := make([]error, len(entries))
-	// fn never returns an experiment error: failures are collected in errs
-	// so every entry runs (ForNCtx would otherwise stop dispatch at the
-	// first one). Only cancellation cuts the fan-out short.
-	ctxErr := par.ForNCtx(ctx, par.Workers(workers), len(entries), func(i int) error {
-		reports[i], errs[i] = experiments.RunAt(entries[i], d, seed)
-		return nil
+// runEntries runs an entry list through experiments.RunEach and reports
+// the lowest-indexed failure with the reports preceding it — exactly what
+// a sequential loop would report.
+func runEntries(ctx context.Context, entries []ReportEntry, d *Dataset, seed uint64) ([]Report, error) {
+	reports, errs, err := experiments.RunEach(ctx, entries, func(e ReportEntry) (Report, error) {
+		return experiments.RunAt(e, d, seed)
 	})
-	out := make([]Report, 0, len(entries))
-	for i, e := range entries {
-		if ctxErr != nil && reports[i] == nil && errs[i] == nil {
-			// Entry i never ran (cancelled before dispatch): report the
-			// prefix that did complete.
-			return out, ctxErr
-		}
-		if errs[i] != nil {
-			return out, fmt.Errorf("broadband: %s: %w", e.ID, errs[i])
-		}
-		out = append(out, reports[i])
+	if i := slices.IndexFunc(errs, func(err error) bool { return err != nil }); i >= 0 {
+		return reports[:i], fmt.Errorf("broadband: %w", err)
 	}
-	return out, ctxErr
+	return reports, err
 }
 
 // RunPaired evaluates the within-subject upgrade experiment (Table 1's

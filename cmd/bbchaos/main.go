@@ -108,7 +108,7 @@ func run(args []string, stderr io.Writer) int {
 		if err != nil {
 			return cli.ExitCode(stderr, "bbchaos", err, 2)
 		}
-		if err := broadband.SaveDatasetCtx(ctx, &world.Data, workDir, broadband.SaveOptions{Workers: cfg.Workers}); err != nil {
+		if err := broadband.SaveDatasetCtx(ctx, &world.Data, workDir, broadband.SaveOptions{}); err != nil {
 			return cli.ExitCode(stderr, "bbchaos", err, 2)
 		}
 	}
@@ -156,7 +156,7 @@ func run(args []string, stderr io.Writer) int {
 	if err := ctx.Err(); err != nil {
 		return cli.ExitCode(stderr, "bbchaos", err, 2)
 	}
-	reports, err := broadband.RunAllWorkersCtx(ctx, d, cfg.Seed, cfg.Workers)
+	reports, err := broadband.RunAllCtx(ctx, d, cfg.Seed)
 	if err != nil {
 		return cli.ExitCode(stderr, "bbchaos", err, 2)
 	}

@@ -73,7 +73,7 @@ func run(args []string, stderr io.Writer) int {
 	if n := world.SkippedHouseholds(); n > 0 {
 		fmt.Fprintf(stderr, "bbgen: %d households skipped (no affordable plan after every redraw)\n", n)
 	}
-	if err := broadband.SaveDatasetCtx(ctx, &world.Data, *out, broadband.SaveOptions{Gzip: *gz, Workers: cfg.Workers}); err != nil {
+	if err := broadband.SaveDatasetCtx(ctx, &world.Data, *out, broadband.SaveOptions{Gzip: *gz}); err != nil {
 		return cli.ExitCode(stderr, "bbgen", err, 1)
 	}
 	fmt.Fprintf(stderr, "bbgen: wrote %d users, %d switches, %d plans to %s in %v\n",

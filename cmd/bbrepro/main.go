@@ -33,9 +33,9 @@ import (
 
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/cli"
+	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/fsx"
 	"github.com/nwca/broadband/internal/golden"
-	"github.com/nwca/broadband/internal/par"
 )
 
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
@@ -119,19 +119,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *ext {
 		entries = append(entries, broadband.ExtensionExperiments()...)
 	}
-	// Fan the artifacts out over the worker pool; results are collected by
-	// index so the printed order matches the registry whatever the worker
+	// The registry fan-out returns results in registry order whatever the
 	// interleaving. Every failure is reported (not just the first) and any
 	// failure makes the run exit non-zero. An experiment error does not stop
 	// the others — only cancellation stops dispatch.
-	reports := make([]broadband.Report, len(entries))
-	errs := make([]error, len(entries))
-	ctxErr := par.ForNCtx(ctx, par.Workers(cfg.Workers), len(entries), func(i int) error {
-		reports[i], errs[i] = broadband.Run(entries[i].ID, data, cfg.Seed)
-		return nil
+	reports, errs, _ := experiments.RunEach(ctx, entries, func(e broadband.ReportEntry) (broadband.Report, error) {
+		return experiments.RunAt(e, data, cfg.Seed)
 	})
-	if ctxErr != nil {
-		return cli.ExitCode(stderr, "bbrepro", ctxErr, 1)
+	if err := ctx.Err(); err != nil {
+		return cli.ExitCode(stderr, "bbrepro", err, 1)
 	}
 	failed := 0
 	for i, e := range entries {

@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"runtime"
 	"testing"
 
 	"github.com/nwca/broadband/internal/core"
@@ -24,14 +25,18 @@ func BenchmarkExtAUsageCaps(b *testing.B)        { benchArtifact("Ext. A")(b) }
 func BenchmarkExtBUserCategories(b *testing.B)   { benchArtifact("Ext. B")(b) }
 func BenchmarkExtCDesignComparison(b *testing.B) { benchArtifact("Ext. C")(b) }
 
-// benchBuildWorldWorkers measures world generation at a fixed worker count;
-// output is byte-identical across counts, so the benches differ only in
-// wall-clock.
-func benchBuildWorldWorkers(b *testing.B, workers int) {
+// benchBuildWorld measures world generation at GOMAXPROCS procs (0 keeps
+// the default); output is byte-identical across settings, so the benches
+// differ only in wall-clock.
+func benchBuildWorld(b *testing.B, procs int) {
+	if procs > 0 {
+		prev := runtime.GOMAXPROCS(procs)
+		b.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	}
 	for i := 0; i < b.N; i++ {
 		w, err := synth.Build(synth.Config{
 			Seed: uint64(i + 1), Users: 600, FCCUsers: 120, Days: 1,
-			SwitchTarget: 60, Workers: workers,
+			SwitchTarget: 60,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -42,11 +47,11 @@ func benchBuildWorldWorkers(b *testing.B, workers int) {
 	}
 }
 
-// BenchmarkBuildWorldSequential pins the Workers=1 baseline.
-func BenchmarkBuildWorldSequential(b *testing.B) { benchBuildWorldWorkers(b, 1) }
+// BenchmarkBuildWorldSequential pins the GOMAXPROCS=1 baseline.
+func BenchmarkBuildWorldSequential(b *testing.B) { benchBuildWorld(b, 1) }
 
-// BenchmarkBuildWorldParallel uses the full GOMAXPROCS pool.
-func BenchmarkBuildWorldParallel(b *testing.B) { benchBuildWorldWorkers(b, 0) }
+// BenchmarkBuildWorldParallel runs at the default GOMAXPROCS.
+func BenchmarkBuildWorldParallel(b *testing.B) { benchBuildWorld(b, 0) }
 
 // benchCaliper runs the capacity matching experiment at a given caliper
 // width and reports the matched-pair yield as a custom metric.

@@ -264,7 +264,7 @@ func runAllWorld() (*dataset.Dataset, error) {
 }
 
 // benchRunAll measures the full experiment registry fan-out (every table
-// and figure) against the shared world at the default worker count.
+// and figure) against the shared world at the default GOMAXPROCS.
 func benchRunAll(b *testing.B) {
 	d, err := runAllWorld()
 	if err != nil {
@@ -273,7 +273,7 @@ func benchRunAll(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := broadband.RunAllWorkers(d, uint64(i), 0); err != nil {
+		if _, err := broadband.RunAll(d, uint64(i)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -310,7 +310,7 @@ const streamRows = 2000
 // decode spec's input and both specs' throughput byte count.
 var streamRaw = sync.OnceValues(func() ([]byte, error) {
 	var buf bytes.Buffer
-	err := dataset.WriteAll(&buf, streamUsers(streamRows), 1)
+	err := dataset.WriteAll(&buf, streamUsers(streamRows))
 	return buf.Bytes(), err
 })
 

@@ -295,7 +295,7 @@ func TestChaosCorruptGzipIsTerminal(t *testing.T) {
 // the robust reader as terminal io faults carrying the injected cause.
 func TestChaosFlakyReaderSurfacesTypedIOFault(t *testing.T) {
 	var buf bytes.Buffer
-	if err := dataset.WriteAll(&buf, fixture(t).Users, 1); err != nil {
+	if err := dataset.WriteAll(&buf, fixture(t).Users); err != nil {
 		t.Fatal(err)
 	}
 	in := New(Config{Seed: 11})

@@ -19,10 +19,10 @@ func TestWorldFlags(t *testing.T) {
 		wantErr bool // synth.Build must reject want with a *synth.ConfigError
 	}{
 		{"defaults", nil, def, false},
-		{"overrides", []string{"-users", "10", "-min-per-country", "0", "-workers", "1"},
-			synth.Config{Seed: 7, Users: 10, FCCUsers: 250, Days: 2, SwitchTarget: 200, MinPerCountry: 0, Workers: 1, DisableQoE: true}, false},
-		{"every flag", []string{"-users", "1", "-fcc", "2", "-days", "3", "-switches", "4", "-min-per-country", "5", "-workers", "6"},
-			synth.Config{Seed: 7, Users: 1, FCCUsers: 2, Days: 3, SwitchTarget: 4, MinPerCountry: 5, Workers: 6, DisableQoE: true}, false},
+		{"overrides", []string{"-users", "10", "-min-per-country", "0"},
+			synth.Config{Seed: 7, Users: 10, FCCUsers: 250, Days: 2, SwitchTarget: 200, MinPerCountry: 0, DisableQoE: true}, false},
+		{"every flag", []string{"-users", "1", "-fcc", "2", "-days", "3", "-switches", "4", "-min-per-country", "5"},
+			synth.Config{Seed: 7, Users: 1, FCCUsers: 2, Days: 3, SwitchTarget: 4, MinPerCountry: 5, DisableQoE: true}, false},
 		{"negative size", []string{"-users", "-5"},
 			synth.Config{Seed: 7, Users: -5, FCCUsers: 250, Days: 2, SwitchTarget: 200, MinPerCountry: 10, DisableQoE: true}, true},
 	}
@@ -34,10 +34,10 @@ func TestWorldFlags(t *testing.T) {
 
 			var names []string
 			fs.VisitAll(func(f *flag.Flag) { names = append(names, f.Name) })
-			if want := []string{"days", "fcc", "min-per-country", "switches", "users", "workers"}; !reflect.DeepEqual(names, want) {
+			if want := []string{"days", "fcc", "min-per-country", "switches", "users"}; !reflect.DeepEqual(names, want) {
 				t.Fatalf("registered %v, want %v", names, want)
 			}
-			for name, want := range map[string]string{"users": "1000", "fcc": "250", "days": "2", "switches": "200", "min-per-country": "10", "workers": "0"} {
+			for name, want := range map[string]string{"users": "1000", "fcc": "250", "days": "2", "switches": "200", "min-per-country": "10"} {
 				if got := fs.Lookup(name).DefValue; got != want {
 					t.Errorf("-%s default %q, want %q", name, got, want)
 				}

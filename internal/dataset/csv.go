@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 
 	"github.com/nwca/broadband/internal/fsx"
@@ -221,19 +222,16 @@ type SaveOptions struct {
 	// Gzip writes users.csv.gz, switches.csv.gz and plans.csv.gz instead of
 	// the plain files. LoadDir detects either by extension.
 	Gzip bool
-	// Workers bounds the sharded parallel encoder (0 = GOMAXPROCS,
-	// 1 = sequential). Output bytes are identical for every value.
-	Workers int
 }
 
 // SaveDir writes the dataset's users, switches and plans under dir as
-// users.csv, switches.csv and plans.csv, encoding across GOMAXPROCS
-// workers (the bytes are identical to a sequential encode).
+// users.csv, switches.csv and plans.csv, encoding each table across
+// GOMAXPROCS shards (the bytes are identical to a sequential encode).
 func (d *Dataset) SaveDir(dir string) error {
 	return d.SaveDirWith(dir, SaveOptions{})
 }
 
-// SaveDirWith is SaveDir with explicit transport and parallelism options.
+// SaveDirWith is SaveDir with explicit transport options.
 // Each table is staged in a temp file and renamed into place only after a
 // complete write, so no failure mode leaves a partial table at a final
 // path.
@@ -273,7 +271,7 @@ func SaveTableCtx[T Row](ctx context.Context, dir string, opts SaveOptions, rows
 		name += ".gz"
 	}
 	if err := writeTableCtx(ctx, filepath.Join(dir, name), opts.Gzip, func(w io.Writer) error {
-		return writeSharded(ctx, w, t, rows, opts.Workers)
+		return writeSharded(ctx, w, t, rows, runtime.GOMAXPROCS(0))
 	}); err != nil {
 		return fmt.Errorf("dataset: writing %s: %w", name, err)
 	}

@@ -32,16 +32,16 @@ func (w *errWriter) Write(p []byte) (int, error) {
 
 func TestWritersSurfaceSinkErrors(t *testing.T) {
 	d := sampleDataset()
-	if err := WriteAll(&errWriter{}, d.Users, 1); err == nil {
+	if err := WriteAll(&errWriter{}, d.Users); err == nil {
 		t.Error("WriteAll must surface write failures (users)")
 	}
-	if err := WriteAll(&errWriter{n: 64}, d.Users, 1); err == nil {
+	if err := WriteAll(&errWriter{n: 64}, d.Users); err == nil {
 		t.Error("WriteAll must surface mid-stream failures (users)")
 	}
-	if err := WriteAll(&errWriter{}, d.Switches, 1); err == nil {
+	if err := WriteAll(&errWriter{}, d.Switches); err == nil {
 		t.Error("WriteAll must surface write failures (switches)")
 	}
-	if err := WriteAll(&errWriter{}, d.Plans, 1); err == nil {
+	if err := WriteAll(&errWriter{}, d.Plans); err == nil {
 		t.Error("WriteAll must surface write failures (plans)")
 	}
 }
@@ -49,7 +49,7 @@ func TestWritersSurfaceSinkErrors(t *testing.T) {
 // truncReader returns a header then cuts off mid-record.
 func TestReadersRejectTruncation(t *testing.T) {
 	var b strings.Builder
-	if err := WriteAll(&writerTo{&b}, sampleDataset().Users, 1); err != nil {
+	if err := WriteAll(&writerTo{&b}, sampleDataset().Users); err != nil {
 		t.Fatal(err)
 	}
 	full := b.String()
@@ -118,7 +118,7 @@ func TestLoadDirRejectsTruncatedGzip(t *testing.T) {
 // garbage appended to a numeric field.
 func TestReadersRejectTrailingGarbage(t *testing.T) {
 	var b strings.Builder
-	if err := WriteAll(&writerTo{&b}, sampleDataset().Users, 1); err != nil {
+	if err := WriteAll(&writerTo{&b}, sampleDataset().Users); err != nil {
 		t.Fatal(err)
 	}
 	full := b.String()
@@ -139,7 +139,7 @@ func TestReadersRejectTrailingGarbage(t *testing.T) {
 // be refused — silently accepting it would transpose every field.
 func TestReadersRejectReorderedHeader(t *testing.T) {
 	var b strings.Builder
-	if err := WriteAll(&writerTo{&b}, sampleDataset().Users, 1); err != nil {
+	if err := WriteAll(&writerTo{&b}, sampleDataset().Users); err != nil {
 		t.Fatal(err)
 	}
 	full := b.String()

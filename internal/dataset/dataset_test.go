@@ -99,7 +99,7 @@ func TestValidateCatchesCorruption(t *testing.T) {
 func TestUsersCSVRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, d.Users, 1); err != nil {
+	if err := WriteAll(&buf, d.Users); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll[User](&buf, "users")
@@ -132,7 +132,7 @@ func TestUsersCSVRoundTrip(t *testing.T) {
 func TestSwitchesCSVRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, d.Switches, 1); err != nil {
+	if err := WriteAll(&buf, d.Switches); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll[Switch](&buf, "switches")
@@ -151,7 +151,7 @@ func TestSwitchesCSVRoundTrip(t *testing.T) {
 func TestPlansCSVRoundTrip(t *testing.T) {
 	d := sampleDataset()
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, d.Plans, 1); err != nil {
+	if err := WriteAll(&buf, d.Plans); err != nil {
 		t.Fatal(err)
 	}
 	got, err := ReadAll[market.Plan](&buf, "plans")
@@ -171,7 +171,7 @@ func TestReadRejectsBadInput(t *testing.T) {
 		t.Error("wrong header should error")
 	}
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, sampleDataset().Users, 1); err != nil {
+	if err := WriteAll(&buf, sampleDataset().Users); err != nil {
 		t.Fatal(err)
 	}
 	corrupted := strings.Replace(buf.String(), "2012", "twenty12", 1)

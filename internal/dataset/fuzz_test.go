@@ -15,7 +15,7 @@ import (
 // permuted header, a garbled field).
 func fuzzSeeds[T Row](f *testing.F, rows []T) {
 	var b bytes.Buffer
-	if err := WriteAll(&b, rows, 1); err != nil {
+	if err := WriteAll(&b, rows); err != nil {
 		f.Fatal(err)
 	}
 	hdr := tableOf[T]().header
@@ -70,10 +70,10 @@ func fuzzTable[T Row](t *testing.T, data string) {
 	// Unit-scaled fields settle after one write→read cycle; from there
 	// the table must re-serialize bit-for-bit.
 	var first, viaStream bytes.Buffer
-	if werr := WriteAll(&first, rows, 1); werr != nil {
+	if werr := WriteAll(&first, rows); werr != nil {
 		t.Fatalf("rewrite of accepted input failed: %v", werr)
 	}
-	if werr := WriteAll(&viaStream, streamed, 1); werr != nil {
+	if werr := WriteAll(&viaStream, streamed); werr != nil {
 		t.Fatal(werr)
 	}
 	if !bytes.Equal(first.Bytes(), viaStream.Bytes()) {
@@ -84,7 +84,7 @@ func fuzzTable[T Row](t *testing.T, data string) {
 		t.Fatalf("rewritten table does not re-parse: %v", rerr)
 	}
 	var second bytes.Buffer
-	if werr := WriteAll(&second, settled, 1); werr != nil {
+	if werr := WriteAll(&second, settled); werr != nil {
 		t.Fatal(werr)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -10,7 +10,7 @@ import (
 // Dict interns strings as dense small-int codes in first-appearance order.
 // Interning is deterministic: appending the same rows in the same order
 // always yields the same code assignment, which keeps panel-based results
-// byte-identical across runs and worker counts.
+// byte-identical across runs and GOMAXPROCS settings.
 //
 // Dict is not safe for concurrent mutation; a fully built Dict is safe for
 // concurrent reads.

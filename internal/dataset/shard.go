@@ -10,11 +10,11 @@ import (
 )
 
 // Sharded parallel CSV encoding: the record slice is split into contiguous
-// shards, each encoded by its own worker into a private buffer with the
+// shards, each encoded by its own goroutine into a private buffer with the
 // record-at-a-time encoder, and the shards are concatenated in canonical
 // order after the header. Because every row is encoded independently and
 // shard boundaries never cut a record, the output is byte-identical for any
-// worker count — the same determinism contract the rest of the pipeline
+// shard count — the same determinism contract the rest of the pipeline
 // keeps (DESIGN.md §5).
 
 // shardRange returns the half-open item range [lo, hi) of shard i when n
@@ -23,17 +23,16 @@ func shardRange(n, shards, i int) (lo, hi int) {
 	return i * n / shards, (i + 1) * n / shards
 }
 
-// writeSharded encodes items across workers shards and writes header then
-// shards in order. workers <= 1 (or few items) degrades to a single
-// streaming pass that never buffers more than one row. Once ctx is
-// cancelled no further shard starts encoding.
-func writeSharded[T Row](ctx context.Context, w io.Writer, t *table[T], items []T, workers int) error {
+// writeSharded encodes items across the given number of shards and
+// writes header then shards in order. One shard (or few items) degrades to
+// a single streaming pass that never buffers more than one row. Once ctx
+// is cancelled no further shard starts encoding.
+func writeSharded[T Row](ctx context.Context, w io.Writer, t *table[T], items []T, shards int) error {
 	n := len(items)
-	workers = par.Workers(workers)
-	if workers > n {
-		workers = n
+	if shards > n {
+		shards = n
 	}
-	if workers <= 1 {
+	if shards <= 1 {
 		rw := rowWriter{w: w, table: t.name}
 		if err := rw.header(t.header); err != nil {
 			return err
@@ -46,9 +45,9 @@ func writeSharded[T Row](ctx context.Context, w io.Writer, t *table[T], items []
 		}
 		return nil
 	}
-	bufs := make([]bytes.Buffer, workers)
-	if err := par.ForNCtx(ctx, workers, workers, func(i int) error {
-		lo, hi := shardRange(n, workers, i)
+	bufs := make([]bytes.Buffer, shards)
+	if err := par.ForNCtx(ctx, shards, shards, func(i int) error {
+		lo, hi := shardRange(n, shards, i)
 		// Seed the row counter so error messages report absolute rows.
 		rw := rowWriter{w: &bufs[i], table: t.name, row: 1 + lo}
 		for j := lo; j < hi; j++ {
@@ -73,9 +72,9 @@ func writeSharded[T Row](ctx context.Context, w io.Writer, t *table[T], items []
 	return nil
 }
 
-// WriteAll writes a whole table as CSV, encoding across workers shards
-// (0 = GOMAXPROCS, 1 = sequential). Output is byte-identical to a Writer
-// fed the same rows, for every worker count.
-func WriteAll[T Row](w io.Writer, rows []T, workers int) error {
-	return writeSharded(context.Background(), w, tableOf[T](), rows, workers)
+// WriteAll writes a whole table as CSV in one sequential streaming pass
+// that never buffers more than one row. Output is byte-identical to a
+// Writer fed the same rows, and to the sharded encoder SaveTableCtx uses.
+func WriteAll[T Row](w io.Writer, rows []T) error {
+	return writeSharded(context.Background(), w, tableOf[T](), rows, 1)
 }

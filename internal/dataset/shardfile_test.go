@@ -139,7 +139,7 @@ func TestMonolithicFileWinsOverShards(t *testing.T) {
 	writeShardSet(t, dir, shardTestUsers(6), 2, false)
 	mono := shardTestUsers(3)
 	if err := writeTableCtx(context.Background(), filepath.Join(dir, "users.csv"), false, func(w io.Writer) error {
-		return WriteAll(w, mono, 1)
+		return WriteAll(w, mono)
 	}); err != nil {
 		t.Fatal(err)
 	}

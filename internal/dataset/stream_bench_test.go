@@ -2,8 +2,10 @@ package dataset
 
 import (
 	"bytes"
+	"context"
 	"encoding/csv"
 	"io"
+	"runtime"
 	"testing"
 )
 
@@ -49,7 +51,7 @@ func BenchmarkWriteUsersParallel(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		buf.Reset()
-		if err := WriteAll(&buf, users, 0); err != nil {
+		if err := writeSharded(context.Background(), &buf, tableOf[User](), users, runtime.GOMAXPROCS(0)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -57,7 +59,7 @@ func BenchmarkWriteUsersParallel(b *testing.B) {
 
 func BenchmarkReadUsersStream(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, benchUserSet(), 1); err != nil {
+	if err := WriteAll(&buf, benchUserSet()); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -91,7 +93,7 @@ func BenchmarkReadUsersStream(b *testing.B) {
 // as the allocation baseline the iterators are measured against.
 func BenchmarkReadUsersBaselineReadAll(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, benchUserSet(), 1); err != nil {
+	if err := WriteAll(&buf, benchUserSet()); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -122,7 +124,7 @@ func BenchmarkReadUsersBaselineReadAll(b *testing.B) {
 // the hood, plus the result slice the caller asked for).
 func BenchmarkReadUsersSlice(b *testing.B) {
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, benchUserSet(), 1); err != nil {
+	if err := WriteAll(&buf, benchUserSet()); err != nil {
 		b.Fatal(err)
 	}
 	raw := buf.Bytes()

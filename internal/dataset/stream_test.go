@@ -37,7 +37,7 @@ func manyUsers(n int) []User {
 func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 	d := sampleDataset()
 	var slice, stream bytes.Buffer
-	if err := WriteAll(&slice, d.Users, 1); err != nil {
+	if err := WriteAll(&slice, d.Users); err != nil {
 		t.Fatal(err)
 	}
 	uw, err := NewWriter[User](&stream)
@@ -55,7 +55,7 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 
 	slice.Reset()
 	stream.Reset()
-	if err := WriteAll(&slice, d.Switches, 1); err != nil {
+	if err := WriteAll(&slice, d.Switches); err != nil {
 		t.Fatal(err)
 	}
 	sw, err := NewWriter[Switch](&stream)
@@ -73,7 +73,7 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 
 	slice.Reset()
 	stream.Reset()
-	if err := WriteAll(&slice, d.Plans, 1); err != nil {
+	if err := WriteAll(&slice, d.Plans); err != nil {
 		t.Fatal(err)
 	}
 	pw, err := NewWriter[market.Plan](&stream)
@@ -93,7 +93,7 @@ func TestStreamingWritersMatchSliceAPI(t *testing.T) {
 func TestStreamingReaderMatchesSliceAPI(t *testing.T) {
 	users := manyUsers(137)
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, users, 1); err != nil {
+	if err := WriteAll(&buf, users); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
@@ -129,46 +129,46 @@ func TestStreamingReaderMatchesSliceAPI(t *testing.T) {
 }
 
 // TestShardedEncodeByteIdentical is the determinism contract of the
-// parallel encoder: any worker count, same bytes.
+// parallel encoder: any shard count, same bytes.
 func TestShardedEncodeByteIdentical(t *testing.T) {
 	users := manyUsers(101)
 	d := sampleDataset()
 	var ref bytes.Buffer
-	if err := WriteAll(&ref, users, 1); err != nil {
+	if err := WriteAll(&ref, users); err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{2, 3, 7, 16, 101, 333} {
+	for _, shards := range []int{2, 3, 7, 16, 101, 333} {
 		var got bytes.Buffer
-		if err := WriteAll(&got, users, workers); err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		if err := writeSharded(context.Background(), &got, tableOf[User](), users, shards); err != nil {
+			t.Fatalf("shards=%d: %v", shards, err)
 		}
 		if !bytes.Equal(ref.Bytes(), got.Bytes()) {
-			t.Errorf("users encode with %d workers differs from sequential", workers)
+			t.Errorf("users encode with %d shards differs from sequential", shards)
 		}
 	}
 
 	var refS bytes.Buffer
-	if err := WriteAll(&refS, d.Switches, 1); err != nil {
+	if err := WriteAll(&refS, d.Switches); err != nil {
 		t.Fatal(err)
 	}
 	var gotS bytes.Buffer
-	if err := WriteAll(&gotS, d.Switches, 4); err != nil {
+	if err := writeSharded(context.Background(), &gotS, tableOf[Switch](), d.Switches, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refS.Bytes(), gotS.Bytes()) {
-		t.Error("switches encode differs across worker counts")
+		t.Error("switches encode differs across shard counts")
 	}
 
 	var refP bytes.Buffer
-	if err := WriteAll(&refP, d.Plans, 1); err != nil {
+	if err := WriteAll(&refP, d.Plans); err != nil {
 		t.Fatal(err)
 	}
 	var gotP bytes.Buffer
-	if err := WriteAll(&gotP, d.Plans, 4); err != nil {
+	if err := writeSharded(context.Background(), &gotP, tableOf[market.Plan](), d.Plans, 4); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(refP.Bytes(), gotP.Bytes()) {
-		t.Error("plans encode differs across worker counts")
+		t.Error("plans encode differs across shard counts")
 	}
 }
 
@@ -185,14 +185,14 @@ func TestShardedEncodeStopsOnCancel(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, workers := range []int{2, 8} {
+	for _, shards := range []int{2, 8} {
 		var out bytes.Buffer
-		err := writeSharded(ctx, &out, &tbl, users, workers)
+		err := writeSharded(ctx, &out, &tbl, users, shards)
 		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("workers=%d: err = %v, want context.Canceled", workers, err)
+			t.Fatalf("shards=%d: err = %v, want context.Canceled", shards, err)
 		}
 		if n := encoded.Load(); n != 0 || out.Len() != 0 {
-			t.Fatalf("workers=%d: %d rows encoded, %d bytes written after cancellation", workers, n, out.Len())
+			t.Fatalf("shards=%d: %d rows encoded, %d bytes written after cancellation", shards, n, out.Len())
 		}
 	}
 }
@@ -206,7 +206,7 @@ func TestSaveDirWithGzipRoundTrip(t *testing.T) {
 			planFor("JP", mbps, 21+0.08*(mbps-1)),
 		)
 	}
-	if err := d.SaveDirWith(dir, SaveOptions{Gzip: true, Workers: 3}); err != nil {
+	if err := d.SaveDirWith(dir, SaveOptions{Gzip: true}); err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"users.csv.gz", "switches.csv.gz", "plans.csv.gz"} {
@@ -237,7 +237,7 @@ func TestQuotedFieldsSurviveStreaming(t *testing.T) {
 	u.ISP = `Comma, "Quote" & Co`
 	u.NetworkKey = "net with space/città"
 	var buf bytes.Buffer
-	if err := WriteAll(&buf, []User{u}, 1); err != nil {
+	if err := WriteAll(&buf, []User{u}); err != nil {
 		t.Fatal(err)
 	}
 	back, err := ReadAll[User](&buf, "users")
@@ -272,7 +272,7 @@ func TestLosslessFloatFields(t *testing.T) {
 		u.AccessPrice = unit.USD(v)
 		u.UpgradeCost = unit.PerMbps(v)
 		var buf bytes.Buffer
-		if err := WriteAll(&buf, []User{u}, 1); err != nil {
+		if err := WriteAll(&buf, []User{u}); err != nil {
 			t.Fatal(err)
 		}
 		back, err := ReadAll[User](&buf, "users")
@@ -291,7 +291,7 @@ func TestLosslessFloatFields(t *testing.T) {
 
 		p := market.Plan{Country: "US", ISP: "X", PriceLocal: v, PriceUSD: unit.USD(v)}
 		buf.Reset()
-		if err := WriteAll(&buf, []market.Plan{p}, 1); err != nil {
+		if err := WriteAll(&buf, []market.Plan{p}); err != nil {
 			t.Fatal(err)
 		}
 		plans, err := ReadAll[market.Plan](&buf, "plans")
@@ -310,7 +310,7 @@ func TestLosslessFloatFields(t *testing.T) {
 func TestScaledFieldsStableAfterOneCycle(t *testing.T) {
 	users := manyUsers(200)
 	var first bytes.Buffer
-	if err := WriteAll(&first, users, 1); err != nil {
+	if err := WriteAll(&first, users); err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := ReadAll[User](bytes.NewReader(first.Bytes()), "users")
@@ -318,7 +318,7 @@ func TestScaledFieldsStableAfterOneCycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	var second bytes.Buffer
-	if err := WriteAll(&second, loaded, 1); err != nil {
+	if err := WriteAll(&second, loaded); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(first.Bytes(), second.Bytes()) {

@@ -1,7 +1,12 @@
 package experiments
 
 import (
+	"context"
+	"fmt"
+	"runtime"
+
 	"github.com/nwca/broadband/internal/dataset"
+	"github.com/nwca/broadband/internal/par"
 	"github.com/nwca/broadband/internal/randx"
 )
 
@@ -61,4 +66,38 @@ func Lookup(id string) (Entry, bool) {
 // the seed and its ID, never on which other artifacts run or in what order.
 func RunAt(e Entry, d *dataset.Dataset, seed uint64) (Report, error) {
 	return e.Run(d, randx.New(seed).Split(e.ID))
+}
+
+// RunEach is the one registry fan-out: it runs run(e) for every entry
+// across runtime.GOMAXPROCS(0) goroutines and returns the results and
+// errors by entry index. A failing entry does not stop the others, and the
+// reported failure err is the lowest-indexed entry error, prefixed with
+// that entry's ID — what a sequential loop would report. Once ctx is
+// cancelled no new entry starts and those running finish; the slices are
+// then cut to the contiguous prefix of entries that ran (an entry that
+// never ran cannot appear, so nothing after a gap is returned), and err is
+// ctx.Err() unless an entry in that prefix failed.
+func RunEach[R any](ctx context.Context, entries []Entry, run func(Entry) (R, error)) (results []R, errs []error, err error) {
+	results = make([]R, len(entries))
+	errs = make([]error, len(entries))
+	ran := make([]bool, len(entries))
+	// The task never fails: entry errors are collected in errs so every
+	// entry runs (ForNCtx would stop dispatch at the first one). Only
+	// cancellation cuts the fan-out short.
+	ctxErr := par.ForNCtx(ctx, runtime.GOMAXPROCS(0), len(entries), func(i int) error {
+		results[i], errs[i] = run(entries[i])
+		ran[i] = true
+		return nil
+	})
+	n := 0
+	for n < len(entries) && ran[n] {
+		n++
+	}
+	results, errs = results[:n], errs[:n]
+	for i, e := range errs {
+		if e != nil {
+			return results, errs, fmt.Errorf("%s: %w", entries[i].ID, e)
+		}
+	}
+	return results, errs, ctxErr
 }

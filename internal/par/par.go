@@ -8,19 +8,9 @@ package par
 
 import (
 	"context"
-	"runtime"
 	"sync"
 	"sync/atomic"
 )
-
-// Workers resolves a worker-count knob: values above zero are taken as-is,
-// anything else selects runtime.GOMAXPROCS(0).
-func Workers(n int) int {
-	if n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
 
 // ForNCtx runs fn(i) for every i in [0, n) across at most workers
 // goroutines, failing fast: no new index is dispatched after the first fn

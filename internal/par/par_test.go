@@ -4,19 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync/atomic"
 	"testing"
 )
-
-func TestWorkers(t *testing.T) {
-	if Workers(3) != 3 {
-		t.Error("explicit worker count not honored")
-	}
-	if Workers(0) != runtime.GOMAXPROCS(0) || Workers(-2) != runtime.GOMAXPROCS(0) {
-		t.Error("non-positive counts should resolve to GOMAXPROCS")
-	}
-}
 
 // TestForNCtxFailFast pins the fail-fast half of ForNCtx's contract: after
 // the first error, dispatching stops, so with a failure at index 0 far fewer

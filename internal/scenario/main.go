@@ -103,9 +103,7 @@ func Main(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 		return ExitErr
 	}
 
-	base := worldCfg()
-	opt := Options{Base: base, Seeds: seedList, Workers: base.Workers}
-	rep, err := Run(ctx, packs, opt)
+	rep, err := Run(ctx, packs, Options{Base: worldCfg(), Seeds: seedList})
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			fmt.Fprintln(stderr, "bbscenario: interrupted")

@@ -6,7 +6,6 @@ import (
 
 	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/golden"
-	"github.com/nwca/broadband/internal/par"
 	"github.com/nwca/broadband/internal/synth"
 )
 
@@ -17,10 +16,6 @@ type Options struct {
 	Base synth.Config
 	// Seeds lists the seeds every pack asserts at (at least one).
 	Seeds []uint64
-	// Workers bounds the world-build pool (0 = GOMAXPROCS). The report is
-	// byte-identical across worker counts: workers only reorder the
-	// builds, never the evaluation.
-	Workers int
 }
 
 // Outcome is one evaluated assertion at one seed.
@@ -50,7 +45,7 @@ type PackResult struct {
 
 // WorldScale echoes the world dimensions a report was computed at. It
 // carries no timings or host data: the report must be byte-identical
-// across machines and worker counts.
+// across machines and GOMAXPROCS settings.
 type WorldScale struct {
 	Users         int `json:"users"`
 	FCCUsers      int `json:"fcc_users"`
@@ -73,10 +68,13 @@ type Report struct {
 func (r *Report) OK() bool { return r.Failed == 0 }
 
 // Run builds the baseline and every pack's counterfactual world at every
-// seed through one worker pool, computes the referenced registry
-// artifacts, and evaluates all expectations. The outcome order is fixed —
-// packs in input order, expectations in declaration order, seeds in input
-// order — so the report is deterministic whatever the worker count.
+// seed, one world at a time, computes the referenced registry artifacts
+// through the shared registry fan-out, and evaluates all expectations.
+// Parallelism is GOMAXPROCS — each build and each artifact set uses every
+// core; bound it with the environment variable. The outcome order is
+// fixed — packs in input order, expectations in declaration order, seeds
+// in input order — so the report is deterministic whatever the
+// parallelism.
 func Run(ctx context.Context, packs []*Pack, opt Options) (*Report, error) {
 	if len(packs) == 0 {
 		return nil, fmt.Errorf("scenario: no packs to run")
@@ -92,9 +90,9 @@ func Run(ctx context.Context, packs []*Pack, opt Options) (*Report, error) {
 
 	// One job per (world, seed): index 0 is the baseline, 1..P the packs.
 	type job struct {
-		cfg  synth.Config
-		ids  []string
-		vals map[string]*golden.Value
+		cfg     synth.Config
+		entries []experiments.Entry
+		vals    map[string]*golden.Value
 	}
 	worlds := 1 + len(packs)
 	jobs := make([]job, worlds*len(opt.Seeds))
@@ -107,39 +105,40 @@ func Run(ctx context.Context, packs []*Pack, opt Options) (*Report, error) {
 			}
 			ids = packs[pi-1].artifacts()
 		}
-		cfg.Workers = 1 // parallelism lives in the job pool, not the builds
+		entries := make([]experiments.Entry, len(ids))
+		for k, id := range ids {
+			e, ok := experiments.Lookup(id)
+			if !ok {
+				return nil, fmt.Errorf("scenario: unknown artifact %q", id)
+			}
+			entries[k] = e
+		}
 		for si, seed := range opt.Seeds {
 			cfg.Seed = seed
-			jobs[pi*len(opt.Seeds)+si] = job{cfg: cfg, ids: ids}
+			jobs[pi*len(opt.Seeds)+si] = job{cfg: cfg, entries: entries}
 		}
 	}
 
-	err := par.ForNCtx(ctx, opt.Workers, len(jobs), func(i int) error {
+	for i := range jobs {
 		j := &jobs[i]
 		w, err := synth.BuildCtx(ctx, j.cfg)
 		if err != nil {
-			return fmt.Errorf("scenario: world (seed %d): %w", j.cfg.Seed, err)
+			return nil, fmt.Errorf("scenario: world (seed %d): %w", j.cfg.Seed, err)
 		}
-		j.vals = make(map[string]*golden.Value, len(j.ids))
-		for _, id := range j.ids {
-			e, ok := experiments.Lookup(id)
-			if !ok {
-				return fmt.Errorf("scenario: unknown artifact %q", id)
-			}
+		vals, _, err := experiments.RunEach(ctx, j.entries, func(e experiments.Entry) (*golden.Value, error) {
 			rep, err := experiments.RunAt(e, &w.Data, j.cfg.Seed)
 			if err != nil {
-				return fmt.Errorf("scenario: %s (seed %d): %w", id, j.cfg.Seed, err)
+				return nil, err
 			}
-			v, err := golden.ToValue(rep)
-			if err != nil {
-				return fmt.Errorf("scenario: %s (seed %d): %w", id, j.cfg.Seed, err)
-			}
-			j.vals[id] = v
+			return golden.ToValue(rep)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("scenario: seed %d: %w", j.cfg.Seed, err)
 		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		j.vals = make(map[string]*golden.Value, len(vals))
+		for k, e := range j.entries {
+			j.vals[e.ID] = vals[k]
+		}
 	}
 
 	base := opt.Base.WithDefaults()

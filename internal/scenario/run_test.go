@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/nwca/broadband/internal/synth"
@@ -48,7 +49,7 @@ func TestCommittedCatalogPasses(t *testing.T) {
 	}
 }
 
-// The report is a pure function of (packs, config, seeds): worker counts
+// The report is a pure function of (packs, config, seeds): GOMAXPROCS
 // must not leak into it.
 func TestReportDeterministicAcrossWorkers(t *testing.T) {
 	if testing.Short() {
@@ -59,18 +60,19 @@ func TestReportDeterministicAcrossWorkers(t *testing.T) {
 		mustLoad(t, "../../testdata/scenarios/need-flat.json"),
 	}
 	opt := Options{Base: smokeWorld, Seeds: []uint64{7}}
-	opt.Workers = 1
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	seq, err := Run(context.Background(), packs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt.Workers = 4
+	runtime.GOMAXPROCS(4)
 	par, err := Run(context.Background(), packs, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(seq, par) {
-		t.Fatal("report differs between 1 and 4 workers")
+		t.Fatal("report differs between GOMAXPROCS 1 and 4")
 	}
 }
 

@@ -51,15 +51,15 @@ func worldTables(t *testing.T) (users, switches, plans []byte) {
 	d := testWorld(t)
 	csvOnce.Do(func() {
 		var u, s, p bytes.Buffer
-		if err := dataset.WriteAll(&u, d.Users, 1); err != nil {
+		if err := dataset.WriteAll(&u, d.Users); err != nil {
 			worldErr = err
 			return
 		}
-		if err := dataset.WriteAll(&s, d.Switches, 1); err != nil {
+		if err := dataset.WriteAll(&s, d.Switches); err != nil {
 			worldErr = err
 			return
 		}
-		if err := dataset.WriteAll(&p, d.Plans, 1); err != nil {
+		if err := dataset.WriteAll(&p, d.Plans); err != nil {
 			worldErr = err
 			return
 		}

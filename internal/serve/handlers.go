@@ -10,14 +10,13 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strconv"
 	"strings"
 
 	broadband "github.com/nwca/broadband"
 	"github.com/nwca/broadband/internal/dataset"
+	"github.com/nwca/broadband/internal/experiments"
 	"github.com/nwca/broadband/internal/golden"
-	"github.com/nwca/broadband/internal/par"
 	"github.com/nwca/broadband/internal/scenario"
 	"github.com/nwca/broadband/internal/synth"
 )
@@ -323,10 +322,10 @@ type renderedReport struct {
 
 // handleReports — GET /v1/datasets/{name}/reports?seed=N: every registry
 // artifact rendered, assembled from the per-artifact result cache. The
-// fan-out keeps RunAll's contract: every dispatched artifact runs and the
-// lowest-indexed failure is reported, but once the request deadline
-// passes no new artifact is dispatched. Those already running finish into
-// the cache, so a patient retry reuses them.
+// registry fan-out (experiments.RunEach) keeps RunAll's contract: every
+// dispatched artifact runs and the lowest-indexed failure is reported, but
+// once the request deadline passes no new artifact is dispatched. Those
+// already running finish into the cache, so a patient retry reuses them.
 func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 	name, ok := datasetName(w, r)
 	if !ok {
@@ -342,33 +341,22 @@ func (s *Server) handleReports(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reg := broadband.Experiments()
-	results := make([]artifactResult, len(reg))
-	errs := make([]error, len(reg))
-	// fn never fails: errors are collected so every dispatched entry runs.
-	ctxErr := par.ForNCtx(r.Context(), par.Workers(0), len(reg), func(i int) error {
-		results[i], errs[i] = s.artifact(e, reg[i], seed)
-		return nil
+	results, _, err := experiments.RunEach(r.Context(), reg, func(entry broadband.ReportEntry) (artifactResult, error) {
+		return s.artifact(e, entry, seed)
 	})
-	out := make([]renderedReport, 0, len(reg))
-	for i, entry := range reg {
-		if results[i].data == nil && errs[i] == nil {
-			// Never dispatched: the context was cut first. Report the
-			// contiguous prefix that completed.
-			break
-		}
-		if errs[i] != nil {
-			writeErr(w, http.StatusInternalServerError, "reports: broadband: %s: %v", entry.ID, errs[i])
-			return
-		}
-		out = append(out, renderedReport{ID: entry.ID, Title: results[i].title, Text: results[i].text})
-	}
 	switch {
-	case ctxErr == nil:
+	case err == nil:
+		out := make([]renderedReport, len(results))
+		for i, res := range results {
+			out[i] = renderedReport{ID: reg[i].ID, Title: res.title, Text: res.text}
+		}
 		writeJSON(w, http.StatusOK, out)
-	case errors.Is(ctxErr, context.DeadlineExceeded):
-		writeErr(w, http.StatusGatewayTimeout, "reports: deadline exceeded after %d of %d artifacts", len(out), len(reg))
-	case errors.Is(ctxErr, context.Canceled):
+	case errors.Is(err, context.DeadlineExceeded):
+		writeErr(w, http.StatusGatewayTimeout, "reports: deadline exceeded after %d of %d artifacts", len(results), len(reg))
+	case errors.Is(err, context.Canceled):
 		// Client gone; nobody reads this.
+	default:
+		writeErr(w, http.StatusInternalServerError, "reports: broadband: %v", err)
 	}
 }
 
@@ -377,8 +365,6 @@ type scenarioRequest struct {
 	Packs []*scenario.Pack `json:"packs"`
 	Seeds []uint64         `json:"seeds,omitempty"`
 	World *worldScale      `json:"world,omitempty"`
-	// Workers bounds the world-build pool (0 = GOMAXPROCS).
-	Workers int `json:"workers,omitempty"`
 }
 
 // worldScale is the subset of synth.Config a scenario request may size.
@@ -408,8 +394,7 @@ var defaultScenarioWorld = synth.Config{
 
 // options checks the request against the endpoint's ceilings and resolves
 // the scenario run options. Every count that sizes a world is capped (a
-// min_per_country applies per country, so it multiplies), and the worker
-// bound is clamped to GOMAXPROCS rather than trusted.
+// min_per_country applies per country, so it multiplies).
 func (req *scenarioRequest) options() (scenario.Options, error) {
 	if len(req.Packs) == 0 {
 		return scenario.Options{}, errors.New("scenario request names no packs")
@@ -422,7 +407,7 @@ func (req *scenarioRequest) options() (scenario.Options, error) {
 			return scenario.Options{}, fmt.Errorf("pack: %v", err)
 		}
 	}
-	opts := scenario.Options{Base: defaultScenarioWorld, Seeds: req.Seeds, Workers: min(req.Workers, runtime.GOMAXPROCS(0))}
+	opts := scenario.Options{Base: defaultScenarioWorld, Seeds: req.Seeds}
 	if len(opts.Seeds) == 0 {
 		opts.Seeds = []uint64{1}
 	}

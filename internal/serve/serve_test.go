@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"regexp"
-	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -629,7 +628,8 @@ func TestScenarioEndpoint(t *testing.T) {
 
 // TestScenarioRequestCaps pins the /v1/scenarios ceilings: every count
 // that sizes a world is refused with 400 past its cap, before any world
-// is built, and the worker bound is clamped to GOMAXPROCS.
+// is built. A body naming workers is refused as an unknown field: the
+// server runs at GOMAXPROCS and takes no worker count from clients.
 func TestScenarioRequestCaps(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	packs, err := scenario.LoadDir("../../testdata/scenarios")
@@ -637,50 +637,51 @@ func TestScenarioRequestCaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	const over = maxScenarioUsers + 1
-	procs := runtime.GOMAXPROCS(0)
 	for _, tc := range []struct {
-		name        string
-		world       *worldScale
-		workers     int
-		wantWorkers int // checked when the request is accepted
+		name  string
+		world *worldScale
+		extra string // raw JSON field spliced into the body
+		ok    bool   // accepted by options
 	}{
 		{name: "users", world: &worldScale{Users: over}},
 		{name: "fcc_users", world: &worldScale{FCCUsers: over}},
 		{name: "days", world: &worldScale{Days: maxScenarioDays + 1}},
 		{name: "switch_target", world: &worldScale{SwitchTarget: over}},
 		{name: "min_per_country", world: &worldScale{MinPerCountry: over}},
-		{name: "workers", workers: 1 << 20, wantWorkers: procs},
+		{name: "workers", extra: `"workers":1,`},
 		{name: "at caps", world: &worldScale{
 			Users: maxScenarioUsers, FCCUsers: maxScenarioUsers, Days: maxScenarioDays,
 			SwitchTarget: maxScenarioUsers, MinPerCountry: maxScenarioUsers,
-		}, workers: 1, wantWorkers: 1},
+		}, ok: true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			req := scenarioRequest{Packs: packs[:1], World: tc.world, Workers: tc.workers}
-			opts, err := req.options()
-			if tc.wantWorkers == 0 {
-				if err == nil {
-					t.Fatalf("options accepted an over-cap %s", tc.name)
-				}
-				b, err := json.Marshal(req)
+			req := scenarioRequest{Packs: packs[:1], World: tc.world}
+			_, err := req.options()
+			if tc.ok {
 				if err != nil {
-					t.Fatal(err)
-				}
-				resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(b))
-				if err != nil {
-					t.Fatal(err)
-				}
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusBadRequest {
-					t.Fatalf("POST with over-cap %s = %d, want 400", tc.name, resp.StatusCode)
+					t.Fatalf("options: %v", err)
 				}
 				return
 			}
-			if err != nil {
-				t.Fatalf("options: %v", err)
+			if err == nil && tc.extra == "" {
+				t.Fatalf("options accepted an over-cap %s", tc.name)
 			}
-			if opts.Workers != tc.wantWorkers {
-				t.Fatalf("workers = %d, want %d", opts.Workers, tc.wantWorkers)
+			b, err := json.Marshal(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b = append([]byte("{"+tc.extra), b[1:]...)
+			resp, err := http.Post(ts.URL+"/v1/scenarios", "application/json", bytes.NewReader(b))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest {
+				t.Fatalf("POST with over-cap %s = %d, want 400", tc.name, resp.StatusCode)
+			}
+			if !strings.Contains(string(body), tc.name) {
+				t.Fatalf("400 body %s does not name %s", body, tc.name)
 			}
 		})
 	}

@@ -57,16 +57,18 @@ func (e *Entry) info() Info {
 // HashDataset content-addresses a dataset: sha256 over the three
 // deterministic CSV streams in fixed order. Two datasets with identical
 // rows hash identically whatever path they arrived by, which is what lets
-// the artifact cache serve byte-identical results across re-uploads.
+// the artifact cache serve byte-identical results across re-uploads. Each
+// table streams through WriteAll's sequential encoder, so hashing never
+// buffers a whole table.
 func HashDataset(d *dataset.Dataset) (string, error) {
 	h := sha256.New()
-	if err := dataset.WriteAll(h, d.Users, 1); err != nil {
+	if err := dataset.WriteAll(h, d.Users); err != nil {
 		return "", err
 	}
-	if err := dataset.WriteAll(h, d.Switches, 1); err != nil {
+	if err := dataset.WriteAll(h, d.Switches); err != nil {
 		return "", err
 	}
-	if err := dataset.WriteAll(h, d.Plans, 1); err != nil {
+	if err := dataset.WriteAll(h, d.Plans); err != nil {
 		return "", err
 	}
 	return hex.EncodeToString(h.Sum(nil)), nil

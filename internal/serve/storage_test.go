@@ -2,7 +2,27 @@ package serve
 
 import (
 	"testing"
+
+	"github.com/nwca/broadband/internal/synth"
 )
+
+// TestHashDatasetPinned pins the content hash of a small fixed world. The
+// hash keys every cached artifact and every stored dataset, so a change to
+// the hashed CSV bytes (encoder, column set, float format) must show up
+// here as a deliberate update of the expected value.
+func TestHashDatasetPinned(t *testing.T) {
+	w, err := synth.Build(synth.Config{Seed: 7, Users: 200, FCCUsers: 50, Days: 1, SwitchTarget: 20})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := HashDataset(&w.Data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "9a5026199d7da528183525a85d68112655703f8151511c5ec94ed10ab93e43e4"; got != want {
+		t.Fatalf("HashDataset = %s, want %s", got, want)
+	}
+}
 
 func TestMemStoreRoundTrip(t *testing.T) {
 	d := testWorld(t)

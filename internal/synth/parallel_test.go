@@ -2,52 +2,52 @@ package synth
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/nwca/broadband/internal/market"
 )
 
 // TestParallelBuildMatchesSequential is the determinism contract of the
-// worker pool: for the same seed, a parallel build must produce a dataset
-// byte-identical to the sequential (Workers=1) path — users, switches,
-// plans, ground truth and the shortfall accounting all included.
+// build's fan-out: for the same seed, a parallel build must produce a
+// dataset byte-identical to the sequential (GOMAXPROCS=1) path — users,
+// switches, plans, ground truth and the shortfall accounting all included.
 func TestParallelBuildMatchesSequential(t *testing.T) {
 	base := Config{
 		Seed: 9, Users: 400, FCCUsers: 80, Days: 1,
 		SwitchTarget: 40, MinPerCountry: 5,
 	}
-	seqCfg := base
-	seqCfg.Workers = 1
-	seq, err := Build(seqCfg)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	seq, err := Build(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{0, 4, 13} {
-		parCfg := base
-		parCfg.Workers = workers
-		got, err := Build(parCfg)
+	for _, procs := range []int{4, 13} {
+		runtime.GOMAXPROCS(procs)
+		got, err := Build(base)
 		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+			t.Fatalf("GOMAXPROCS=%d: %v", procs, err)
 		}
 		if len(got.Data.Users) != len(seq.Data.Users) {
-			t.Fatalf("workers=%d: %d users vs sequential %d", workers, len(got.Data.Users), len(seq.Data.Users))
+			t.Fatalf("GOMAXPROCS=%d: %d users vs sequential %d", procs, len(got.Data.Users), len(seq.Data.Users))
 		}
 		for i := range seq.Data.Users {
 			if got.Data.Users[i] != seq.Data.Users[i] {
-				t.Fatalf("workers=%d: user %d differs:\n%+v\n%+v", workers, i, got.Data.Users[i], seq.Data.Users[i])
+				t.Fatalf("GOMAXPROCS=%d: user %d differs:\n%+v\n%+v", procs, i, got.Data.Users[i], seq.Data.Users[i])
 			}
 		}
 		if !reflect.DeepEqual(got.Data.Switches, seq.Data.Switches) {
-			t.Errorf("workers=%d: switch panel differs", workers)
+			t.Errorf("GOMAXPROCS=%d: switch panel differs", procs)
 		}
 		if !reflect.DeepEqual(got.Data.Plans, seq.Data.Plans) {
-			t.Errorf("workers=%d: plan survey differs", workers)
+			t.Errorf("GOMAXPROCS=%d: plan survey differs", procs)
 		}
 		if !reflect.DeepEqual(got.Truth, seq.Truth) {
-			t.Errorf("workers=%d: ground truth differs", workers)
+			t.Errorf("GOMAXPROCS=%d: ground truth differs", procs)
 		}
 		if !reflect.DeepEqual(got.Skipped, seq.Skipped) {
-			t.Errorf("workers=%d: skipped-household accounting differs: %v vs %v", workers, got.Skipped, seq.Skipped)
+			t.Errorf("GOMAXPROCS=%d: skipped-household accounting differs: %v vs %v", procs, got.Skipped, seq.Skipped)
 		}
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"runtime"
 
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/par"
@@ -60,12 +61,12 @@ func (r *ShardReport) SkippedHouseholds() int {
 
 // BuildSharded generates a world directly to disk. Users stream to shard
 // files in canonical slot order — shard contents are byte-identical for
-// every Workers value, and concatenating the shard bodies in index order
+// every GOMAXPROCS, and concatenating the shard bodies in index order
 // yields exactly the monolithic users.csv rows of BuildCtx with the same
 // config. The switch panel draws from a bounded candidate pool: the users
 // produced by the first switchPoolFactor·SwitchTarget primary-year Dasu
 // slots, in slot order — a pure function of the layout, so the panel is
-// identical for every shard count and worker count (and identical to the
+// identical for every shard count and GOMAXPROCS (and identical to the
 // in-core build whenever the pool covers all candidates). Whole-panel
 // validation is the in-core build's job; sharded output is gated by the
 // per-row invariants of generation itself.
@@ -107,7 +108,7 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 	counts := make([]int, spec.Shards)
 	skipped := make([]map[string]int, spec.Shards)
 	pools := make([][]poolEntry, spec.Shards)
-	err = par.ForNCtx(ctx, par.Workers(cfg.Workers), spec.Shards, func(s int) error {
+	err = par.ForNCtx(ctx, runtime.GOMAXPROCS(0), spec.Shards, func(s int) error {
 		lo, hi := s*lay.total/spec.Shards, (s+1)*lay.total/spec.Shards
 		skipped[s] = make(map[string]int)
 		path, err := dataset.WriteUserShardCtx(ctx, spec.Dir, s, spec.Shards, spec.Gzip, func(uw *dataset.Writer[dataset.User]) error {
@@ -162,7 +163,7 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 	if err := gen.upgradesFrom(candidates); err != nil {
 		return nil, err
 	}
-	opts := dataset.SaveOptions{Gzip: spec.Gzip, Workers: cfg.Workers}
+	opts := dataset.SaveOptions{Gzip: spec.Gzip}
 	if err := dataset.SaveTableCtx(ctx, spec.Dir, opts, w.Data.Switches); err != nil {
 		return nil, err
 	}

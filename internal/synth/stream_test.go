@@ -6,14 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"github.com/nwca/broadband/internal/dataset"
 )
 
 // The out-of-core determinism contract: for a fixed config, every shard
-// file's bytes depend only on (shard index, shard count) — never on the
-// worker count — and the concatenated shard bodies are exactly the
+// file's bytes depend only on (shard index, shard count) — never on
+// GOMAXPROCS — and the concatenated shard bodies are exactly the
 // monolithic users.csv of the in-core build. With a pool that covers all
 // candidates, the switch panel is byte-equal to the in-core one too.
 
@@ -28,33 +29,35 @@ func splitHeader(t *testing.T, raw []byte) (header, body []byte) {
 }
 
 func TestBuildShardedMatchesMonolithic(t *testing.T) {
-	cfg := Config{Seed: 11, Users: 60, FCCUsers: 15, Days: 1, SwitchTarget: 10, Workers: 1}
+	cfg := Config{Seed: 11, Users: 60, FCCUsers: 15, Days: 1, SwitchTarget: 10}
 	mono, err := Build(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var monoCSV bytes.Buffer
-	if err := dataset.WriteAll(&monoCSV, mono.Data.Users, 1); err != nil {
+	if err := dataset.WriteAll(&monoCSV, mono.Data.Users); err != nil {
 		t.Fatal(err)
 	}
 
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
 	for _, shards := range []int{1, 3, 8} {
-		var first [][]byte // shard bytes from the first worker count
-		for _, workers := range []int{1, 4} {
-			cfg.Workers = workers
+		var first [][]byte // shard bytes at GOMAXPROCS=1
+		for _, procs := range []int{1, 4} {
+			runtime.GOMAXPROCS(procs)
 			dir := t.TempDir()
 			rep, err := BuildSharded(context.Background(), cfg, ShardSpec{Dir: dir, Shards: shards})
 			if err != nil {
-				t.Fatalf("shards=%d workers=%d: %v", shards, workers, err)
+				t.Fatalf("shards=%d GOMAXPROCS=%d: %v", shards, procs, err)
 			}
 			if len(rep.ShardFiles) != shards {
 				t.Fatalf("shards=%d: report lists %d files", shards, len(rep.ShardFiles))
 			}
 			if rep.Users != len(mono.Data.Users) {
-				t.Errorf("shards=%d workers=%d: wrote %d users, monolithic has %d", shards, workers, rep.Users, len(mono.Data.Users))
+				t.Errorf("shards=%d GOMAXPROCS=%d: wrote %d users, monolithic has %d", shards, procs, rep.Users, len(mono.Data.Users))
 			}
 			if !reflect.DeepEqual(rep.Skipped, mono.Skipped) {
-				t.Errorf("shards=%d workers=%d: skip accounting %v, monolithic %v", shards, workers, rep.Skipped, mono.Skipped)
+				t.Errorf("shards=%d GOMAXPROCS=%d: skip accounting %v, monolithic %v", shards, procs, rep.Skipped, mono.Skipped)
 			}
 
 			var concat bytes.Buffer
@@ -71,30 +74,30 @@ func TestBuildShardedMatchesMonolithic(t *testing.T) {
 				}
 				concat.Write(body)
 			}
-			if workers == 1 {
+			if procs == 1 {
 				first = raws
 			} else {
 				for i := range raws {
 					if !bytes.Equal(raws[i], first[i]) {
-						t.Errorf("shards=%d: shard %d bytes differ between worker counts", shards, i)
+						t.Errorf("shards=%d: shard %d bytes differ between GOMAXPROCS settings", shards, i)
 					}
 				}
 			}
 			if !bytes.Equal(concat.Bytes(), monoCSV.Bytes()) {
-				t.Errorf("shards=%d workers=%d: concatenated shard bodies != monolithic users.csv", shards, workers)
+				t.Errorf("shards=%d GOMAXPROCS=%d: concatenated shard bodies != monolithic users.csv", shards, procs)
 			}
 
 			// poolK = 32×10 ≥ the 60 primary-year Dasu slots, so the pool is
 			// the full candidate set and the panel must match the in-core one.
 			loaded, err := dataset.LoadDir(dir)
 			if err != nil {
-				t.Fatalf("shards=%d workers=%d: LoadDir: %v", shards, workers, err)
+				t.Fatalf("shards=%d GOMAXPROCS=%d: LoadDir: %v", shards, procs, err)
 			}
 			if !reflect.DeepEqual(loaded.Switches, mono.Data.Switches) {
-				t.Errorf("shards=%d workers=%d: switch panel differs from monolithic", shards, workers)
+				t.Errorf("shards=%d GOMAXPROCS=%d: switch panel differs from monolithic", shards, procs)
 			}
 			if !reflect.DeepEqual(loaded.Plans, mono.Data.Plans) {
-				t.Errorf("shards=%d workers=%d: plan survey differs from monolithic", shards, workers)
+				t.Errorf("shards=%d GOMAXPROCS=%d: plan survey differs from monolithic", shards, procs)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package synth
 import (
 	"fmt"
 	"math"
+	"runtime"
 
 	"github.com/nwca/broadband/internal/dataset"
 	"github.com/nwca/broadband/internal/market"
@@ -54,13 +55,13 @@ func (g *generator) upgradesFrom(candidates []*dataset.User) error {
 	// permutation-ordered chunks and successes taken in order until the
 	// target is met. The selected switch set is exactly the sequential
 	// prefix — chunking only bounds the speculative evaluations past the
-	// last accepted candidate — so output is identical for any Workers.
+	// last accepted candidate — so output is identical for any GOMAXPROCS.
 	type switchResult struct {
 		sw dataset.Switch
 		ok bool
 	}
-	workers := par.Workers(g.cfg.Workers)
-	chunk := 4 * workers
+	procs := runtime.GOMAXPROCS(0)
+	chunk := 4 * procs
 	if chunk < 16 {
 		chunk = 16
 	}
@@ -74,7 +75,7 @@ func (g *generator) upgradesFrom(candidates []*dataset.User) error {
 			hi = len(order)
 		}
 		results := make([]switchResult, hi-lo)
-		err := par.ForNCtx(g.ctx, workers, hi-lo, func(i int) error {
+		err := par.ForNCtx(g.ctx, procs, hi-lo, func(i int) error {
 			sw, ok, err := g.tryUpgrade(candidates[order[lo+i]])
 			results[i] = switchResult{sw: sw, ok: ok}
 			return err

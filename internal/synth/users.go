@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"runtime"
 	"sort"
 	"sync"
 
@@ -161,15 +162,15 @@ func (l *slotLayout) primaryDasuRank(i int) (int, bool) {
 }
 
 // populate generates every yearly cohort of the Dasu panel plus the US
-// gateway panel, fanning the layout's slots out over the worker pool and
-// merging results in canonical slot order.
+// gateway panel, fanning the layout's slots out over GOMAXPROCS goroutines
+// and merging results in canonical slot order.
 func (g *generator) populate() error {
 	lay, err := g.layout()
 	if err != nil {
 		return err
 	}
 	results := make([]slotResult, lay.total)
-	err = par.ForNCtx(g.ctx, par.Workers(g.cfg.Workers), lay.total, func(i int) error {
+	err = par.ForNCtx(g.ctx, runtime.GOMAXPROCS(0), lay.total, func(i int) error {
 		r, err := g.generateSlot(lay.slot(i))
 		results[i] = r
 		return err

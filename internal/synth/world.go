@@ -49,12 +49,6 @@ type Config struct {
 	// DisableQoE severs the quality→demand causal arrow: an ablation world
 	// in which the latency/loss experiments must come out null.
 	DisableQoE bool
-	// Workers bounds the number of concurrent generation workers. Zero or
-	// negative selects runtime.GOMAXPROCS(0); 1 forces the sequential path.
-	// Generation is deterministic in Seed whatever the value: every user
-	// slot owns a precomputed ID range, so the output is byte-identical
-	// across worker counts.
-	Workers int
 }
 
 // withDefaults fills unset (zero) fields. It deliberately defaults only on

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	broadband "github.com/nwca/broadband"
@@ -16,8 +17,8 @@ import (
 //   - population scale and seed: halving or doubling the world, or reseeding
 //     it, must preserve every scale_invariant check in the assertion
 //     manifest (the scorecard's signs and orderings, not its exact values);
-//   - worker count: RunAllWorkers must emit byte-identical artifacts for
-//     any pool size;
+//   - parallelism: RunAll must emit byte-identical artifacts for any
+//     GOMAXPROCS;
 //   - serialization transport: artifacts computed on a world that traveled
 //     through the CSV save/load cycle (plain or gzip) must be byte-identical
 //     to artifacts computed on the in-memory original.
@@ -86,9 +87,9 @@ func TestMetamorphicScaleAndSeed(t *testing.T) {
 
 // marshalReports serializes every registry artifact of a dataset to its
 // canonical golden form, keyed by artifact ID.
-func marshalReports(t *testing.T, d *broadband.Dataset, seed uint64, workers int) map[string][]byte {
+func marshalReports(t *testing.T, d *broadband.Dataset, seed uint64) map[string][]byte {
 	t.Helper()
-	reports, err := broadband.RunAllWorkers(d, seed, workers)
+	reports, err := broadband.RunAll(d, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +105,19 @@ func marshalReports(t *testing.T, d *broadband.Dataset, seed uint64, workers int
 }
 
 // TestWorkerCountEquivalence checks that the experiment fan-out is
-// deterministic in the worker pool size: sequential, default and oversized
-// pools must produce byte-identical canonical artifacts.
+// deterministic in GOMAXPROCS: sequential, default and oversized settings
+// must produce byte-identical canonical artifacts.
 func TestWorkerCountEquivalence(t *testing.T) {
 	w := apiTestWorld(t)
-	want := marshalReports(t, &w.Data, 7, 1)
-	for _, workers := range []int{0, 3} {
-		got := marshalReports(t, &w.Data, 7, workers)
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	want := marshalReports(t, &w.Data, 7)
+	for _, procs := range []int{prev, 3} {
+		runtime.GOMAXPROCS(procs)
+		got := marshalReports(t, &w.Data, 7)
 		for id, b := range want {
 			if !bytes.Equal(b, got[id]) {
-				t.Errorf("workers=%d: %s differs from sequential run", workers, id)
+				t.Errorf("GOMAXPROCS=%d: %s differs from sequential run", procs, id)
 			}
 		}
 	}
@@ -135,7 +139,7 @@ func TestTransportEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := marshalReports(t, base, 7, 0)
+	want := marshalReports(t, base, 7)
 	for _, gzip := range []bool{false, true} {
 		name := "plain"
 		if gzip {
@@ -150,7 +154,7 @@ func TestTransportEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := marshalReports(t, loaded, 7, 0)
+			got := marshalReports(t, loaded, 7)
 			for id, b := range want {
 				if !bytes.Equal(b, got[id]) {
 					t.Errorf("%s: %s drifted through the %s transport", name, id, name)

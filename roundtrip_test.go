@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 
 	broadband "github.com/nwca/broadband"
@@ -47,7 +48,8 @@ func TestCSVRoundTripPreservesAnalyses(t *testing.T) {
 // TestCSVSaveLoadSaveByteIdentical is the lossless-serialization contract:
 // floats are written in shortest round-trippable form, so saving a loaded
 // dataset reproduces every file bit-for-bit — and the sharded parallel
-// encoder must not perturb that, whatever its worker count.
+// encoder must not perturb that, whatever GOMAXPROCS sets its shard count
+// to.
 func TestCSVSaveLoadSaveByteIdentical(t *testing.T) {
 	world := apiTestWorld(t)
 	first := filepath.Join(t.TempDir(), "first")
@@ -58,9 +60,12 @@ func TestCSVSaveLoadSaveByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, workers := range []int{1, 3, 0} {
+	prev := runtime.GOMAXPROCS(0)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	for _, procs := range []int{1, 3, prev} {
+		runtime.GOMAXPROCS(procs)
 		second := filepath.Join(t.TempDir(), "second")
-		if err := broadband.SaveDataset(loaded, second, broadband.SaveOptions{Workers: workers}); err != nil {
+		if err := broadband.SaveDataset(loaded, second, broadband.SaveOptions{}); err != nil {
 			t.Fatal(err)
 		}
 		for _, name := range []string{"users.csv", "switches.csv", "plans.csv"} {
@@ -73,7 +78,7 @@ func TestCSVSaveLoadSaveByteIdentical(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(a, b) {
-				t.Errorf("workers=%d: %s not byte-identical after save→load→save", workers, name)
+				t.Errorf("GOMAXPROCS=%d: %s not byte-identical after save→load→save", procs, name)
 			}
 		}
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -38,21 +39,29 @@ func failAt(n int, ran *atomic.Int32, fail map[int]error) []experiments.Entry {
 	return entries
 }
 
+// setProcs sets GOMAXPROCS for the rest of the test (n <= 0 keeps the
+// default) and restores it on cleanup. Outputs never depend on GOMAXPROCS,
+// so the change cannot break a test running concurrently.
+func setProcs(t testing.TB, n int) {
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
 // TestRunEntriesFailureInjection pins the error contract of the experiment
-// fan-out under mid-run failures, for every worker-pool shape: all entries
-// still run, the returned error is the lowest-indexed failure, and the
-// partial report slice is exactly the prefix preceding it — what a
-// sequential loop would have reported. Run under -race this also exercises
-// concurrent error collection.
+// fan-out under mid-run failures, for every GOMAXPROCS shape (workers=0 is
+// the default): all entries still run, the returned error is the
+// lowest-indexed failure, and the partial report slice is exactly the
+// prefix preceding it — what a sequential loop would have reported. Run
+// under -race this also exercises concurrent error collection.
 func TestRunEntriesFailureInjection(t *testing.T) {
 	errMid := errors.New("mid-run failure")
 	errLate := errors.New("late failure")
 	for _, workers := range []int{1, 2, 0} {
-		workers := workers
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			setProcs(t, workers)
 			var ran atomic.Int32
 			entries := failAt(12, &ran, map[int]error{7: errLate, 3: errMid})
-			reports, err := runEntries(context.Background(), entries, &dataset.Dataset{}, 1, workers)
+			reports, err := runEntries(context.Background(), entries, &dataset.Dataset{}, 1)
 			if !errors.Is(err, errMid) {
 				t.Fatalf("err = %v, want the lowest-indexed failure %v", err, errMid)
 			}
@@ -77,7 +86,8 @@ func TestRunEntriesErrorNamesArtifact(t *testing.T) {
 	var ran atomic.Int32
 	boom := errors.New("boom")
 	entries := failAt(5, &ran, map[int]error{2: boom})
-	_, err := runEntries(context.Background(), entries, &dataset.Dataset{}, 1, 2)
+	setProcs(t, 2)
+	_, err := runEntries(context.Background(), entries, &dataset.Dataset{}, 1)
 	if err == nil || !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want wrapped boom", err)
 	}
@@ -87,11 +97,12 @@ func TestRunEntriesErrorNamesArtifact(t *testing.T) {
 }
 
 // TestRunEntriesAllSucceed: the no-failure path returns every report in
-// entry order regardless of worker interleaving.
+// entry order regardless of goroutine interleaving.
 func TestRunEntriesAllSucceed(t *testing.T) {
 	var ran atomic.Int32
 	entries := failAt(9, &ran, nil)
-	reports, err := runEntries(context.Background(), entries, &dataset.Dataset{}, 1, 3)
+	setProcs(t, 3)
+	reports, err := runEntries(context.Background(), entries, &dataset.Dataset{}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
