@@ -163,7 +163,10 @@ func BuildWorldSharded(ctx context.Context, cfg WorldConfig, spec ShardSpec) (*S
 // SaveDataset (users.csv, switches.csv, plans.csv — plain or .gz),
 // rebuilding market summaries from the plan survey. Tables stream through
 // the record-at-a-time readers, so load memory is the dataset itself, not
-// a second parsed copy.
+// a second parsed copy. It holds every row to the same contract as
+// LoadDatasetRobust — its table's check, then the duplicate-id and
+// orphan-market rules — but fails on the first faulty row with a
+// *RowError naming its file and row instead of quarantining it.
 func LoadDataset(dir string) (*Dataset, error) { return dataset.LoadDir(dir) }
 
 // Quarantine-hardened ingestion: the robust loader skips malformed,

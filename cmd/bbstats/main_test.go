@@ -64,9 +64,9 @@ func TestRunExitCodes(t *testing.T) {
 }
 
 // TestRunNamesFailingRow pins the stream's error location: a NaN RTT in
-// the second shard of a three-shard set must fail with that shard's path
-// and the row holding the NaN, not a bare "sample contains NaN", and name
-// the dataset package once.
+// the second shard of a three-shard set must fail the users table's check
+// with that shard's path and the row holding the NaN, not a bare "sample
+// contains NaN", and name the dataset package once.
 func TestRunNamesFailingRow(t *testing.T) {
 	dir := t.TempDir()
 	for i := 0; i < 3; i++ {
@@ -91,7 +91,7 @@ func TestRunNamesFailingRow(t *testing.T) {
 		t.Fatalf("NaN RTT: exit %d, want 1; stderr:\n%s", code, stderr.String())
 	}
 	// The third data row of the shard: row 4, the header being row 1.
-	want := filepath.Join(dir, dataset.UserShardName(1, 3, false)) + " row 4:"
+	want := filepath.Join(dir, dataset.UserShardName(1, 3, false)) + " row 4 [domain]:"
 	if msg := stderr.String(); !strings.Contains(msg, want) || !strings.Contains(msg, "NaN") {
 		t.Errorf("error does not name %q and the NaN:\n%s", want, msg)
 	}

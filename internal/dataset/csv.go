@@ -25,10 +25,10 @@ import (
 // emits byte-identical files.
 //
 // Each of the three tables is described once, by a table descriptor: its
-// file name, header, record encoder and decoder, and the domain check the
-// quarantine applies. Everything else — the streaming Reader and Writer,
-// WriteAll/ReadAll, the sharded parallel encoder and both directory
-// loaders — is generic over the descriptor.
+// file name, header, record encoder and decoder, and the domain check that
+// is the table's one per-row contract. Everything else — the streaming
+// Reader and Writer, WriteAll/ReadAll, the sharded parallel encoder, the
+// directory loaders and Dataset.Validate — is generic over the descriptor.
 
 // Row is the set of record types stored as a table: users, service
 // switches and plan-survey rows.
@@ -45,7 +45,7 @@ type table[T Row] struct {
 	encode func(w *rowWriter, v *T)
 	decode func(p *parser, v *T)
 	// check rejects parsed rows that are physically or temporally
-	// impossible; the robust loader quarantines them as FaultDomain.
+	// impossible: the one per-row contract, run by every Reader (FaultDomain).
 	check func(v *T) error
 }
 
@@ -93,6 +93,9 @@ func tableOf[T Row]() *table[T] {
 	}
 	return t.(*table[T])
 }
+
+// CheckRow holds one row to its table's check.
+func CheckRow[T Row](v *T) error { return tableOf[T]().check(v) }
 
 func encodeUser(w *rowWriter, u *User) {
 	w.i64(u.ID)

@@ -2,6 +2,7 @@ package dataset
 
 import (
 	"bytes"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -72,24 +73,34 @@ func TestValidateAcceptsGoodData(t *testing.T) {
 	}
 }
 
+// TestValidateCatchesCorruption breaks one row, or the rules between rows,
+// and installs the broken users table through SetUsers, since Validate
+// reads the users table from the panel.
 func TestValidateCatchesCorruption(t *testing.T) {
 	cases := []struct {
 		name   string
-		break_ func(*Dataset)
+		break_ func(d *Dataset, users []User)
 	}{
-		{"no users", func(d *Dataset) { d.Users = nil }},
-		{"duplicate id", func(d *Dataset) { d.Users[1].ID = d.Users[0].ID }},
-		{"missing country", func(d *Dataset) { d.Users[0].Country = "" }},
-		{"unknown market", func(d *Dataset) { d.Users[0].Country = "ZZ" }},
-		{"zero capacity", func(d *Dataset) { d.Users[0].Capacity = 0 }},
-		{"zero rtt", func(d *Dataset) { d.Users[0].RTT = 0 }},
-		{"bad loss", func(d *Dataset) { d.Users[0].Loss = 1.5 }},
-		{"negative usage", func(d *Dataset) { d.Users[0].Usage.Mean = -1 }},
-		{"downgrade switch", func(d *Dataset) { d.Switches[0].ToDown = unit.KbpsOf(100) }},
+		{"no users", func(d *Dataset, users []User) { d.Users = nil }},
+		{"duplicate id", func(d *Dataset, users []User) { users[1].ID = users[0].ID }},
+		{"missing country", func(d *Dataset, users []User) { users[0].Country = "" }},
+		{"unknown market", func(d *Dataset, users []User) { users[0].Country = "ZZ" }},
+		{"zero capacity", func(d *Dataset, users []User) { users[0].Capacity = 0 }},
+		{"zero rtt", func(d *Dataset, users []User) { users[0].RTT = 0 }},
+		{"bad loss", func(d *Dataset, users []User) { users[0].Loss = 1.5 }},
+		{"negative usage", func(d *Dataset, users []User) { users[0].Usage.Mean = -1 }},
+		{"clock skew", func(d *Dataset, users []User) { users[0].Year = 1900 }},
+		{"non-finite upgrade cost", func(d *Dataset, users []User) { users[0].UpgradeCost = unit.PerMbps(math.Inf(-1)) }},
+		{"downgrade switch", func(d *Dataset, users []User) { d.Switches[0].ToDown = unit.KbpsOf(100) }},
+		{"negative plan price", func(d *Dataset, users []User) { d.Plans[0].PriceUSD = -1 }},
 	}
 	for _, c := range cases {
 		d := sampleDataset()
-		c.break_(d)
+		users := append([]User(nil), d.Users...)
+		c.break_(d, users)
+		if d.Users != nil {
+			d.SetUsers(BuildPanel(users))
+		}
 		if err := d.Validate(); err == nil {
 			t.Errorf("%s: corruption not caught", c.name)
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"github.com/nwca/broadband/internal/market"
@@ -18,74 +19,105 @@ import (
 // metadata (region, GDP per capita) is rejoined from the built-in market
 // profiles; plans for countries without a profile are kept but contribute
 // no market summary.
+// The load is strict: its first fault (row, domain, duplicate or
+// reference) is the error, naming the table, file and row.
 func LoadDir(dir string) (*Dataset, error) {
-	d := &Dataset{}
-	p := NewPanel(0)
-	if err := loadTables(dir, d, nil, QuarantineOptions{}, func(u *User, _ int, _ *Quarantine) error {
-		p.Append(u)
-		return nil
-	}); err != nil {
-		return nil, err
-	}
-	d.Markets = summarizeMarkets(d.Plans)
-	d.SetUsers(p)
-	if err := d.Validate(); err != nil {
-		return nil, fmt.Errorf("dataset: loaded data invalid: %w", err)
-	}
-	return d, nil
+	return loadDir(dir, strictQuarantine)
 }
 
 // EachUser streams the user table under dir — users.csv(.gz), else the
 // complete shard set — through fn one row at a time in file order, with
 // one file open and one record resident, so a one-pass consumer (bbstats)
-// runs over worlds larger than RAM. The load is strict. The first error fn
-// returns stops the walk and comes back wrapped with the file and 1-based
-// row it rejected. fn must not retain u: the record is reused.
+// runs over worlds larger than RAM. The load is strict: the first row that
+// fails to parse or the users check is the error. The first error fn
+// returns also stops the walk, wrapped with the file and 1-based row it
+// rejected. fn must not retain u: the record is reused.
 func EachUser(dir string, fn func(u *User) error) error {
-	return loadUsers(dir, nil, QuarantineOptions{}, func(u *User, _ int, _ *Quarantine) error { return fn(u) })
+	return loadUsers(dir, strictQuarantine, func(u *User, _ int, _ *Quarantine) error { return fn(u) })
 }
 
-// loadTables is the table loop LoadDir and LoadDirRobust share: it streams
-// the user table file by file (users.csv(.gz) or its shard set) into
-// keepUser, then the switch panel and the plan survey into d. With rep nil
-// the load is strict: the first faulty row fails it, and errors name the
-// table being loaded. Otherwise every file gets its own Quarantine under
-// opts writing into rep, and keepUser receives it with each user's row so
-// post-passes can charge demotions to the file the row came from.
-func loadTables(dir string, d *Dataset, rep *QuarantineReport, opts QuarantineOptions, keepUser func(u *User, row int, q *Quarantine) error) error {
-	if err := loadUsers(dir, rep, opts, keepUser); err != nil {
+// errNoUsers is the error of a dataset whose users table is empty.
+var errNoUsers = errors.New("dataset: no users")
+
+// loadDir is the one body of LoadDir and LoadDirRobust; gate opens the
+// quarantine of each file read. After the tables, the market summaries are
+// rebuilt from the surviving plan survey, and each cross-row fault is
+// demoted against the file and row its user came from.
+func loadDir(dir string, gate func(file string) *Quarantine) (*Dataset, error) {
+	d := &Dataset{}
+	p := NewPanel(0)
+	var qs []*Quarantine // each user's file quarantine and row
+	var rows []int
+	if err := loadTables(dir, d, gate, func(u *User, row int, q *Quarantine) error {
+		p.Append(u)
+		qs, rows = append(qs, q), append(rows, row)
+		return nil
+	}); err != nil {
+		return nil, err
+	}
+	d.Markets = summarizeMarkets(d.Plans)
+	demoted, err := crossRowFaults(p, d.Markets, func(i int, class RowFault, cause error) error {
+		if err := qs[i].demote(rows[i], class, cause); err != nil {
+			return qs[i].fail("users", err)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	if slices.Contains(demoted, true) {
+		// Re-append the survivors so the dictionaries intern only them.
+		kept := NewPanel(p.Len())
+		var u User
+		for i := range demoted {
+			if !demoted[i] {
+				p.UserAt(i, &u)
+				kept.Append(&u)
+			}
+		}
+		p = kept
+	}
+	if p.Len() == 0 {
+		return nil, errNoUsers
+	}
+	d.SetUsers(p)
+	return d, nil
+}
+
+// loadTables streams the user table under dir file by file
+// (users.csv(.gz) or its shard set) into keepUser with each row and its
+// file's quarantine, then the switch panel and the plan survey into d.
+func loadTables(dir string, d *Dataset, gate func(file string) *Quarantine, keepUser func(u *User, row int, q *Quarantine) error) error {
+	if err := loadUsers(dir, gate, keepUser); err != nil {
 		return err
 	}
 	switches, _ := tablePath(dir, "switches.csv")
-	if err := loadTable([]string{switches}, rep, opts, func(s *Switch, _ int, _ *Quarantine) error {
+	if err := loadTable([]string{switches}, gate, func(s *Switch, _ int, _ *Quarantine) error {
 		d.Switches = append(d.Switches, *s)
 		return nil
 	}); err != nil {
 		return err
 	}
 	plans, _ := tablePath(dir, "plans.csv")
-	return loadTable([]string{plans}, rep, opts, func(pl *market.Plan, _ int, _ *Quarantine) error {
+	return loadTable([]string{plans}, gate, func(pl *market.Plan, _ int, _ *Quarantine) error {
 		d.Plans = append(d.Plans, *pl)
 		return nil
 	})
 }
 
 // loadUsers streams the user table under dir through keep.
-func loadUsers(dir string, rep *QuarantineReport, opts QuarantineOptions, keep func(u *User, row int, q *Quarantine) error) error {
+func loadUsers(dir string, gate func(file string) *Quarantine, keep func(u *User, row int, q *Quarantine) error) error {
 	files, err := userTableFiles(dir)
 	if err != nil {
-		return loadErr(rep, "users", dir, err)
+		return gate(dir).fail("users", err)
 	}
-	return loadTable(files, rep, opts, keep)
+	return loadTable(files, gate, keep)
 }
 
 // loadTable streams each file of one table through readRows.
-func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOptions, keep func(v *T, row int, q *Quarantine) error) error {
+func loadTable[T Row](files []string, gate func(file string) *Quarantine, keep func(v *T, row int, q *Quarantine) error) error {
 	for _, path := range files {
-		var q *Quarantine
-		if rep != nil {
-			q = NewQuarantine(path, opts, rep)
-		}
+		q := gate(path)
 		err := func() error {
 			rc, err := openPath(path)
 			if err != nil {
@@ -95,25 +127,10 @@ func loadTable[T Row](files []string, rep *QuarantineReport, opts QuarantineOpti
 			return readRows(rc, path, q, func(v *T, row int) error { return keep(v, row, q) })
 		}()
 		if err != nil {
-			return loadErr(rep, tableOf[T]().name, path, err)
+			return q.fail(tableOf[T]().name, err)
 		}
 	}
 	return nil
-}
-
-// loadErr shapes a table-load failure. A strict load (rep nil) names the
-// table; a robust load keeps its typed errors and types any other failure
-// (opening the file, finding the shard set) as a terminal FaultIO.
-func loadErr(rep *QuarantineReport, table, file string, err error) error {
-	if rep == nil {
-		return &tableError{table: table, err: err}
-	}
-	var re *RowError
-	var be *BudgetError
-	if errors.As(err, &re) || errors.As(err, &be) {
-		return err
-	}
-	return &RowError{File: file, Class: FaultIO, Err: err}
 }
 
 // tableError names the table a strict load failed on. Most causes —
@@ -132,12 +149,9 @@ func (e *tableError) Unwrap() error { return e.err }
 
 // readRows streams one table file through keep, passing each row with its
 // 1-based line; an error from keep stops the read, wrapped with the file
-// and row. With q nil the first faulty row aborts the read (the
-// strict contract). Otherwise rows that fail structurally, at parse time
-// or the table's domain check are quarantined against q and skipped; the
-// read fails with a *BudgetError once q's budget is exhausted and with a
-// terminal *RowError when the transport itself fails (truncation, gzip
-// corruption, I/O).
+// and row. Rows the Reader rejects go to q, which skips them or fails the
+// read (strict, or over budget). A transport failure (truncation, gzip
+// corruption, I/O) fails it with a terminal *RowError.
 func readRows[T Row](r io.Reader, file string, q *Quarantine, keep func(v *T, row int) error) error {
 	tr, err := NewReader[T](r, file)
 	if err != nil {
@@ -147,25 +161,15 @@ func readRows[T Row](r io.Reader, file string, q *Quarantine, keep func(v *T, ro
 	var re *RowError
 	for {
 		err := tr.Read(&v)
-		if err == nil && q != nil {
-			if derr := tr.t.check(&v); derr != nil {
-				err = &RowError{File: file, Row: tr.row, Class: FaultDomain, Err: derr}
-			}
-		}
 		switch {
 		case err == nil:
-			if q != nil {
-				q.kept()
-			}
+			q.kept()
 			if err := keep(&v, tr.row); err != nil {
 				return fmt.Errorf("dataset: %s row %d: %w", file, tr.row, err)
 			}
 		case err == io.EOF:
-			if q != nil {
-				return q.finish()
-			}
-			return nil
-		case q != nil && errors.As(err, &re) && re.Class.recoverable():
+			return q.finish()
+		case errors.As(err, &re) && re.Class.recoverable():
 			if qerr := q.note(re.Row, re.Class, re.Err); qerr != nil {
 				return qerr
 			}

@@ -10,14 +10,16 @@ import (
 	"github.com/nwca/broadband/internal/market"
 )
 
-// Quarantine-hardened ingestion. The strict loaders (LoadDir, ReadAll)
-// abort on the first malformed row — the right contract for data this
-// pipeline wrote itself. Real measurement panels are dirtier: host churn,
-// counter resets, duplicated and missing samples, corrupted uploads. The
-// robust loaders ingest such inputs by skipping bad rows and collecting a
-// typed per-row diagnostic report (file, 1-based row, fault class, cause),
-// gated by a configurable error budget beyond which loading fails with one
-// summarizing *BudgetError. Nothing here panics, and nothing is dropped
+// Quarantine-hardened ingestion. Every load holds every row to its table's
+// check and differs only in its quarantine. The strict loads (LoadDir,
+// EachUser, ReadAll) have no budget: the first faulty row is the error —
+// the right contract for data this pipeline wrote itself. Real
+// measurement panels are dirtier: host churn, counter resets, duplicated
+// and missing samples, corrupted uploads. The robust load ingests such
+// inputs by skipping bad rows and collecting a typed per-row diagnostic
+// report (file, 1-based row, fault class, cause), gated by a configurable
+// error budget beyond which loading fails with one summarizing
+// *BudgetError. Nothing here panics, and nothing is dropped
 // silently: every excluded row appears in the report.
 
 // RowFault classifies why a row was quarantined or a load failed.
@@ -204,17 +206,18 @@ func (e *BudgetError) Error() string {
 }
 
 // Quarantine tracks one file's row budget and routes diagnostics into the
-// shared report. LoadDirRobust creates one per file with NewQuarantine.
+// shared report. Every load creates one per file it reads.
 type Quarantine struct {
 	file      string
 	opts      QuarantineOptions
 	rep       *QuarantineReport
 	read, bad int
+	strict    bool // no budget: the first faulty row is the load's error
 }
 
-// NewQuarantine returns the per-file quarantine gate writing into rep.
-func NewQuarantine(file string, opts QuarantineOptions, rep *QuarantineReport) *Quarantine {
-	return &Quarantine{file: file, opts: opts, rep: rep}
+// strictQuarantine is the quarantine of a strict load over file.
+func strictQuarantine(file string) *Quarantine {
+	return &Quarantine{file: file, rep: &QuarantineReport{}, strict: true}
 }
 
 // budgetFloor is the minimum number of offered rows before the fractional
@@ -242,16 +245,25 @@ func (q *Quarantine) overBudget(minRead int) bool {
 	return frac < 1 && q.read > 0 && q.read >= minRead && float64(q.bad) > frac*float64(q.read)
 }
 
-// note records one quarantined row and enforces the incremental budget.
-func (q *Quarantine) note(row int, class RowFault, cause error) error {
-	q.read++
+// reject quarantines one row and enforces the budget once minRead rows
+// were offered. A strict quarantine returns the row's fault instead.
+func (q *Quarantine) reject(row int, class RowFault, cause error, minRead int) error {
+	if q.strict {
+		return &RowError{File: q.file, Row: row, Class: class, Err: cause}
+	}
 	q.bad++
-	q.rep.RowsRead++
 	q.rep.Diags = append(q.rep.Diags, RowDiag{File: q.file, Row: row, Class: class, Cause: cause.Error()})
-	if q.overBudget(budgetFloor) {
+	if q.overBudget(minRead) {
 		return q.budgetErr()
 	}
 	return nil
+}
+
+// note records one row the reader rejected.
+func (q *Quarantine) note(row int, class RowFault, cause error) error {
+	q.read++
+	q.rep.RowsRead++
+	return q.reject(row, class, cause, budgetFloor)
 }
 
 // kept records one accepted row.
@@ -261,18 +273,12 @@ func (q *Quarantine) kept() {
 	q.rep.RowsKept++
 }
 
-// demote retracts a previously kept row (post-pass faults: duplicate keys,
-// orphaned market references) and re-enforces the budget. The file has
-// been read in full by then, so the fractional budget applies as it does
-// at end of file.
+// demote retracts a previously kept row (the cross-row faults: duplicate
+// keys, orphaned market references). The file has been read in full by
+// then, so the fractional budget applies as it does at end of file.
 func (q *Quarantine) demote(row int, class RowFault, cause error) error {
-	q.bad++
 	q.rep.RowsKept--
-	q.rep.Diags = append(q.rep.Diags, RowDiag{File: q.file, Row: row, Class: class, Cause: cause.Error()})
-	if q.overBudget(0) {
-		return q.budgetErr()
-	}
-	return nil
+	return q.reject(row, class, cause, 0)
 }
 
 // finish enforces the budget at end of file.
@@ -281,6 +287,20 @@ func (q *Quarantine) finish() error {
 		return q.budgetErr()
 	}
 	return nil
+}
+
+// fail shapes a failure loading q's file of table. A strict load names the
+// table; a robust one keeps typed errors and types others as FaultIO.
+func (q *Quarantine) fail(table string, err error) error {
+	if q.strict {
+		return &tableError{table: table, err: err}
+	}
+	var re *RowError
+	var be *BudgetError
+	if errors.As(err, &re) || errors.As(err, &be) {
+		return err
+	}
+	return &RowError{File: q.file, Class: FaultIO, Err: err}
 }
 
 // Domain bounds. Values outside them are physically or temporally
@@ -355,8 +375,8 @@ func checkUserDomain(u *User) error {
 	if u.RTT == 0 {
 		return errors.New("rtt is zero")
 	}
-	if l := float64(u.Loss); math.IsNaN(l) || l < 0 || l > 1 {
-		return fmt.Errorf("loss %v outside [0, 1]", l)
+	if !u.Loss.IsValid() {
+		return fmt.Errorf("loss %v outside [0, 1]", float64(u.Loss))
 	}
 	for _, c := range []struct {
 		name string
@@ -373,13 +393,15 @@ func checkUserDomain(u *User) error {
 	for _, c := range []struct {
 		name string
 		v    float64
-	}{
-		{"plan price", float64(u.PlanPrice)}, {"access price", float64(u.AccessPrice)},
-		{"upgrade cost", float64(u.UpgradeCost)},
-	} {
+	}{{"plan price", float64(u.PlanPrice)}, {"access price", float64(u.AccessPrice)}} {
 		if why := badMoney(c.v); why != "" {
 			return fmt.Errorf("%s %s", c.name, why)
 		}
+	}
+	// A fitted slope, not a price: either sign is a market state (see
+	// market.GroupOfUpgradeCost). The negated test also fails NaN.
+	if v := float64(u.UpgradeCost); !(math.Abs(v) <= maxPlausibleUSD) {
+		return fmt.Errorf("upgrade cost %v is not a finite slope within ±%g", v, maxPlausibleUSD)
 	}
 	if u.PlanCap < 0 {
 		return errors.New("plan cap is negative")
@@ -446,81 +468,14 @@ func checkPlanDomain(p *market.Plan) error {
 }
 
 // LoadDirRobust reads a dataset directory the way LoadDir does, but under
-// the quarantine contract: malformed, out-of-domain, duplicated and
-// orphaned rows are skipped and reported instead of aborting the load, up
-// to the configured error budget, which applies to each file on its own
-// (each user shard included). The report is returned even when the load
-// fails, so callers can see how far ingestion got. Terminal failures
-// (transport errors, exhausted budgets) are typed: *RowError, *BudgetError.
+// the quarantine contract: faulty rows are skipped and reported instead of
+// aborting the load, up to the configured error budget, which applies to
+// each file on its own (each user shard included). The report is returned
+// even when the load fails, so callers can see how far ingestion got.
+// Terminal failures (transport errors, exhausted budgets) are typed:
+// *RowError, *BudgetError.
 func LoadDirRobust(dir string, opts QuarantineOptions) (*Dataset, *QuarantineReport, error) {
 	rep := &QuarantineReport{}
-	d := &Dataset{}
-
-	// Users go straight into the panel, as in LoadDir; each keeps its file
-	// gate and row for the post-pass demotions.
-	type origin struct {
-		q   *Quarantine
-		row int
-	}
-	p := NewPanel(0)
-	var origins []origin
-	if err := loadTables(dir, d, rep, opts, func(u *User, row int, q *Quarantine) error {
-		p.Append(u)
-		origins = append(origins, origin{q, row})
-		return nil
-	}); err != nil {
-		return nil, rep, err
-	}
-
-	// Rebuild per-market summaries from the surviving survey rows, exactly
-	// as the strict loader does.
-	d.Markets = summarizeMarkets(d.Plans)
-
-	// Duplicated user IDs keep their first occurrence (duplicate-sample
-	// pathology); users whose market lost its summary (quarantined survey
-	// rows) are orphans. Both are demoted rather than failing validation:
-	// all duplicates first, then the orphans, in file order.
-	demoted := make([]bool, p.Len())
-	n := 0
-	seen := make(map[int64]bool, p.Len())
-	for i, id := range p.ID {
-		if seen[id] {
-			demoted[i], n = true, n+1
-			if err := origins[i].q.demote(origins[i].row, FaultDuplicate, fmt.Errorf("duplicate user id %d", id)); err != nil {
-				return nil, rep, err
-			}
-			continue
-		}
-		seen[id] = true
-	}
-	for i, c := range p.Country {
-		country := p.Countries.Value(c)
-		if _, ok := d.Markets[country]; ok || demoted[i] {
-			continue
-		}
-		demoted[i], n = true, n+1
-		if err := origins[i].q.demote(origins[i].row, FaultReference, fmt.Errorf("market %q has no plan survey", country)); err != nil {
-			return nil, rep, err
-		}
-	}
-	if n > 0 {
-		// Re-append the survivors so the dictionaries intern only them.
-		kept := NewPanel(p.Len() - n)
-		var u User
-		for i := range demoted {
-			if !demoted[i] {
-				p.UserAt(i, &u)
-				kept.Append(&u)
-			}
-		}
-		p = kept
-	}
-	d.SetUsers(p)
-
-	// The surviving dataset must satisfy the strict invariants — anything
-	// else would mean the quarantine let corruption through.
-	if err := d.Validate(); err != nil {
-		return nil, rep, fmt.Errorf("dataset: robust load left invalid data: %w", err)
-	}
-	return d, rep, nil
+	d, err := loadDir(dir, func(file string) *Quarantine { return &Quarantine{file: file, opts: opts, rep: rep} })
+	return d, rep, err
 }

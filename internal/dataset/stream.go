@@ -208,8 +208,8 @@ func NewReader[T Row](r io.Reader, file string) (*Reader[T], error) {
 	return &Reader[T]{t: t, cr: cr, file: file, row: 1}, nil
 }
 
-// Read parses the next record into v. It returns io.EOF at end of stream,
-// leaving v unspecified.
+// Read parses the next record into v and holds it to the table's check.
+// It returns io.EOF at end of stream, leaving v unspecified.
 func (r *Reader[T]) Read(v *T) error {
 	rec, err := r.cr.Read()
 	if err != nil {
@@ -231,13 +231,16 @@ func (r *Reader[T]) Read(v *T) error {
 	if r.p.err != nil {
 		return &RowError{File: r.file, Row: r.row, Class: FaultParse, Err: r.p.err}
 	}
+	if err := r.t.check(v); err != nil {
+		return &RowError{File: r.file, Row: r.row, Class: FaultDomain, Err: err}
+	}
 	return nil
 }
 
-// ReadAll parses a whole table; file names it in errors.
+// ReadAll parses a whole table strictly; file names it in errors.
 func ReadAll[T Row](r io.Reader, file string) ([]T, error) {
 	var out []T
-	err := readRows(r, file, nil, func(v *T, _ int) error {
+	err := readRows(r, file, strictQuarantine(file), func(v *T, _ int) error {
 		out = append(out, *v)
 		return nil
 	})

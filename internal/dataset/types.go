@@ -137,8 +137,8 @@ type Dataset struct {
 }
 
 // SetUsers installs p as the dataset's users table and derives Users from
-// it. Every constructor calls it exactly once — world build, LoadDir, and
-// LoadDirRobust after its post-passes — before the dataset is shared; the
+// it. Every constructor calls it exactly once — world build, and the
+// loaders after their cross-row pass — before the dataset is shared; the
 // panel is never rebuilt afterwards, and p must not change once
 // installed.
 func (d *Dataset) SetUsers(p *Panel) {
@@ -150,48 +150,63 @@ func (d *Dataset) SetUsers(p *Panel) {
 // SetUsers (nil before). Safe for concurrent readers.
 func (d *Dataset) Panel() *Panel { return d.panel }
 
-// Validate performs schema-level sanity checks and returns the first
-// violation found. Generation bugs should die here, not three experiments
+// Validate holds the dataset to the loaders' contract — every row passes
+// its table's check, the users table the cross-row rules — and returns the
+// first violation. Generation bugs should die here, not three experiments
 // later.
 func (d *Dataset) Validate() error {
+	p := d.panel
 	if len(d.Users) == 0 {
-		return fmt.Errorf("dataset: no users")
+		return errNoUsers
 	}
-	if d.panel == nil || d.panel.Len() != len(d.Users) {
+	if p == nil || p.Len() != len(d.Users) {
 		return fmt.Errorf("dataset: %d users but no matching panel (build datasets with SetUsers)", len(d.Users))
 	}
-	seen := make(map[int64]bool, len(d.Users))
 	for i := range d.Users {
-		u := &d.Users[i]
-		if seen[u.ID] {
-			return fmt.Errorf("dataset: duplicate user id %d", u.ID)
+		if err := CheckRow(&d.Users[i]); err != nil {
+			return fmt.Errorf("dataset: user %d: %w", d.Users[i].ID, err)
 		}
-		seen[u.ID] = true
-		if u.Country == "" {
-			return fmt.Errorf("dataset: user %d has no country", u.ID)
+	}
+	for i := range d.Switches {
+		if err := CheckRow(&d.Switches[i]); err != nil {
+			return fmt.Errorf("dataset: switch of user %d: %w", d.Switches[i].UserID, err)
 		}
-		if _, ok := d.Markets[u.Country]; !ok {
-			return fmt.Errorf("dataset: user %d references unknown market %q", u.ID, u.Country)
+	}
+	for i := range d.Plans {
+		if err := CheckRow(&d.Plans[i]); err != nil {
+			return fmt.Errorf("dataset: plan %d (%s): %w", i, d.Plans[i].Country, err)
 		}
-		if u.Capacity <= 0 || !u.Capacity.IsValid() {
-			return fmt.Errorf("dataset: user %d has capacity %v", u.ID, u.Capacity)
-		}
-		if u.RTT <= 0 {
-			return fmt.Errorf("dataset: user %d has RTT %v", u.ID, u.RTT)
-		}
-		if !u.Loss.IsValid() {
-			return fmt.Errorf("dataset: user %d has loss %v", u.ID, u.Loss)
-		}
-		for _, r := range []unit.Bitrate{u.Usage.Mean, u.Usage.Peak, u.Usage.MeanNoBT, u.Usage.PeakNoBT} {
-			if !r.IsValid() {
-				return fmt.Errorf("dataset: user %d has invalid usage %v", u.ID, r)
+	}
+	_, err := crossRowFaults(p, d.Markets, func(i int, _ RowFault, cause error) error {
+		return fmt.Errorf("dataset: user %d: %w", p.ID[i], cause)
+	})
+	return err
+}
+
+// crossRowFaults applies the rules between users rows: an id appears once
+// (the first occurrence stands), and a user's market has a summary. It
+// calls fault for every violating row, duplicates first, and returns which
+// rows violate a rule, unless fault's error stops the walk.
+func crossRowFaults(p *Panel, markets map[string]market.MarketSummary, fault func(i int, class RowFault, cause error) error) ([]bool, error) {
+	bad := make([]bool, p.Len())
+	seen := make(map[int64]bool, p.Len())
+	for i, id := range p.ID {
+		if bad[i] = seen[id]; bad[i] {
+			if err := fault(i, FaultDuplicate, fmt.Errorf("duplicate user id %d", id)); err != nil {
+				return nil, err
 			}
 		}
+		seen[id] = true
 	}
-	for _, s := range d.Switches {
-		if s.FromDown >= s.ToDown {
-			return fmt.Errorf("dataset: switch of user %d is not an upgrade (%v → %v)", s.UserID, s.FromDown, s.ToDown)
+	for i, c := range p.Country {
+		country := p.Countries.Value(c)
+		if _, ok := markets[country]; ok || bad[i] {
+			continue
+		}
+		bad[i] = true
+		if err := fault(i, FaultReference, fmt.Errorf("market %q has no plan survey", country)); err != nil {
+			return nil, err
 		}
 	}
-	return nil
+	return bad, nil
 }

@@ -116,7 +116,7 @@ type UpgradeCostGroup int
 
 // The paper's upgrade-cost bands.
 const (
-	UpgradeCheap     UpgradeCostGroup = iota // ($0, $0.50] per Mbps per month
+	UpgradeCheap     UpgradeCostGroup = iota // ($0, $0.50] per Mbps per month, and any negative fit
 	UpgradeMid                               // ($0.50, $1.00]
 	UpgradeExpensive                         // ($1.00, ∞)
 )
@@ -135,7 +135,9 @@ func (g UpgradeCostGroup) String() string {
 	}
 }
 
-// GroupOfUpgradeCost bands an upgrade-cost slope.
+// GroupOfUpgradeCost bands an upgrade-cost slope. The cheap band holds
+// every slope ≤ $0.50, negative fits included: a slope is a regression
+// fit, not a price, and dedicated-line outliers can tilt it below zero.
 func GroupOfUpgradeCost(s unit.PerMbps) UpgradeCostGroup {
 	switch {
 	case s <= 0.5:

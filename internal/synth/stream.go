@@ -67,9 +67,9 @@ func (r *ShardReport) SkippedHouseholds() int {
 // produced by the first switchPoolFactor·SwitchTarget primary-year Dasu
 // slots, in slot order — a pure function of the layout, so the panel is
 // identical for every shard count and GOMAXPROCS (and identical to the
-// in-core build whenever the pool covers all candidates). Whole-panel
-// validation is the in-core build's job; sharded output is gated by the
-// per-row invariants of generation itself.
+// in-core build whenever the pool covers all candidates). Every row it
+// writes is held to its table's check; the cross-row rules are the
+// loaders'.
 func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport, error) {
 	if spec.Dir == "" {
 		return nil, fmt.Errorf("synth: sharded build needs an output directory")
@@ -124,6 +124,9 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 					skipped[s][lay.find(i).prof.Country.Code]++
 					continue
 				}
+				if err := dataset.CheckRow(r.user); err != nil {
+					return fmt.Errorf("synth: generated user %d invalid: %w", r.user.ID, err)
+				}
 				if err := uw.Write(r.user); err != nil {
 					return err
 				}
@@ -164,10 +167,10 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 		return nil, err
 	}
 	opts := dataset.SaveOptions{Gzip: spec.Gzip}
-	if err := dataset.SaveTableCtx(ctx, spec.Dir, opts, w.Data.Switches); err != nil {
+	if err := saveChecked(ctx, spec.Dir, opts, w.Data.Switches); err != nil {
 		return nil, err
 	}
-	if err := dataset.SaveTableCtx(ctx, spec.Dir, opts, w.Data.Plans); err != nil {
+	if err := saveChecked(ctx, spec.Dir, opts, w.Data.Plans); err != nil {
 		return nil, err
 	}
 	return &ShardReport{
@@ -179,4 +182,14 @@ func BuildSharded(ctx context.Context, cfg Config, spec ShardSpec) (*ShardReport
 		Switches:   len(w.Data.Switches),
 		Plans:      len(w.Data.Plans),
 	}, nil
+}
+
+// saveChecked holds every row to its table's check, then saves the table.
+func saveChecked[T dataset.Row](ctx context.Context, dir string, opts dataset.SaveOptions, rows []T) error {
+	for i := range rows {
+		if err := dataset.CheckRow(&rows[i]); err != nil {
+			return fmt.Errorf("synth: generated %T row %d invalid: %w", rows[i], i, err)
+		}
+	}
+	return dataset.SaveTableCtx(ctx, dir, opts, rows)
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	broadband "github.com/nwca/broadband"
+	"github.com/nwca/broadband/internal/cli"
 )
 
 // TestCSVRoundTripPreservesAnalyses checks the bbgen → bbrepro contract:
@@ -136,5 +137,36 @@ func TestLoadDatasetRobustReadsShardedWorld(t *testing.T) {
 	if !reflect.DeepEqual(strict.Users, robust.Users) || !reflect.DeepEqual(strict.Switches, robust.Switches) ||
 		!reflect.DeepEqual(strict.Plans, robust.Plans) {
 		t.Fatal("robust load of a sharded world differs from LoadDataset")
+	}
+}
+
+// TestCanonicalWorldLoadsWhole: the world the goldens pin, saved, loads
+// through the strict and the robust loader to the same users with nothing
+// quarantined — both loaders hold every row to the same table check, and
+// a negative fitted upgrade cost (AF's) is a market state, not a fault.
+func TestCanonicalWorldLoadsWhole(t *testing.T) {
+	if testing.Short() {
+		t.Skip("canonical world generation is slow; skipped with -short")
+	}
+	world, err := broadband.BuildWorld(cli.CanonicalWorld)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	if err := world.Data.SaveDir(dir); err != nil {
+		t.Fatal(err)
+	}
+	strict, err := broadband.LoadDataset(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	robust, rep, err := broadband.LoadDatasetRobust(dir, broadband.QuarantineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const users = 12688
+	if len(strict.Users) != users || len(robust.Users) != users || len(rep.Diags) != 0 {
+		t.Fatalf("strict load kept %d users, robust %d, want %d each; robust %s",
+			len(strict.Users), len(robust.Users), users, rep.Render())
 	}
 }
